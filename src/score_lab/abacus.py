@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import (
     BeadStructureError,
     InternalConsistencyError,
     InvalidInputError,
     UnplaceableHookError,
+    check_progression,
 )
 from .mdcore import validate_md
 
@@ -79,10 +79,7 @@ class AbacusSpec:
 
 def abacus_spec(s: int, d: int) -> AbacusSpec:
     """Build the grid spec for coprime positive s, d."""
-    if not (isinstance(s, int) and isinstance(d, int) and s >= 1 and d >= 1):
-        raise InvalidInputError(f"s and d must be positive integers, got {s!r}, {d!r}")
-    if gcd(s, d) != 1:
-        raise InvalidInputError(f"s={s} and d={d} must be coprime")
+    check_progression(s, d)
     a = -s if s % 2 == 1 else -(s + d)
     return AbacusSpec(s, d, a)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from math import gcd
 
 from .abacus import (
     abacus_function,
@@ -38,6 +37,7 @@ from .errors import (
     InvalidPathError,
     NotACoreError,
     UnsupportedParametersError,
+    check_progression,
 )
 from .mdcore import corners, md_is_simultaneous_core, md_to_partition, validate_md
 from .motzkin import constraints_for, flat_count, last_step, satisfies
@@ -71,10 +71,7 @@ class PhiContext:
 
 def phi_context(s: int, d: int, p: int) -> PhiContext:
     """Context for coprime s, d and progression length p >= 2."""
-    if not (isinstance(s, int) and isinstance(d, int) and s >= 1 and d >= 1):
-        raise InvalidInputError(f"s and d must be positive integers, got {s!r}, {d!r}")
-    if gcd(s, d) != 1:
-        raise InvalidInputError(f"s={s} and d={d} must be coprime")
+    check_progression(s, d)
     if not (isinstance(p, int) and p >= 2):
         raise InvalidInputError(f"progression length p must be >= 2, got {p!r}")
     half_up = (d + 1) // 2

@@ -23,6 +23,11 @@ from . import bijection, formulas, mdcore, motzkin, oracle
 from .errors import ScoreLabError
 
 USAGE_ERROR = 64
+_PARTITION_COLUMNS = ("size", "corners", "md", "parts")
+
+
+class _UsageError(Exception):
+    """Flags that parse but do not make sense together; exits 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +78,14 @@ class _Emitter:
     def json(self, obj) -> None:
         self.lines.append(json.dumps(obj, separators=(",", ":")))
 
+    def csv(self, header, rows) -> None:
+        """A header line, then one line per row; a dict row is read by the header."""
+        self.line(",".join(header))
+        for row in rows:
+            if isinstance(row, dict):
+                row = [row[key] for key in header]
+            self.line(",".join(map(_csv_cell, row)))
+
     def flush(self) -> None:
         text = "\n".join(self.lines) + ("\n" if self.lines else "")
         if self.output:
@@ -80,6 +93,26 @@ class _Emitter:
                 handle.write(text)
         else:
             sys.stdout.write(text)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (list, tuple)):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _check_bound(bound: int | None, s: int, d: int) -> None:
+    """Refuse a hook bound that would cut the enumeration short."""
+    complete = oracle.default_md_bound(s, d)
+    if bound is not None and bound < complete:
+        raise _UsageError(
+            f"--bound {bound} is below the completeness bound {complete} "
+            f"of ({s}, {s + d})-cores; the enumeration would miss cores"
+        )
 
 
 def build_parser() -> _Parser:
@@ -164,6 +197,7 @@ def _cmd_count(args, emit: _Emitter) -> int:
     method = args.method
     if args.t is not None:
         s, t = sorted((args.s, args.t))
+        _check_bound(args.bound, s, t - s)
         if method in ("formula", "all"):
             results.append(formulas.count_sc_pair(s, t))
         if method in ("dp",):
@@ -176,16 +210,11 @@ def _cmd_count(args, emit: _Emitter) -> int:
             )
     else:
         if args.d is None:
-            print("error: --d is required unless --t is given", file=sys.stderr)
-            return USAGE_ERROR
+            raise _UsageError("--d is required unless --t is given")
         s, d, p = args.s, args.d, args.p
+        _check_bound(args.bound, s, d)
         if method in ("formula", "all"):
-            if p == 2:
-                results.append(formulas.count_sc_p2(s, d))
-            if p == 3:
-                results.append(formulas.count_sc_p3(s, d))
-            if d == 1:
-                results.append(formulas.count_sc_d1(s, p))
+            results.extend(formulas.closed_forms(s, d, p))
             if method == "formula" and not results:
                 print(
                     f"error: no closed formula for p={p}, d={d}; "
@@ -201,18 +230,17 @@ def _cmd_count(args, emit: _Emitter) -> int:
                 formulas.CountResult(len(oracle.enumerate_md_sets(task)), "enumeration")
             )
     agree = len({r.value for r in results}) <= 1
+    records = [r.as_json() for r in results]
     if args.format == "json":
-        for r in results:
-            emit.json(r.as_json())
+        for record in records:
+            emit.json(record)
         if method == "all":
             emit.json({"agree": agree})
     elif args.format == "csv":
-        emit.line("method,value")
-        for r in results:
-            emit.line(f"{r.method},{r.value}")
+        emit.csv(("method", "value"), records)
     else:
-        for r in results:
-            emit.line(f"{r.method}: {r.value}")
+        for record in records:
+            emit.line(f"{record['method']}: {record['value']}")
         if method == "all":
             emit.line("AGREE" if agree else "DISAGREE")
     emit.flush()
@@ -220,25 +248,21 @@ def _cmd_count(args, emit: _Emitter) -> int:
 
 
 def _cmd_enumerate(args, emit: _Emitter) -> int:
+    _check_bound(args.bound, args.s, args.d)
     task = oracle.EnumerationTask(args.s, args.d, args.p, args.bound)
     if args.n_max is not None:
         partitions = oracle.enumerate_by_partition_scan(task, args.n_max)
         mds = [mdcore.partition_to_md(parts) for parts in partitions]
     else:
         mds = oracle.enumerate_md_sets(task)
-    if args.format == "csv":
-        emit.line("size,corners,md,parts")
-    for md in mds:
-        record = mdcore.partition_record(md)
-        if args.format == "json":
+    records = [mdcore.partition_record(md) for md in mds]
+    if args.format == "json":
+        for record in records:
             emit.json(record)
-        elif args.format == "csv":
-            emit.line(
-                f"{record['size']},{record['corners']},"
-                f"{' '.join(map(str, record['md']))},"
-                f"{' '.join(map(str, record['parts']))}"
-            )
-        else:
+    elif args.format == "csv":
+        emit.csv(_PARTITION_COLUMNS, records)
+    else:
+        for record in records:
             md_text = ",".join(map(str, record["md"])) or "-"
             parts_text = ",".join(map(str, record["parts"])) or "-"
             emit.line(f"md={md_text} parts={parts_text}")
@@ -253,8 +277,8 @@ def _cmd_map(args, emit: _Emitter) -> int:
     if args.format == "json":
         emit.json(bijection.mapping_record(md, ctx))
     elif args.format == "csv":
-        emit.line("steps,x,y,flats,last")
-        emit.line(motzkin.path_csv_row(steps))
+        row = (steps, ctx.x, ctx.y, motzkin.flat_count(steps), motzkin.last_step(steps) or "-")
+        emit.csv(("steps", "x", "y", "flats", "last"), [row])
     else:
         emit.line(steps)
     emit.flush()
@@ -269,12 +293,7 @@ def _cmd_unmap(args, emit: _Emitter) -> int:
         emit.json(bijection.mapping_record(md, ctx))
         emit.json(record)
     elif args.format == "csv":
-        emit.line("size,corners,md,parts")
-        emit.line(
-            f"{record['size']},{record['corners']},"
-            f"{' '.join(map(str, record['md']))},"
-            f"{' '.join(map(str, record['parts']))}"
-        )
+        emit.csv(_PARTITION_COLUMNS, [record])
     else:
         emit.line(",".join(map(str, record["md"])) or "-")
         emit.line("parts: " + (",".join(map(str, record["parts"])) or "-"))
@@ -288,9 +307,7 @@ def _cmd_abacus(args, emit: _Emitter) -> int:
     if args.format == "json":
         emit.json(abacus_mod.abacus_record(state))
     elif args.format == "csv":
-        emit.line("j,r,b,f")
-        for column in abacus_mod.abacus_record(state)["columns"]:
-            emit.line(f"{column['j']},{column['r']},{column['b']},{column['f']}")
+        emit.csv(("j", "r", "b", "f"), abacus_mod.abacus_record(state)["columns"])
     else:
         emit.line(abacus_mod.render_abacus(state))
     emit.flush()
@@ -305,31 +322,24 @@ def _cmd_corners(args, emit: _Emitter) -> int:
     for md in oracle.enumerate_md_sets(task):
         m, _, _ = bijection.corner_statistics(md, ctx)
         histogram[m] = histogram.get(m, 0) + 1
-    formula = None
-    if p == 2:
-        formula = formulas.count_corners_p2
-    elif p == 3:
-        formula = formulas.count_corners_p3
+    formula = formulas.CORNER_FORMULAS.get(p)
     top = max(max(histogram, default=0), s // 2)
     rows = []
     for m in range(top + 1):
         if args.m is not None and m != args.m:
             continue
-        counted = histogram.get(m, 0)
         expected = formula(s, m).value if formula else None
-        rows.append((m, counted, expected))
-    agree = all(e is None or e == c for _, c, e in rows)
+        rows.append({"m": m, "enumerated": histogram.get(m, 0), "formula": expected})
+    agree = all(row["formula"] in (None, row["enumerated"]) for row in rows)
     if args.format == "json":
-        for m, counted, expected in rows:
-            emit.json({"m": m, "enumerated": counted, "formula": expected})
+        for row in rows:
+            emit.json(row)
     elif args.format == "csv":
-        emit.line("m,enumerated,formula")
-        for m, counted, expected in rows:
-            emit.line(f"{m},{counted},{'' if expected is None else expected}")
+        emit.csv(("m", "enumerated", "formula"), rows)
     else:
-        for m, counted, expected in rows:
-            tail = "" if expected is None else f" formula={expected}"
-            emit.line(f"m={m} enumerated={counted}{tail}")
+        for row in rows:
+            tail = "" if row["formula"] is None else f" formula={row['formula']}"
+            emit.line(f"m={row['m']} enumerated={row['enumerated']}{tail}")
         emit.line("AGREE" if agree else "DISAGREE")
     emit.flush()
     return 0 if agree else 1
@@ -346,17 +356,11 @@ def _cmd_verify(args, emit: _Emitter) -> int:
         d_lo, d_hi = _parse_span(args.d)
         p_lo, p_hi = _parse_span(args.p)
     except ValueError:
-        print("error: ranges must be INT or INT..INT", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError("ranges must be INT or INT..INT")
     if s_lo < 1 or d_lo < 1 or p_lo < 2 or s_hi < s_lo or d_hi < d_lo or p_hi < p_lo:
-        print(
-            "error: need s >= 1, d >= 1, p >= 2 and nonempty ranges",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise _UsageError("need s >= 1, d >= 1, p >= 2 and nonempty ranges")
     if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError("--jobs must be >= 1")
 
     grid = []
     skipped = []
@@ -374,25 +378,21 @@ def _cmd_verify(args, emit: _Emitter) -> int:
     else:
         reports = [_verify_one(item) for item in grid]
 
-    if args.format == "csv":
-        emit.line("s,d,p,n_md,n_path,n_dp,n_formula,roundtrip,corners,pass")
-    for s, d, p in skipped:
-        if args.format == "json":
+    if args.format == "json":
+        for s, d, p in skipped:
             emit.json({"s": s, "d": d, "p": p, "skipped": "gcd(s, d) != 1"})
-        elif args.format == "csv":
-            emit.line(f"{s},{d},{p},,,,,,,skipped")
-        else:
-            emit.line(f"s={s} d={d} p={p} skipped (gcd != 1)")
-    for report in reports:
-        if args.format == "json":
+        for report in reports:
             emit.json(report.as_json())
-        elif args.format == "csv":
-            emit.line(
-                f"{report.s},{report.d},{report.p},{report.n_md},{report.n_path},"
-                f"{report.n_dp},{'' if report.n_formula is None else report.n_formula},"
-                f"{report.roundtrip},{report.corners},{str(report.passed).lower()}"
-            )
-        else:
+    elif args.format == "csv":
+        header = (
+            "s", "d", "p", "n_md", "n_path", "n_dp", "n_formula", "roundtrip", "corners", "pass",
+        )
+        rows = [(s, d, p, *[None] * 6, "skipped") for s, d, p in skipped]
+        emit.csv(header, rows + [report.as_json() for report in reports])
+    else:
+        for s, d, p in skipped:
+            emit.line(f"s={s} d={d} p={p} skipped (gcd != 1)")
+        for report in reports:
             formula_text = "-" if report.n_formula is None else str(report.n_formula)
             verdict = "PASS" if report.passed else "FAIL"
             emit.line(
@@ -437,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     emit = _Emitter(args.output)
     try:
         return _HANDLERS[args.command](args, emit)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except ScoreLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the (s, d) check."""
+
+from math import gcd
 
 
 class ScoreLabError(Exception):
@@ -31,3 +33,11 @@ class UnsupportedParametersError(ScoreLabError, ValueError):
 
 class InternalConsistencyError(ScoreLabError, RuntimeError):
     """A condition that should be impossible; indicates a bug, not bad input."""
+
+
+def check_progression(s: int, d: int) -> None:
+    """Raise `InvalidInputError` unless s and d are coprime positive integers."""
+    if not (isinstance(s, int) and isinstance(d, int) and s >= 1 and d >= 1):
+        raise InvalidInputError(f"s and d must be positive integers, got {s!r}, {d!r}")
+    if gcd(s, d) != 1:
+        raise InvalidInputError(f"s={s} and d={d} must be coprime")

@@ -9,10 +9,11 @@ summation bounds rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from math import comb, gcd
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_progression
 from .motzkin import constraints_for, count_paths_dp
 
 __all__ = [
@@ -26,6 +27,8 @@ __all__ = [
     "count_sym_motzkin",
     "count_corners_p2",
     "count_corners_p3",
+    "CORNER_FORMULAS",
+    "closed_forms",
     "count_via_paths",
     "check_shift_equivalence",
 ]
@@ -39,7 +42,8 @@ class CountResult:
     method: str
 
     def as_json(self) -> dict:
-        return {"value": str(self.value), "method": self.method}
+        # Decimal prints every digit; str(int) refuses past 4,300 of them.
+        return {"value": str(Decimal(self.value)), "method": self.method}
 
 
 def binom(n: int, k: int) -> int:
@@ -61,16 +65,9 @@ def multinom(n: int, parts: Sequence[int]) -> int:
     return total
 
 
-def _require_progression(s: int, d: int) -> None:
-    if not (isinstance(s, int) and isinstance(d, int) and s >= 1 and d >= 1):
-        raise InvalidInputError(f"s and d must be positive integers, got {s!r}, {d!r}")
-    if gcd(s, d) != 1:
-        raise InvalidInputError(f"s={s} and d={d} must be coprime")
-
-
 def count_sc_p2(s: int, d: int) -> CountResult:
     """Number of self-conjugate (s, s+d, s+2d)-cores."""
-    _require_progression(s, d)
+    check_progression(s, d)
     if d % 2 == 0:
         n = (s + d - 1) // 2
         total = sum(
@@ -88,7 +85,7 @@ def count_sc_p2(s: int, d: int) -> CountResult:
 
 def count_sc_p3(s: int, d: int) -> CountResult:
     """Number of self-conjugate (s, s+d, s+2d, s+3d)-cores."""
-    _require_progression(s, d)
+    check_progression(s, d)
     if d % 2 == 0:
         n = (s + d - 1) // 2
         total = sum(
@@ -168,6 +165,26 @@ def count_corners_p3(s: int, m: int) -> CountResult:
     )
 
 
+# Corner-refined counts of d = 1 cores, keyed by the progression length p.
+CORNER_FORMULAS = {2: count_corners_p2, 3: count_corners_p3}
+
+
+def closed_forms(s: int, d: int, p: int) -> list[CountResult]:
+    """Every closed-form count that applies to (s, d, p): p2, p3, d1 in that order.
+
+    Each formula validates its own arguments; the list is empty when
+    no closed form covers the parameters.
+    """
+    results = []
+    if p == 2:
+        results.append(count_sc_p2(s, d))
+    if p == 3:
+        results.append(count_sc_p3(s, d))
+    if d == 1:
+        results.append(count_sc_d1(s, p))
+    return results
+
+
 def _require_corner_args(s: int, m: int) -> None:
     if not (isinstance(s, int) and s >= 1):
         raise InvalidInputError(f"s must be a positive integer, got {s!r}")
@@ -177,7 +194,7 @@ def _require_corner_args(s: int, m: int) -> None:
 
 def count_via_paths(s: int, d: int, p: int) -> CountResult:
     """Core count through the lattice-path encoding (automaton DP)."""
-    _require_progression(s, d)
+    check_progression(s, d)
     half_up = (d + 1) // 2
     value = count_paths_dp(
         s // 2 + half_up, -half_up, constraints_for(s, d, p)
@@ -194,7 +211,7 @@ def check_shift_equivalence(s: int, d: int, p: int) -> bool:
     shifted progression shares a common factor and its core set is
     infinite, so there is nothing to compare.
     """
-    _require_progression(s, d)
+    check_progression(s, d)
     if d % 2 == 0 or s % 2 == 1 or p % 2 == 1 or p < 2:
         raise InvalidInputError(
             f"shift equivalence needs odd d and even s, p; got s={s}, d={d}, p={p}"

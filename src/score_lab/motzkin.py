@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
-from .errors import InvalidInputError, InvalidPathError
+from .errors import InvalidInputError, InvalidPathError, check_progression
 
 __all__ = [
     "PathConstraintSet",
@@ -34,8 +33,6 @@ __all__ = [
     "satisfies",
     "enumerate_paths",
     "count_paths_dp",
-    "path_record",
-    "path_csv_row",
 ]
 
 _STEPS = ("U", "D", "F")
@@ -65,7 +62,9 @@ def constraints_for(s: int, d: int, p: int) -> PathConstraintSet:
     parities of s and d; notably both odd-d cases forbid a bare trailing
     U already at p = 2.
     """
-    _check_progression(s, d, p)
+    check_progression(s, d)
+    if not (isinstance(p, int) and p >= 2):
+        raise InvalidInputError(f"progression length p must be an integer >= 2, got {p!r}")
     if s % 2 == 1 and d % 2 == 0:
         case = "odd_even"
         prefix_top = (p - 4) // 2 if p >= 4 else -1
@@ -82,15 +81,6 @@ def constraints_for(s: int, d: int, p: int) -> PathConstraintSet:
     prefixes = tuple("F" * j + "U" for j in range(prefix_top + 1))
     suffixes = tuple("U" + "F" * k for k in range(suffix_top + 1))
     return PathConstraintSet(p, case, factors, prefixes, suffixes)
-
-
-def _check_progression(s: int, d: int, p: int) -> None:
-    if not (isinstance(s, int) and isinstance(d, int) and s >= 1 and d >= 1):
-        raise InvalidInputError(f"s and d must be positive integers, got {s!r}, {d!r}")
-    if gcd(s, d) != 1:
-        raise InvalidInputError(f"s={s} and d={d} must be coprime")
-    if not (isinstance(p, int) and p >= 2):
-        raise InvalidInputError(f"progression length p must be an integer >= 2, got {p!r}")
 
 
 def _validate_steps(steps: str) -> str:
@@ -217,14 +207,3 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
         total += ways
     return total
 
-
-def path_record(steps: str) -> dict:
-    """JSON-ready record for one path."""
-    x, y = path_type(steps)
-    return {"steps": steps, "x": x, "y": y, "flats": flat_count(steps)}
-
-
-def path_csv_row(steps: str) -> str:
-    """CSV row ``steps,x,y,flats,last`` for one path."""
-    x, y = path_type(steps)
-    return f"{steps},{x},{y},{flat_count(steps)},{last_step(steps) or '-'}"

@@ -19,17 +19,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 from .bijection import phi, phi_context, phi_inverse
-from .errors import InvalidInputError
-from .formulas import (
-    count_corners_p2,
-    count_corners_p3,
-    count_sc_d1,
-    count_sc_p2,
-    count_sc_p3,
-)
+from .errors import InvalidInputError, check_progression
+from .formulas import CORNER_FORMULAS, closed_forms
 from .mdcore import corners, md_is_simultaneous_core, md_to_partition
 from .motzkin import constraints_for, count_paths_dp, enumerate_paths, flat_count, last_step
 
@@ -76,17 +69,7 @@ class EnumerationTask:
     bound: int | None = None
 
     def __post_init__(self) -> None:
-        if not (
-            isinstance(self.s, int)
-            and isinstance(self.d, int)
-            and self.s >= 1
-            and self.d >= 1
-        ):
-            raise InvalidInputError(
-                f"s and d must be positive integers, got {self.s!r}, {self.d!r}"
-            )
-        if gcd(self.s, self.d) != 1:
-            raise InvalidInputError(f"s={self.s} and d={self.d} must be coprime")
+        check_progression(self.s, self.d)
         if not (isinstance(self.p, int) and self.p >= 1):
             raise InvalidInputError(f"p must be an integer >= 1, got {self.p!r}")
         if self.bound is not None and self.bound < 1:
@@ -265,17 +248,6 @@ class VerifyReport:
         return record
 
 
-def _formula_values(s: int, d: int, p: int) -> list[int]:
-    values = []
-    if p == 2:
-        values.append(count_sc_p2(s, d).value)
-    if p == 3:
-        values.append(count_sc_p3(s, d).value)
-    if d == 1:
-        values.append(count_sc_d1(s, p).value)
-    return values
-
-
 def verify_instance(
     s: int, d: int, p: int, bound: int | None = None, n_max: int | None = None
 ) -> VerifyReport:
@@ -294,7 +266,7 @@ def verify_instance(
     paths = enumerate_paths(ctx.x, ctx.y, cset)
     n_dp = count_paths_dp(ctx.x, ctx.y, cset)
 
-    formulas = _formula_values(s, d, p)
+    formulas = [result.value for result in closed_forms(s, d, p)]
     formulas_agree = len(set(formulas)) <= 1
     n_formula = formulas[0] if formulas else None
 
@@ -309,8 +281,8 @@ def verify_instance(
         roundtrip_ok = False
 
     corner_status = "n/a"
-    if d == 1 and p in (2, 3):
-        corner_formula = count_corners_p2 if p == 2 else count_corners_p3
+    corner_formula = CORNER_FORMULAS.get(p) if d == 1 else None
+    if corner_formula is not None:
         histogram = Counter()
         refinement_ok = True
         for md, steps in zip(mds, images):

@@ -1,4 +1,6 @@
 import json
+import sys
+from math import comb
 
 import pytest
 
@@ -44,6 +46,58 @@ def test_count_no_formula_available(capsys):
     )
     assert code == 2
     assert "no closed formula" in err
+
+
+def test_count_rejects_a_bound_that_truncates_the_enumeration(capsys):
+    code, out, err = run(
+        capsys, "count", "--s", "7", "--d", "2", "--p", "2",
+        "--method", "enumerate", "--bound", "3",
+    )
+    assert (code, out) == (64, "")
+    assert "completeness bound 47 of (7, 9)-cores" in err
+    # pair mode: (2, 5)-cores have no hook above 2*5 - 2 - 5 = 3
+    code, _, err = run(
+        capsys, "count", "--s", "5", "--t", "2", "--method", "enumerate", "--bound", "2"
+    )
+    assert code == 64 and "completeness bound 3 of (2, 5)-cores" in err
+    code, out, _ = run(
+        capsys, "count", "--s", "7", "--d", "2", "--p", "2",
+        "--method", "enumerate", "--bound", "47",
+    )
+    assert (code, out) == (0, "enumeration: 16\n")
+
+
+def test_enumerate_rejects_a_bound_that_truncates_the_enumeration(capsys):
+    code, out, err = run(capsys, "enumerate", "--s", "7", "--d", "2", "--bound", "3")
+    assert (code, out) == (64, "")
+    assert "completeness bound 47 of (7, 9)-cores" in err
+    code, out, _ = run(capsys, "enumerate", "--s", "7", "--d", "2", "--bound", "47")
+    assert code == 0 and len(out.splitlines()) == 16
+
+
+def _decimal_digits(n):
+    """str(n) with the interpreter's digit limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_prints_counts_past_the_int_to_str_digit_limit(capsys):
+    digits = _decimal_digits(comb(14401, 7200))
+    assert len(digits) > 4300
+    expected = {
+        "text": f"formula-pair: {digits}\n",
+        "json": f'{{"value":"{digits}","method":"formula-pair"}}\n',
+        "csv": f"method,value\nformula-pair,{digits}\n",
+    }
+    for fmt, out in expected.items():
+        assert run(
+            capsys, "count", "--s", "14401", "--t", "14403",
+            "--method", "formula", "--format", fmt,
+        ) == (0, out, "")
 
 
 def test_map_and_unmap_worked_examples(capsys):

@@ -1,3 +1,6 @@
+from decimal import Decimal
+from math import gcd
+
 import pytest
 
 from score_lab import (
@@ -14,6 +17,7 @@ from score_lab import (
     count_via_paths,
     multinom,
 )
+from score_lab.formulas import closed_forms
 
 
 def test_kernel_guards():
@@ -97,9 +101,18 @@ def test_count_methods_tagged():
 
 
 def test_dp_route_agrees_with_formulas():
-    for (s, d) in ((3, 2), (5, 1), (7, 2), (9, 4), (8, 3)):
-        assert count_via_paths(s, d, 2).value == count_sc_p2(s, d).value
-        assert count_via_paths(s, d, 3).value == count_sc_p3(s, d).value
+    instances = checked = 0
+    for s in range(1, 61):
+        for d in range(1, 7):
+            if gcd(s, d) != 1:
+                continue
+            for p in range(2, 7):
+                instances += 1
+                dp = count_via_paths(s, d, p).value
+                for result in closed_forms(s, d, p):
+                    assert result.value == dp, (s, d, p, result.method)
+                    checked += 1
+    assert (instances, checked) == (1140, 756)
 
 
 def test_shift_equivalence():
@@ -120,3 +133,11 @@ def test_counts_grow_without_overflow():
     # the closed forms must stay exact far beyond 64-bit range
     assert count_sc_pair(101, 102).value == binom(101, 50)
     assert count_sc_p2(121, 2).value > 2**64
+
+
+def test_count_json_keeps_every_digit():
+    result = count_sc_pair(14401, 14403)
+    record = result.as_json()
+    assert record["method"] == "formula-pair"
+    assert len(record["value"]) > 4300 and record["value"].isdigit()
+    assert int(Decimal(record["value"])) == result.value
