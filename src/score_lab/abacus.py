@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BeadStructureError,
@@ -37,6 +38,7 @@ from .errors import (
     InvalidInputError,
     UnplaceableHookError,
     check_progression,
+    check_progression_length,
 )
 from .mdcore import validate_md
 
@@ -76,6 +78,31 @@ class AbacusSpec:
     def period(self) -> int:
         return 2 * (self.s + self.d)
 
+    @cached_property
+    def boundary_rows(self) -> tuple[int, ...]:
+        """r(j) for every column j: the first row whose label is positive.
+
+        Closed form; the sign condition label(r, j) > 0 > label(r-1, j)
+        holds because labels are odd, hence never zero.
+        """
+        return tuple(
+            (-self.a - 2 * self.d * j) // self.period + 1 for j in range(self.columns)
+        )
+
+    @cached_property
+    def _slots(self) -> dict[int, tuple[int, int, int]]:
+        """Residue of a hook h mod the period -> (column j, sign, label of row 0 in j).
+
+        h sits at the position labeled h (sign 1) or -h (sign -1); the
+        positive reading wins where both residues match a column.
+        """
+        slots = {}
+        for sign in (-1, 1):
+            for j in range(self.columns):
+                base = self.a + 2 * self.d * j
+                slots[(sign * base) % self.period] = (j, sign, base)
+        return slots
+
 
 def abacus_spec(s: int, d: int) -> AbacusSpec:
     """Build the grid spec for coprime positive s, d."""
@@ -100,17 +127,14 @@ def label(spec: AbacusSpec, i: int, j: int) -> int:
         )
     return spec.a + spec.period * i + 2 * spec.d * j
 
-def boundary_row(spec: AbacusSpec, j: int) -> int:
-    """First row of column j whose label is positive.
 
-    Closed form; the sign condition label(r, j) > 0 > label(r-1, j)
-    holds because labels are odd, hence never zero.
-    """
+def boundary_row(spec: AbacusSpec, j: int) -> int:
+    """First row of column j whose label is positive (see `AbacusSpec.boundary_rows`)."""
     if not 0 <= j <= spec.max_column:
         raise InvalidInputError(
             f"column {j} out of range 0..{spec.max_column} for s={spec.s}, d={spec.d}"
         )
-    return (-spec.a - 2 * spec.d * j) // spec.period + 1
+    return spec.boundary_rows[j]
 
 
 def place_beads(spec: AbacusSpec, md: Iterable[int]) -> AbacusState:
@@ -121,61 +145,66 @@ def place_beads(spec: AbacusSpec, md: Iterable[int]) -> AbacusState:
     when the beads do not form the boundary-hugging blocks of a
     simultaneous core.
     """
-    md = validate_md(md)
+    return AbacusState(spec, _place_beads(spec, validate_md(md)))
+
+
+def _place_beads(spec: AbacusSpec, md: tuple[int, ...]) -> tuple[int, ...]:
+    """Signed bead counts of a canonical hook set; see `place_beads`."""
     period = spec.period
-    column_of = {(spec.a + 2 * spec.d * j) % period: j for j in range(spec.columns)}
+    unplaceable = (spec.s + spec.d) % period
+    slots = spec._slots
     rows: dict[int, list[int]] = {}
     for h in md:
-        if h % period == (spec.s + spec.d) % period:
+        residue = h % period
+        if residue == unplaceable:
             raise UnplaceableHookError(
                 f"hook {h} is {spec.s + spec.d} mod {period}; "
                 f"no abacus position carries it"
             )
-        if h % period in column_of:
-            j = column_of[h % period]
-            i, rem = divmod(h - spec.a - 2 * spec.d * j, period)
-        elif (-h) % period in column_of:
-            j = column_of[(-h) % period]
-            i, rem = divmod(-h - spec.a - 2 * spec.d * j, period)
-        else:
+        if residue not in slots:
             raise InternalConsistencyError(f"hook {h} matched no column residue")
+        j, sign, base = slots[residue]
+        i, rem = divmod(sign * h - base, period)
         if rem:
             raise InternalConsistencyError(f"hook {h} landed between rows")
         rows.setdefault(j, []).append(i)
 
+    # Distinct hooks sit on distinct positions, so a column's rows form a
+    # gap-free block exactly when they span max - min + 1 = count rows.
     beads = []
-    for j in range(spec.columns):
-        placed = sorted(rows.get(j, ()))
-        r = boundary_row(spec, j)
-        positive = [i for i in placed if i >= r]
-        negative = [i for i in placed if i < r]
-        if positive and negative:
+    for j, r in enumerate(spec.boundary_rows):
+        placed = rows.get(j)
+        if placed is None:
+            beads.append(0)
+            continue
+        lo, hi, n = min(placed), max(placed), len(placed)
+        if lo < r <= hi:
             raise BeadStructureError(
                 f"column {j} mixes beads on both sides of the sign boundary"
             )
-        if positive:
-            if positive != list(range(r, r + len(positive))):
+        if lo >= r:
+            if lo != r or hi != r + n - 1:
                 raise BeadStructureError(
-                    f"column {j} has a gap in its positive bead block: {positive}"
+                    f"column {j} has a gap in its positive bead block: {sorted(placed)}"
                 )
-            beads.append(len(positive))
-        elif negative:
-            if negative != list(range(r - len(negative), r)):
-                raise BeadStructureError(
-                    f"column {j} has a gap in its negative bead block: {negative}"
-                )
-            beads.append(-len(negative))
+            beads.append(n)
         else:
-            beads.append(0)
-    return AbacusState(spec, tuple(beads))
+            if hi != r - 1 or lo != r - n:
+                raise BeadStructureError(
+                    f"column {j} has a gap in its negative bead block: {sorted(placed)}"
+                )
+            beads.append(-n)
+    return tuple(beads)
 
 
 def abacus_function(state: AbacusState) -> tuple[int, ...]:
     """Per-column summary f(j) = r(j) - 1 + b(j)."""
-    spec = state.spec
-    return tuple(
-        boundary_row(spec, j) - 1 + b for j, b in enumerate(state.beads)
-    )
+    return _abacus_function(state.spec, state.beads)
+
+
+def _abacus_function(spec: AbacusSpec, beads: Sequence[int]) -> tuple[int, ...]:
+    """`abacus_function` for one signed bead count per column."""
+    return tuple(r - 1 + b for r, b in zip(spec.boundary_rows, beads))
 
 
 def beads_from_function(spec: AbacusSpec, values: Sequence[int]) -> AbacusState:
@@ -185,22 +214,31 @@ def beads_from_function(spec: AbacusSpec, values: Sequence[int]) -> AbacusState:
             f"expected {spec.columns} values for s={spec.s}, d={spec.d}, "
             f"got {len(values)}"
         )
-    return AbacusState(
-        spec, tuple(v - boundary_row(spec, j) + 1 for j, v in enumerate(values))
-    )
+    return AbacusState(spec, _beads_from_function(spec, values))
+
+
+def _beads_from_function(spec: AbacusSpec, values: Sequence[int]) -> tuple[int, ...]:
+    """`beads_from_function` for one value per column."""
+    return tuple(v - r + 1 for v, r in zip(values, spec.boundary_rows))
 
 
 def state_md(state: AbacusState) -> tuple[int, ...]:
     """Diagonal hooks read back off the beads, largest first."""
-    spec = state.spec
-    hooks = []
-    for j, b in enumerate(state.beads):
-        r = boundary_row(spec, j)
+    return _state_md(state.spec, state.beads)
+
+
+def _state_md(spec: AbacusSpec, beads: Sequence[int]) -> tuple[int, ...]:
+    """`state_md` for one signed bead count per column."""
+    period = spec.period
+    hooks: list[int] = []
+    for j, (b, r) in enumerate(zip(beads, spec.boundary_rows)):
+        base = spec.a + 2 * spec.d * j  # label(spec, i, j) = base + period * i
         if b > 0:
-            hooks.extend(label(spec, i, j) for i in range(r, r + b))
+            hooks.extend(range(base + period * r, base + period * (r + b), period))
         elif b < 0:
-            hooks.extend(-label(spec, i, j) for i in range(r + b, r))
-    return tuple(sorted(hooks, reverse=True))
+            hooks.extend(range(-base - period * (r + b), -base - period * r, -period))
+    hooks.sort(reverse=True)
+    return tuple(hooks)
 
 
 def validate_core_function(values: Sequence[int], spec: AbacusSpec, p: int) -> bool:
@@ -228,8 +266,7 @@ def validate_core_function(values: Sequence[int], spec: AbacusSpec, p: int) -> b
     violate it (diagonal hooks {23, 7, 5, 3, 1} with s=8, d=1, p=3 dip
     to -2 one column further in); see the regression test.
     """
-    if not (isinstance(p, int) and p >= 2):
-        raise InvalidInputError(f"progression length p must be >= 2, got {p!r}")
+    check_progression_length(p)
     if len(values) != spec.columns:
         raise InvalidInputError(
             f"expected {spec.columns} values for s={spec.s}, d={spec.d}, "

@@ -22,25 +22,41 @@ paths of cores with odd m end in F and carry floor(s/2) - m + 1 flats.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import sub
 
 from .abacus import (
-    abacus_function,
+    AbacusSpec,
+    _abacus_function,
+    _beads_from_function,
+    _place_beads,
+    _state_md,
     abacus_spec,
-    beads_from_function,
-    place_beads,
-    state_md,
 )
 from .errors import (
     InternalConsistencyError,
-    InvalidInputError,
     InvalidPathError,
     NotACoreError,
     UnsupportedParametersError,
     check_progression,
+    check_progression_length,
 )
-from .mdcore import corners, md_is_simultaneous_core, md_to_partition, validate_md
-from .motzkin import constraints_for, flat_count, last_step, satisfies
+from .mdcore import (
+    _coprime_pair_sums,
+    _is_simultaneous_core,
+    corners,
+    md_to_partition,
+    validate_md,
+)
+from .motzkin import (
+    PathConstraintSet,
+    _satisfies,
+    constraints_for,
+    flat_count,
+    last_step,
+    satisfies,
+)
 
 __all__ = [
     "PhiContext",
@@ -52,30 +68,50 @@ __all__ = [
 ]
 
 _LETTER = {1: "U", -1: "D", 0: "F"}
+_HEIGHT = {letter: step for step, letter in _LETTER.items()}
 
 
 @dataclass(frozen=True)
 class PhiContext:
-    """Progression parameters plus the path type they map onto."""
+    """A validated progression, the path type it maps onto, and its tables.
+
+    Build it with `phi_context`.  The fields after ``moduli`` are derived
+    from (s, d, p) once, so that `phi` and `phi_inverse` only read them:
+    the abacus grid (whose residue map and boundary rows are computed
+    once on it), the constraint set, the doubled moduli and the coprime
+    pair sums the core test rejects first.
+    """
 
     s: int
     d: int
     p: int
     x: int
     y: int
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(self.s + k * self.d for k in range(self.p + 1))
+    moduli: tuple[int, ...]
+    spec: AbacusSpec = field(repr=False, compare=False)
+    constraints: PathConstraintSet = field(repr=False, compare=False)
+    doubled: tuple[int, ...] = field(repr=False, compare=False)
+    pair_sums: frozenset[int] = field(repr=False, compare=False)
 
 
 def phi_context(s: int, d: int, p: int) -> PhiContext:
     """Context for coprime s, d and progression length p >= 2."""
     check_progression(s, d)
-    if not (isinstance(p, int) and p >= 2):
-        raise InvalidInputError(f"progression length p must be >= 2, got {p!r}")
+    check_progression_length(p)
     half_up = (d + 1) // 2
-    return PhiContext(s, d, p, s // 2 + half_up, -half_up)
+    moduli = tuple(s + k * d for k in range(p + 1))
+    return PhiContext(
+        s,
+        d,
+        p,
+        s // 2 + half_up,
+        -half_up,
+        moduli,
+        spec=abacus_spec(s, d),
+        constraints=constraints_for(s, d, p),
+        doubled=tuple(2 * t for t in moduli),
+        pair_sums=_coprime_pair_sums(moduli),
+    )
 
 
 def phi(md: Iterable[int], ctx: PhiContext) -> str:
@@ -84,20 +120,23 @@ def phi(md: Iterable[int], ctx: PhiContext) -> str:
     Raises `NotACoreError` unless ``md`` is a self-conjugate
     (s, s+d, ..., s+pd)-core hook set.
     """
-    md = validate_md(md)
-    if not md_is_simultaneous_core(md, ctx.moduli):
+    return _phi(validate_md(md), ctx)
+
+
+def _phi(md: tuple[int, ...], ctx: PhiContext) -> str:
+    """`phi` on a canonical hook set."""
+    if not _is_simultaneous_core(md, ctx.doubled, ctx.pair_sums):
         raise NotACoreError(
             f"{md} is not a self-conjugate {ctx.moduli}-core hook set"
         )
-    spec = abacus_spec(ctx.s, ctx.d)
-    f = list(abacus_function(place_beads(spec, md)))
+    f = list(_abacus_function(ctx.spec, _place_beads(ctx.spec, md)))
     if ctx.d % 2 == 1:
         f.append(-(ctx.d + 1) // 2)
     try:
-        steps = "".join(_LETTER[f[j] - f[j - 1]] for j in range(1, len(f)))
+        steps = "".join(map(_LETTER.__getitem__, map(sub, f[1:], f)))
     except KeyError as exc:  # a jump of 2+ would mean the encoding is broken
         raise InternalConsistencyError(f"column summary jumps by {exc} for {md}")
-    if not satisfies(steps, constraints_for(ctx.s, ctx.d, ctx.p), ctx.x, ctx.y):
+    if not _satisfies(steps, ctx.constraints, ctx.x, ctx.y):
         raise InternalConsistencyError(
             f"path {steps} for {md} violates its own constraint set"
         )
@@ -113,20 +152,16 @@ def phi_inverse(steps: str, ctx: PhiContext) -> tuple[int, ...]:
     `InternalConsistencyError` because it cannot happen for an
     admissible path.
     """
-    cset = constraints_for(ctx.s, ctx.d, ctx.p)
-    if not satisfies(steps, cset, ctx.x, ctx.y):
+    if not satisfies(steps, ctx.constraints, ctx.x, ctx.y):
         raise InvalidPathError(
             f"path {steps!r} is not an admissible type ({ctx.x}, {ctx.y}) path "
             f"for s={ctx.s}, d={ctx.d}, p={ctx.p}"
         )
-    heights = [0]
-    for c in steps:
-        heights.append(heights[-1] + {"U": 1, "D": -1, "F": 0}[c])
+    heights = list(accumulate(map(_HEIGHT.__getitem__, steps), initial=0))
     if ctx.d % 2 == 1:
         heights.pop()  # the appended convention step
-    spec = abacus_spec(ctx.s, ctx.d)
-    md = state_md(beads_from_function(spec, heights))
-    if not md_is_simultaneous_core(md, ctx.moduli):
+    md = _state_md(ctx.spec, _beads_from_function(ctx.spec, heights))
+    if not _is_simultaneous_core(md, ctx.doubled, ctx.pair_sums):
         raise InternalConsistencyError(
             f"path {steps} reconstructed a non-core hook set {md}"
         )
@@ -145,14 +180,14 @@ def corner_statistics(md: Iterable[int], ctx: PhiContext) -> tuple[int, str, int
             f"corner statistics are defined for d=1 only, got d={ctx.d}"
         )
     md = validate_md(md)
-    steps = phi(md, ctx)
+    steps = _phi(md, ctx)
     return corners(md_to_partition(md)), last_step(steps) or "-", flat_count(steps)
 
 
 def mapping_record(md: Iterable[int], ctx: PhiContext) -> dict:
     """JSON-ready record of one core-to-path assignment."""
     md = validate_md(md)
-    steps = phi(md, ctx)
+    steps = _phi(md, ctx)
     record = {
         "md": list(md),
         "s": ctx.s,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the (s, d) check."""
+"""Exception types shared across the package, and the (s, d) and p checks."""
 
 from math import gcd
 
@@ -41,3 +41,9 @@ def check_progression(s: int, d: int) -> None:
         raise InvalidInputError(f"s and d must be positive integers, got {s!r}, {d!r}")
     if gcd(s, d) != 1:
         raise InvalidInputError(f"s={s} and d={d} must be coprime")
+
+
+def check_progression_length(p: int) -> None:
+    """Raise `InvalidInputError` unless the progression length p is an integer >= 2."""
+    if not (isinstance(p, int) and p >= 2):
+        raise InvalidInputError(f"progression length p must be >= 2, got {p!r}")

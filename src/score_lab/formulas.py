@@ -13,7 +13,7 @@ from decimal import Decimal
 from math import comb, gcd
 from typing import Sequence
 
-from .errors import InvalidInputError, check_progression
+from .errors import InvalidInputError, check_progression, check_progression_length
 from .motzkin import constraints_for, count_paths_dp
 
 __all__ = [
@@ -110,8 +110,7 @@ def count_sc_d1(s: int, p: int) -> CountResult:
     """
     if not (isinstance(s, int) and s >= 1):
         raise InvalidInputError(f"s must be a positive integer, got {s!r}")
-    if not (isinstance(p, int) and p >= 2):
-        raise InvalidInputError(f"progression length p must be >= 2, got {p!r}")
+    check_progression_length(p)
     total = 1
     for k in range(1, s // 2 + 1):
         r = k - 1 if p == 2 else min(k - 1, (s - 2 * k) // (p - 2))
@@ -172,9 +171,12 @@ CORNER_FORMULAS = {2: count_corners_p2, 3: count_corners_p3}
 def closed_forms(s: int, d: int, p: int) -> list[CountResult]:
     """Every closed-form count that applies to (s, d, p): p2, p3, d1 in that order.
 
-    Each formula validates its own arguments; the list is empty when
-    no closed form covers the parameters.
+    (s, d) is checked first, so a pair that is not coprime is refused
+    even where no closed form applies; each formula then checks the
+    rest of its arguments.  The list is empty when no closed form
+    covers the parameters.
     """
+    check_progression(s, d)
     results = []
     if p == 2:
         results.append(count_sc_p2(s, d))

@@ -24,6 +24,7 @@ against each other in the test suite.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from math import gcd
 
 from .errors import InvalidInputError
 
@@ -141,8 +142,7 @@ def is_core(parts: Iterable[int], t: int) -> bool:
     This is the direct test on the full hook table; see `md_is_core`
     for the diagonal-hook-set shortcut.
     """
-    if not isinstance(t, int) or t < 1:
-        raise InvalidInputError(f"core modulus must be a positive integer, got {t!r}")
+    _check_modulus(t)
     return all(t not in row for row in hook_lengths(parts))
 
 
@@ -154,16 +154,9 @@ def md_is_core(md: Iterable[int], t: int) -> bool:
     still positive) and no two entries, repeats allowed, sum to a
     multiple of 2t.  Equals ``is_core(md_to_partition(md), t)``.
     """
-    if not isinstance(t, int) or t < 1:
-        raise InvalidInputError(f"core modulus must be a positive integer, got {t!r}")
+    _check_modulus(t)
     md = validate_md(md)
-    present = set(md)
-    m2 = 2 * t
-    for h in md:
-        if h > m2 and h - m2 not in present:
-            return False
-    residues = {h % m2 for h in md}
-    return all((-h) % m2 not in residues for h in md)
+    return _is_core(md, set(md), 2 * t)
 
 
 def md_is_simultaneous_core(md: Iterable[int], moduli: Sequence[int]) -> bool:
@@ -175,15 +168,51 @@ def md_is_simultaneous_core(md: Iterable[int], moduli: Sequence[int]) -> bool:
     """
     if not moduli:
         raise InvalidInputError("at least one core modulus is required")
+    for t in moduli:
+        _check_modulus(t)
     md = validate_md(md)
-    present = set(md)
-    from math import gcd
+    return _is_simultaneous_core(
+        md, tuple(2 * t for t in moduli), _coprime_pair_sums(moduli)
+    )
 
-    for i, s in enumerate(moduli):
-        for t in moduli[i + 1 :]:
-            if gcd(s, t) == 1 and s + t in present:
-                return False
-    return all(md_is_core(md, t) for t in moduli)
+
+def _check_modulus(t: int) -> None:
+    if not isinstance(t, int) or t < 1:
+        raise InvalidInputError(f"core modulus must be a positive integer, got {t!r}")
+
+
+def _coprime_pair_sums(moduli: Sequence[int]) -> frozenset[int]:
+    """The sums s + t over coprime pairs of moduli: hooks no simultaneous core has."""
+    return frozenset(
+        s + t for i, s in enumerate(moduli) for t in moduli[i + 1 :] if gcd(s, t) == 1
+    )
+
+
+def _is_simultaneous_core(
+    md: tuple[int, ...], doubled: Sequence[int], pair_sums: frozenset[int]
+) -> bool:
+    """`md_is_simultaneous_core` on a canonical hook set.
+
+    ``doubled`` holds 2t for each modulus t and ``pair_sums`` is
+    `_coprime_pair_sums` of the moduli, so callers that test many hook
+    sets against one progression derive them once.
+    """
+    present = set(md)
+    if not pair_sums.isdisjoint(present):
+        return False
+    return all(_is_core(md, present, m2) for m2 in doubled)
+
+
+def _is_core(md: tuple[int, ...], present: set[int], m2: int) -> bool:
+    """`md_is_core` for t = m2 / 2 on a canonical hook set ``md`` with ``present = set(md)``."""
+    for h in md:  # decreasing, so the first h <= m2 ends the closure test
+        if h <= m2:
+            break
+        if h - m2 not in present:
+            return False
+    # Hooks are odd and m2 is even, so h % m2 is never 0 and (-h) % m2 == m2 - h % m2.
+    residues = {h % m2 for h in md}
+    return residues.isdisjoint([m2 - r for r in residues])
 
 
 def corners(parts: Iterable[int]) -> int:

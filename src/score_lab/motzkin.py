@@ -22,7 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidInputError, InvalidPathError, check_progression
+from .errors import (
+    InvalidInputError,
+    InvalidPathError,
+    check_progression,
+    check_progression_length,
+)
 
 __all__ = [
     "PathConstraintSet",
@@ -37,6 +42,7 @@ __all__ = [
 
 _STEPS = ("U", "D", "F")
 _HEIGHT = {"U": 1, "D": -1, "F": 0}
+_ALPHABET = frozenset(_HEIGHT)
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,7 @@ def constraints_for(s: int, d: int, p: int) -> PathConstraintSet:
     U already at p = 2.
     """
     check_progression(s, d)
-    if not (isinstance(p, int) and p >= 2):
-        raise InvalidInputError(f"progression length p must be an integer >= 2, got {p!r}")
+    check_progression_length(p)
     if s % 2 == 1 and d % 2 == 0:
         case = "odd_even"
         prefix_top = (p - 4) // 2 if p >= 4 else -1
@@ -84,14 +89,17 @@ def constraints_for(s: int, d: int, p: int) -> PathConstraintSet:
 
 
 def _validate_steps(steps: str) -> str:
-    if not isinstance(steps, str) or any(c not in _HEIGHT for c in steps):
+    if not isinstance(steps, str) or not _ALPHABET.issuperset(steps):
         raise InvalidPathError(f"steps must be a string over U/D/F, got {steps!r}")
     return steps
 
 
 def path_type(steps: str) -> tuple[int, int]:
     """Endpoint (x, y) of the path: length and final height."""
-    _validate_steps(steps)
+    return _path_type(_validate_steps(steps))
+
+
+def _path_type(steps: str) -> tuple[int, int]:
     return len(steps), steps.count("U") - steps.count("D")
 
 
@@ -109,14 +117,20 @@ def last_step(steps: str) -> str | None:
 
 def satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> bool:
     """True when the path has type (x, y) and avoids every forbidden pattern."""
-    _validate_steps(steps)
-    if path_type(steps) != (x, y):
+    return _satisfies(_validate_steps(steps), constraints, x, y)
+
+
+def _satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> bool:
+    """`satisfies` for a string already known to be over U/D/F."""
+    if _path_type(steps) != (x, y):
         return False
     if any(w in steps for w in constraints.forbidden_factors):
         return False
-    if any(steps.startswith(w) for w in constraints.forbidden_prefixes):
-        return False
-    return not any(steps.endswith(w) for w in constraints.forbidden_suffixes)
+    # startswith/endswith with an empty tuple is False.
+    return not (
+        steps.startswith(constraints.forbidden_prefixes)
+        or steps.endswith(constraints.forbidden_suffixes)
+    )
 
 
 def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]:
@@ -148,6 +162,9 @@ def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]
                 prefix.pop()
 
     grow(0)
+    # The nested function refers to itself, a reference cycle that would keep
+    # everything it closes over alive until the next full garbage collection.
+    del grow
     return out
 
 

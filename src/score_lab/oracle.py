@@ -21,10 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bijection import phi, phi_context, phi_inverse
-from .errors import InvalidInputError, check_progression
+from .errors import InvalidInputError, check_progression, check_progression_length
 from .formulas import CORNER_FORMULAS, closed_forms
 from .mdcore import corners, md_is_simultaneous_core, md_to_partition
-from .motzkin import constraints_for, count_paths_dp, enumerate_paths, flat_count, last_step
+from .motzkin import count_paths_dp, enumerate_paths, flat_count, last_step
 
 __all__ = [
     "EnumerationTask",
@@ -145,6 +145,9 @@ def enumerate_md_sets(task: EnumerationTask) -> list[tuple[int, ...]]:
                 _remove(v)
 
     search(0)
+    # The nested function refers to itself, a reference cycle that would keep
+    # everything it closes over alive until the next full garbage collection.
+    del search
     results.sort()
     return results
 
@@ -210,6 +213,9 @@ def enumerate_by_partition_scan(
             md_asc.pop()
 
     grow([], [], [], 0)
+    # The nested function refers to itself, a reference cycle that would keep
+    # everything it closes over alive until the next full garbage collection.
+    del grow
     results.sort()
     return results
 
@@ -257,14 +263,12 @@ def verify_instance(
     and its result must match the hook-set enumerator partition for
     partition.
     """
-    if not (isinstance(p, int) and p >= 2):
-        raise InvalidInputError(f"verification needs p >= 2, got {p!r}")
+    check_progression_length(p)
     task = EnumerationTask(s, d, p, bound)
     mds = enumerate_md_sets(task)
     ctx = phi_context(s, d, p)
-    cset = constraints_for(s, d, p)
-    paths = enumerate_paths(ctx.x, ctx.y, cset)
-    n_dp = count_paths_dp(ctx.x, ctx.y, cset)
+    paths = enumerate_paths(ctx.x, ctx.y, ctx.constraints)
+    n_dp = count_paths_dp(ctx.x, ctx.y, ctx.constraints)
 
     formulas = [result.value for result in closed_forms(s, d, p)]
     formulas_agree = len(set(formulas)) <= 1

@@ -1,21 +1,26 @@
-from math import gcd
+import itertools
+import sys
 
 import pytest
 
+import score_lab
 from score_lab import (
     EnumerationTask,
+    InternalConsistencyError,
     InvalidPathError,
     NotACoreError,
     UnsupportedParametersError,
     constraints_for,
     corner_statistics,
+    default_md_bound,
     enumerate_md_sets,
     enumerate_paths,
     flat_count,
+    is_core,
+    md_to_partition,
     phi,
     phi_context,
     phi_inverse,
-    satisfies,
 )
 from score_lab.bijection import mapping_record
 
@@ -114,3 +119,70 @@ def test_mapping_record_layout():
         "corners": 1,
     }
     assert "corners" not in mapping_record((), phi_context(3, 2, 2))
+
+
+# One instance per parity case of (s, d), plus two with d = 1; each has
+# at most 14 odd hooks below its completeness bound.
+@pytest.mark.parametrize("s,d,p", [(5, 2, 2), (4, 3, 3), (5, 3, 4), (5, 1, 2), (4, 1, 3)])
+def test_phi_rejects_exactly_the_non_cores_of_the_hook_table(s, d, p):
+    # Every subset of the odd hooks up to the completeness bound, judged
+    # by the plain hook-table test, which shares no logic with phi.
+    ctx = phi_context(s, d, p)
+    hooks = range(1, default_md_bound(s, d) + 1, 2)[::-1]  # decreasing, like md
+    cores = 0
+    for size in range(len(hooks) + 1):
+        for md in itertools.combinations(hooks, size):
+            parts = md_to_partition(md)
+            if all(is_core(parts, t) for t in ctx.moduli):
+                cores += 1
+                assert phi_inverse(phi(md, ctx), ctx) == md
+            else:
+                with pytest.raises(NotACoreError):
+                    phi(md, ctx)
+    assert cores == len(enumerate_md_sets(EnumerationTask(s, d, p)))
+
+
+def test_phi_inverse_rechecks_the_rebuilt_hook_set(monkeypatch):
+    import score_lab.bijection as bijection_mod
+
+    ctx = phi_context(21, 4, 4)
+    assert phi_inverse("FDUFFUDDDDUF", ctx) == LAMBDA
+    monkeypatch.setattr(bijection_mod, "_is_simultaneous_core", lambda *args: False)
+    with pytest.raises(InternalConsistencyError):
+        phi_inverse("FDUFFUDDDDUF", ctx)
+
+
+def _count_calls(monkeypatch, names):
+    """Rebind every score_lab module's binding of each named function to a counter."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {id(getattr(score_lab, name)): (name, getattr(score_lab, name)) for name in names}
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "score_lab" or module_name.startswith("score_lab."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, counting(*wrappers[id(value)]))
+    return counts
+
+
+def test_bijection_does_per_instance_work_once(monkeypatch):
+    # A work count, not a timing: per-instance set-up must not creep back
+    # into the per-core path.
+    mds = enumerate_md_sets(EnumerationTask(13, 2, 3))
+    counts = _count_calls(
+        monkeypatch, ("validate_md", "boundary_row", "abacus_spec", "constraints_for")
+    )
+    ctx = phi_context(13, 2, 3)
+    for md in mds:
+        assert phi_inverse(phi(md, ctx), ctx) == md
+    assert len(mds) == 201
+    assert counts["abacus_spec"] == 1 and counts["constraints_for"] == 1
+    assert counts["validate_md"] <= len(mds)  # at most one per phi call
+    assert counts["boundary_row"] <= ctx.spec.columns  # none per core

@@ -35,9 +35,11 @@ def test_count_pair_mode(capsys):
 
 
 def test_count_rejects_non_coprime(capsys):
-    code, _, err = run(capsys, "count", "--s", "4", "--d", "2", "--p", "2")
-    assert code == 3
-    assert "coprime" in err
+    # p = 5, d = 2 has no closed form; (s, d) must still be checked.
+    for extra in (("--p", "2"), ("--p", "5", "--method", "formula")):
+        code, _, err = run(capsys, "count", "--s", "4", "--d", "2", *extra)
+        assert code == 3
+        assert err == "error: s=4 and d=2 must be coprime\n"
 
 
 def test_count_no_formula_available(capsys):

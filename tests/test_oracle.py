@@ -1,3 +1,4 @@
+import gc
 from math import gcd
 
 import pytest
@@ -5,6 +6,9 @@ import pytest
 from score_lab import (
     EnumerationTask,
     InvalidInputError,
+    abacus_spec,
+    constraints_for,
+    count_sc_d1,
     default_md_bound,
     enumerate_by_partition_scan,
     enumerate_md_sets,
@@ -13,6 +17,8 @@ from score_lab import (
     md_is_simultaneous_core,
     md_to_partition,
     pair_core_size_bound,
+    phi_context,
+    validate_core_function,
     verify_instance,
 )
 
@@ -47,6 +53,24 @@ def test_task_validation():
         EnumerationTask(3, 2, 2, bound=0)
     assert EnumerationTask(3, 2, 1).moduli == (3, 5)
     assert EnumerationTask(3, 2, 3).moduli == (3, 5, 7, 9)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda p: constraints_for(3, 2, p),
+        lambda p: phi_context(3, 2, p),
+        lambda p: count_sc_d1(3, p),
+        lambda p: validate_core_function((0, 0, 0), abacus_spec(3, 2), p),
+        lambda p: verify_instance(3, 2, p),
+    ],
+    ids=["constraints_for", "phi_context", "count_sc_d1", "validate_core_function", "verify"],
+)
+def test_every_route_words_the_progression_length_rule_alike(route):
+    for p in (1, "2"):
+        with pytest.raises(InvalidInputError) as excinfo:
+            route(p)
+        assert str(excinfo.value) == f"progression length p must be >= 2, got {p!r}"
 
 
 def test_bounds():
@@ -138,6 +162,19 @@ def test_verify_catches_an_undersized_bound():
     assert report.n_md < report.n_path
 
 
+def test_verify_instance_leaves_no_reference_cycles():
+    # The enumerators' result lists must be freed as soon as they are
+    # dropped; held in a cycle they wait for a full collection, which
+    # grows peak memory over many verify calls.
+    gc.collect()
+    gc.disable()
+    try:
+        verify_instance(7, 2, 3, n_max=pair_core_size_bound(7, 9))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_verify_report_json_layout():
     record = verify_instance(3, 2, 2).as_json()
     assert list(record) == [
@@ -155,8 +192,8 @@ def test_scan_independence_from_modular_logic(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("partition scan called the modular core test")
 
-    monkeypatch.setattr(mdcore_mod, "md_is_core", forbidden)
-    monkeypatch.setattr(mdcore_mod, "md_is_simultaneous_core", forbidden)
+    for name in ("md_is_core", "md_is_simultaneous_core", "_is_core", "_is_simultaneous_core"):
+        monkeypatch.setattr(mdcore_mod, name, forbidden)
     task = EnumerationTask(4, 1, 2)
     assert len(enumerate_by_partition_scan(task, 15)) == 5
 
@@ -170,7 +207,9 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
         raise AssertionError("hook-set enumeration called the encoding")
 
     monkeypatch.setattr(abacus_mod, "place_beads", forbidden)
+    monkeypatch.setattr(abacus_mod, "_place_beads", forbidden)
     monkeypatch.setattr(bijection_mod, "phi", forbidden)
+    monkeypatch.setattr(bijection_mod, "_phi", forbidden)
     assert enumerate_md_sets(EnumerationTask(5, 1, 2)) == [
         (),
         (1,),
