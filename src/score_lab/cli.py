@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from math import gcd
 
 from . import abacus as abacus_mod
@@ -431,9 +432,14 @@ _HANDLERS = {
 }
 
 
+@cache
+def _parser() -> _Parser:
+    """The one parser of this process, built on first use rather than at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     emit = _Emitter(args.output)
     try:
         return _HANDLERS[args.command](args, emit)

@@ -104,6 +104,10 @@ def count_sc_p3(s: int, d: int) -> CountResult:
 def count_sc_d1(s: int, p: int) -> CountResult:
     """Number of self-conjugate (s, s+1, ..., s+p)-cores.
 
+    The double sum 1 + sum over 1 <= k <= s/2 and
+    0 <= l <= min(k-1, (s-2k)/(p-2)) of
+    C((k-1)//2, l//2) * C(k//2, (l+1)//2) * C((s - l(p-2)) // 2, k).
+
     For p = 2 the inner bound min(k-1, (s-2k)/(p-2)) degenerates; the
     second argument is then vacuous and the bound is k-1, the only
     reading consistent with the p = 2 formula above.
@@ -111,15 +115,26 @@ def count_sc_d1(s: int, p: int) -> CountResult:
     if not (isinstance(s, int) and s >= 1):
         raise InvalidInputError(f"s must be a positive integer, got {s!r}")
     check_progression_length(p)
+    # Summed with l outside: the bound l <= (s - 2k) / (p - 2) is
+    # k <= n = (s - l(p-2)) // 2, and n <= s // 2, so for fixed l, k runs
+    # over l+1 .. n (for p = 2, n = s // 2 and l <= k-1 is the only bound).
+    # Stepping k to k+1 changes C(n, k) and one of the two hook binomials,
+    # whose top is then (k+1) // 2 and whose bottom is l // 2 (k even) or
+    # (l+1) // 2 (k odd); the term moves by one exact multiply and divide.
+    # At k = l+1 both hook binomials are 1, and since k > l their tops never
+    # fall below their bottoms, so no divisor is ever 0.
     total = 1
-    for k in range(1, s // 2 + 1):
-        r = k - 1 if p == 2 else min(k - 1, (s - 2 * k) // (p - 2))
-        for ell in range(r + 1):
-            total += (
-                binom((k - 1) // 2, ell // 2)
-                * binom(k // 2, (ell + 1) // 2)
-                * binom((s - ell * (p - 2)) // 2, k)
-            )
+    for ell in range(s // 2):
+        n = (s - ell * (p - 2)) // 2
+        if n <= ell:
+            break
+        bottoms = (ell // 2, (ell + 1) // 2)
+        term = comb(n, ell + 1)
+        total += term
+        for k in range(ell + 1, n):
+            top = (k + 1) // 2
+            term = term * ((n - k) * top) // ((k + 1) * (top - bottoms[k % 2]))
+            total += term
     return CountResult(total, "formula-d1")
 
 

@@ -96,7 +96,11 @@ def md_to_partition(md: Iterable[int]) -> tuple[int, ...]:
     (md[i-1] - 1) // 2 + i boxes; rows below the Durfee square are
     forced by the column symmetry.
     """
-    md = validate_md(md)
+    return _md_to_partition(validate_md(md))
+
+
+def _md_to_partition(md: tuple[int, ...]) -> tuple[int, ...]:
+    """`md_to_partition` of a canonical hook set."""
     depth = len(md)
     if depth == 0:
         return ()

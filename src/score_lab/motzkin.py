@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import (
     InvalidInputError,
@@ -176,6 +177,14 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
     saturating), or a most recent non-flat step U followed by m flats
     (``u``, m, saturating), or anything ending in D (``idle``).  Counts
     are exact big integers.
+
+    Each layer keeps one list of counts per state, indexed by height
+    over the window of heights that are reachable and can still reach
+    y.  The all-flat prefix is a single word at height 0, so ``pre`` is
+    the count 1 with run t = the step index.  A step is a few whole-list
+    moves: U shifts the states that may rise up one into ``u`` run 0, D
+    shifts every state down one into ``idle``, and F moves each run to
+    run + 1 (capped) at the same height.
     """
     if not (isinstance(x, int) and x >= 0):
         raise InvalidInputError(f"path length must be a nonnegative integer, got {x!r}")
@@ -185,42 +194,44 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
     prefix_top = max((len(w) - 1 for w in constraints.forbidden_prefixes), default=-1)
     suffix_top = max((len(w) - 1 for w in constraints.forbidden_suffixes), default=-1)
     ucap = max(factor_top, suffix_top) + 1
-    pcap = prefix_top + 1
 
-    PRE, UP, IDLE = 0, 1, 2
-    layer: dict[tuple[int, int, int], int] = {(0, PRE, 0): 1}
+    lo = 0  # the lowest height of the window
+    ups = [[0]] * (ucap + 1)  # ups[m]: a U then m flats (m = ucap: at least ucap)
+    idle = [0]
     for pos in range(x):
         remaining = x - pos - 1
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (height, kind, run), ways in layer.items():
-            moves = []
-            if kind == PRE:
-                if run > prefix_top:
-                    moves.append((1, UP, 0))
-                moves.append((-1, IDLE, 0))
-                moves.append((0, PRE, min(run + 1, pcap)))
-            elif kind == UP:
-                if run > factor_top:
-                    moves.append((1, UP, 0))
-                moves.append((-1, IDLE, 0))
-                moves.append((0, UP, min(run + 1, ucap)))
-            else:
-                moves.append((1, UP, 0))
-                moves.append((-1, IDLE, 0))
-                moves.append((0, IDLE, 0))
-            for dh, nkind, nrun in moves:
-                h = height + dh
-                if abs(y - h) <= remaining:
-                    key = (h, nkind, nrun)
-                    nxt[key] = nxt.get(key, 0) + ways
-        layer = nxt
+        new_lo = max(-pos - 1, y - remaining)
+        width = min(pos + 1, y + remaining) - new_lo + 1
+        shift = new_lo - lo
+        may_rise = list(map(sum, zip(idle, *ups[factor_top + 1 :])))
+        every = list(map(sum, zip(may_rise, *ups[: factor_top + 1])))
+        new_idle = list(
+            map(add, _window(every, shift + 1, width), _window(idle, shift, width))
+        )
+        rose = _window(may_rise, shift - 1, width)
+        # The all-flat prefix F^pos steps down, and up once past the prefix bans.
+        if new_lo <= -1 < new_lo + width:
+            new_idle[-1 - new_lo] += 1
+        if pos > prefix_top and new_lo <= 1 < new_lo + width:
+            rose[1 - new_lo] += 1
+        if ucap:
+            saturated = list(map(add, ups[ucap - 1], ups[ucap]))
+            ups = [rose] + [_window(v, shift, width) for v in ups[: ucap - 1]]
+            ups.append(_window(saturated, shift, width))
+        else:
+            ups = [list(map(add, rose, _window(ups[0], shift, width)))]
+        idle = new_idle
+        lo = new_lo
 
-    total = 0
-    for (height, kind, run), ways in layer.items():
-        if height != y:
-            continue
-        if kind == UP and run <= suffix_top:
-            continue
-        total += ways
-    return total
+    # The last window is the single height y; a final U-run must clear the suffix bans.
+    total = idle[0] + sum(v[0] for v in ups[suffix_top + 1 :])
+    return total + (y == 0)  # F^x itself
 
+
+def _window(counts: list[int], start: int, width: int) -> list[int]:
+    """``counts[start : start + width]``, reading 0 outside the list."""
+    if start < 0:
+        counts, start = [0] * -start + counts, 0
+    out = counts[start : start + width]
+    out += [0] * (width - len(out))
+    return out

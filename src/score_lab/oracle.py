@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .bijection import phi, phi_context, phi_inverse
 from .errors import InvalidInputError, check_progression, check_progression_length
 from .formulas import CORNER_FORMULAS, closed_forms
-from .mdcore import corners, md_is_simultaneous_core, md_to_partition
-from .motzkin import count_paths_dp, enumerate_paths, flat_count, last_step
+from .mdcore import _md_to_partition, md_is_simultaneous_core
+from .motzkin import count_paths_dp, enumerate_paths
 
 __all__ = [
     "EnumerationTask",
@@ -284,17 +284,24 @@ def verify_instance(
     if len(set(images)) != len(images) or set(images) != set(paths):
         roundtrip_ok = False
 
+    # The hook sets come canonical from the enumeration and the paths from phi,
+    # so their partitions and step letters are read without re-validating.
     corner_status = "n/a"
     corner_formula = CORNER_FORMULAS.get(p) if d == 1 else None
+    partitions = (
+        [_md_to_partition(md) for md in mds]
+        if corner_formula is not None or n_max is not None
+        else []
+    )
     if corner_formula is not None:
         histogram = Counter()
         refinement_ok = True
-        for md, steps in zip(mds, images):
-            m = corners(md_to_partition(md))
+        for parts, steps in zip(partitions, images):
+            m = len(set(parts))  # corners: the distinct part sizes
             histogram[m] += 1
             expected_last = "D" if m % 2 == 0 else "F"
             expected_flats = s // 2 - m + (m % 2)
-            if last_step(steps) != expected_last or flat_count(steps) != expected_flats:
+            if steps[-1:] != expected_last or steps.count("F") != expected_flats:
                 refinement_ok = False
         top = max(max(histogram, default=0), s // 2)
         for m in range(top + 2):
@@ -307,7 +314,7 @@ def verify_instance(
     if n_max is not None:
         scanned = enumerate_by_partition_scan(task, n_max)
         n_scan = len(scanned)
-        scan_ok = sorted(scanned) == sorted(md_to_partition(md) for md in mds)
+        scan_ok = sorted(scanned) == sorted(partitions)
 
     counts = {len(mds), len(paths), n_dp}
     if n_formula is not None:

@@ -18,9 +18,11 @@ from score_lab import (
     flat_count,
     is_core,
     md_to_partition,
+    pair_core_size_bound,
     phi,
     phi_context,
     phi_inverse,
+    verify_instance,
 )
 from score_lab.bijection import mapping_record
 
@@ -186,3 +188,16 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
     assert counts["abacus_spec"] == 1 and counts["constraints_for"] == 1
     assert counts["validate_md"] <= len(mds)  # at most one per phi call
     assert counts["boundary_row"] <= ctx.spec.columns  # none per core
+
+
+def test_verify_instance_validates_each_core_once(monkeypatch):
+    # The d = 1 corner check and the scan comparison read the canonical
+    # hook sets and paths they are given; only phi validates its input.
+    counts = _count_calls(
+        monkeypatch, ("validate_md", "md_to_partition", "corners", "last_step", "flat_count")
+    )
+    report = verify_instance(9, 1, 2, n_max=pair_core_size_bound(9, 10))
+    assert report.passed and report.corners == "pass" and report.n_scan == report.n_md == 35
+    assert counts["validate_md"] <= report.n_md  # at most one per phi call
+    assert counts["md_to_partition"] == counts["corners"] == 0
+    assert counts["last_step"] == counts["flat_count"] == 0

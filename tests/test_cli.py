@@ -1,9 +1,11 @@
+import gc
 import json
 import sys
 from math import comb
 
 import pytest
 
+from score_lab import cli
 from score_lab.cli import main
 
 
@@ -252,3 +254,28 @@ def test_usage_error_exit_code_for_unknown_command(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 64
+
+
+def test_main_builds_its_parser_once_and_leaves_no_garbage(capsys, monkeypatch):
+    built = []
+    real_build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "count", "--s", "5", "--d", "2", "--p", "2")[0] == 0
+        assert run(capsys, "verify", "--s", "5", "--d", "2", "--p", "2")[0] == 0
+        assert len(built) == 1
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(capsys, "verify", "--s", "7", "--d", "2", "--p", "3")[0] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+    finally:
+        cli._parser.cache_clear()

@@ -115,6 +115,41 @@ def test_dp_route_agrees_with_formulas():
     assert (instances, checked) == (1140, 756)
 
 
+def test_dp_route_agrees_with_formulas_far_past_enumeration():
+    instances = checked = 0
+    for s in (127, 256, 257, 499, 500):
+        for d in range(1, 5):
+            if gcd(s, d) != 1:
+                continue
+            for p in (2, 3, 4):
+                instances += 1
+                dp = count_via_paths(s, d, p).value
+                for result in closed_forms(s, d, p):
+                    assert result.value == dp, (s, d, p, result.method)
+                    checked += 1
+    assert (instances, checked) == (48, 47)
+
+
+def literal_d1_sum(s, p):
+    """The paper's d = 1 double sum, term by term: k outside, l inside."""
+    total = 1
+    for k in range(1, s // 2 + 1):
+        r = k - 1 if p == 2 else min(k - 1, (s - 2 * k) // (p - 2))
+        for ell in range(r + 1):
+            total += (
+                binom((k - 1) // 2, ell // 2)
+                * binom(k // 2, (ell + 1) // 2)
+                * binom((s - ell * (p - 2)) // 2, k)
+            )
+    return total
+
+
+def test_unit_step_sum_matches_the_literal_double_sum():
+    for s in range(1, 201):
+        for p in range(2, 9):
+            assert count_sc_d1(s, p).value == literal_d1_sum(s, p), (s, p)
+
+
 def test_shift_equivalence():
     assert check_shift_equivalence(2, 1, 2)
     assert check_shift_equivalence(4, 3, 2)

@@ -112,6 +112,25 @@ def test_dp_matches_enumeration_longer_spot_check():
             assert count_paths_dp(10, y, cset) == len(enumerate_paths(10, y, cset))
 
 
+# Long prefix and suffix bans (prefix_top 1, suffix_top 1, 3 and 5) and no
+# bans at all: the all-flat prefix runs to the end of short paths, and
+# U-runs saturate at their cap before the path ends.
+EDGE_SETS = {
+    "7,2,6": constraints_for(7, 2, 6),
+    "8,3,5": constraints_for(8, 3, 5),
+    "9,1,7": constraints_for(9, 1, 7),
+    "empty": EMPTY_CONSTRAINTS,
+}
+
+
+@pytest.mark.parametrize("name", EDGE_SETS)
+def test_dp_matches_enumeration_at_the_edges_of_its_state_space(name):
+    cset = EDGE_SETS[name]
+    for x in range(0, 10):
+        for y in range(-x - 1, x + 2):
+            assert count_paths_dp(x, y, cset) == len(enumerate_paths(x, y, cset)), (x, y)
+
+
 def test_unconstrained_count_is_trinomial():
     for x in range(0, 13):
         for y in range(-x, x + 1):
