@@ -6,7 +6,6 @@ and independent brute-force verification.
 """
 
 from .abacus import (
-    AbacusSpec,
     AbacusState,
     abacus_function,
     abacus_spec,
@@ -18,7 +17,7 @@ from .abacus import (
     state_md,
     validate_core_function,
 )
-from .bijection import PhiContext, corner_statistics, phi, phi_context, phi_inverse
+from .bijection import corner_statistics, phi, phi_context, phi_inverse
 from .errors import (
     BeadStructureError,
     InternalConsistencyError,
@@ -65,7 +64,6 @@ from .motzkin import (
     satisfies,
 )
 from .oracle import (
-    EnumerationTask,
     VerifyReport,
     default_md_bound,
     enumerate_by_partition_scan,
@@ -73,5 +71,6 @@ from .oracle import (
     pair_core_size_bound,
     verify_instance,
 )
+from .progression import Progression
 
 __version__ = "0.1.0"

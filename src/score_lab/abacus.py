@@ -30,20 +30,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BeadStructureError,
     InternalConsistencyError,
     InvalidInputError,
     UnplaceableHookError,
-    check_progression,
     check_progression_length,
 )
 from .mdcore import validate_md
+from .progression import Progression
 
 __all__ = [
-    "AbacusSpec",
     "AbacusState",
     "abacus_spec",
     "label",
@@ -58,86 +56,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AbacusSpec:
-    """Grid parameters: coprime (s, d) and the derived corner label a."""
-
-    s: int
-    d: int
-    a: int
-
-    @property
-    def columns(self) -> int:
-        return (self.s + self.d + 1) // 2
-
-    @property
-    def max_column(self) -> int:
-        return (self.s + self.d - 1) // 2
-
-    @property
-    def period(self) -> int:
-        return 2 * (self.s + self.d)
-
-    @cached_property
-    def boundary_rows(self) -> tuple[int, ...]:
-        """r(j) for every column j: the first row whose label is positive.
-
-        Closed form; the sign condition label(r, j) > 0 > label(r-1, j)
-        holds because labels are odd, hence never zero.
-        """
-        return tuple(
-            (-self.a - 2 * self.d * j) // self.period + 1 for j in range(self.columns)
-        )
-
-    @cached_property
-    def _slots(self) -> dict[int, tuple[int, int, int]]:
-        """Residue of a hook h mod the period -> (column j, sign, label of row 0 in j).
-
-        h sits at the position labeled h (sign 1) or -h (sign -1); the
-        positive reading wins where both residues match a column.
-        """
-        slots = {}
-        for sign in (-1, 1):
-            for j in range(self.columns):
-                base = self.a + 2 * self.d * j
-                slots[(sign * base) % self.period] = (j, sign, base)
-        return slots
-
-
-def abacus_spec(s: int, d: int) -> AbacusSpec:
-    """Build the grid spec for coprime positive s, d."""
-    check_progression(s, d)
-    a = -s if s % 2 == 1 else -(s + d)
-    return AbacusSpec(s, d, a)
+def abacus_spec(s: int, d: int) -> Progression:
+    """The grid for coprime positive s, d: the plain pair ``Progression(s, d, 1)``."""
+    return Progression(s, d, 1)
 
 
 @dataclass(frozen=True)
 class AbacusState:
-    """A spec plus the signed bead count b(j) for each column."""
+    """A progression plus the signed bead count b(j) on each column of its grid."""
 
-    spec: AbacusSpec
+    prog: Progression
     beads: tuple[int, ...]
 
 
-def label(spec: AbacusSpec, i: int, j: int) -> int:
+def label(prog: Progression, i: int, j: int) -> int:
     """Odd label of position (i, j)."""
-    if not 0 <= j <= spec.max_column:
+    if not 0 <= j <= prog.max_column:
         raise InvalidInputError(
-            f"column {j} out of range 0..{spec.max_column} for s={spec.s}, d={spec.d}"
+            f"column {j} out of range 0..{prog.max_column} for s={prog.s}, d={prog.d}"
         )
-    return spec.a + spec.period * i + 2 * spec.d * j
+    return prog.a + prog.period * i + 2 * prog.d * j
 
 
-def boundary_row(spec: AbacusSpec, j: int) -> int:
-    """First row of column j whose label is positive (see `AbacusSpec.boundary_rows`)."""
-    if not 0 <= j <= spec.max_column:
+def boundary_row(prog: Progression, j: int) -> int:
+    """First row of column j whose label is positive (see `Progression.boundary_rows`)."""
+    if not 0 <= j <= prog.max_column:
         raise InvalidInputError(
-            f"column {j} out of range 0..{spec.max_column} for s={spec.s}, d={spec.d}"
+            f"column {j} out of range 0..{prog.max_column} for s={prog.s}, d={prog.d}"
         )
-    return spec.boundary_rows[j]
+    return prog.boundary_rows[j]
 
 
-def place_beads(spec: AbacusSpec, md: Iterable[int]) -> AbacusState:
+def place_beads(prog: Progression, md: Iterable[int]) -> AbacusState:
     """Place one bead per diagonal hook and compress to signed counts.
 
     Raises `UnplaceableHookError` when a hook is congruent to s+d
@@ -145,20 +95,20 @@ def place_beads(spec: AbacusSpec, md: Iterable[int]) -> AbacusState:
     when the beads do not form the boundary-hugging blocks of a
     simultaneous core.
     """
-    return AbacusState(spec, _place_beads(spec, validate_md(md)))
+    return AbacusState(prog, _place_beads(prog, validate_md(md)))
 
 
-def _place_beads(spec: AbacusSpec, md: tuple[int, ...]) -> tuple[int, ...]:
+def _place_beads(prog: Progression, md: tuple[int, ...]) -> tuple[int, ...]:
     """Signed bead counts of a canonical hook set; see `place_beads`."""
-    period = spec.period
-    unplaceable = (spec.s + spec.d) % period
-    slots = spec._slots
+    period = prog.period
+    unplaceable = (prog.s + prog.d) % period
+    slots = prog.slots
     rows: dict[int, list[int]] = {}
     for h in md:
         residue = h % period
         if residue == unplaceable:
             raise UnplaceableHookError(
-                f"hook {h} is {spec.s + spec.d} mod {period}; "
+                f"hook {h} is {prog.s + prog.d} mod {period}; "
                 f"no abacus position carries it"
             )
         if residue not in slots:
@@ -172,7 +122,7 @@ def _place_beads(spec: AbacusSpec, md: tuple[int, ...]) -> tuple[int, ...]:
     # Distinct hooks sit on distinct positions, so a column's rows form a
     # gap-free block exactly when they span max - min + 1 = count rows.
     beads = []
-    for j, r in enumerate(spec.boundary_rows):
+    for j, r in enumerate(prog.boundary_rows):
         placed = rows.get(j)
         if placed is None:
             beads.append(0)
@@ -199,40 +149,40 @@ def _place_beads(spec: AbacusSpec, md: tuple[int, ...]) -> tuple[int, ...]:
 
 def abacus_function(state: AbacusState) -> tuple[int, ...]:
     """Per-column summary f(j) = r(j) - 1 + b(j)."""
-    return _abacus_function(state.spec, state.beads)
+    return _abacus_function(state.prog, state.beads)
 
 
-def _abacus_function(spec: AbacusSpec, beads: Sequence[int]) -> tuple[int, ...]:
+def _abacus_function(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
     """`abacus_function` for one signed bead count per column."""
-    return tuple(r - 1 + b for r, b in zip(spec.boundary_rows, beads))
+    return tuple(r - 1 + b for r, b in zip(prog.boundary_rows, beads))
 
 
-def beads_from_function(spec: AbacusSpec, values: Sequence[int]) -> AbacusState:
+def beads_from_function(prog: Progression, values: Sequence[int]) -> AbacusState:
     """Invert `abacus_function`: b(j) = f(j) - r(j) + 1."""
-    if len(values) != spec.columns:
+    if len(values) != prog.columns:
         raise InvalidInputError(
-            f"expected {spec.columns} values for s={spec.s}, d={spec.d}, "
+            f"expected {prog.columns} values for s={prog.s}, d={prog.d}, "
             f"got {len(values)}"
         )
-    return AbacusState(spec, _beads_from_function(spec, values))
+    return AbacusState(prog, _beads_from_function(prog, values))
 
 
-def _beads_from_function(spec: AbacusSpec, values: Sequence[int]) -> tuple[int, ...]:
+def _beads_from_function(prog: Progression, values: Sequence[int]) -> tuple[int, ...]:
     """`beads_from_function` for one value per column."""
-    return tuple(v - r + 1 for v, r in zip(values, spec.boundary_rows))
+    return tuple(v - r + 1 for v, r in zip(values, prog.boundary_rows))
 
 
 def state_md(state: AbacusState) -> tuple[int, ...]:
     """Diagonal hooks read back off the beads, largest first."""
-    return _state_md(state.spec, state.beads)
+    return _state_md(state.prog, state.beads)
 
 
-def _state_md(spec: AbacusSpec, beads: Sequence[int]) -> tuple[int, ...]:
+def _state_md(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
     """`state_md` for one signed bead count per column."""
-    period = spec.period
+    period = prog.period
     hooks: list[int] = []
-    for j, (b, r) in enumerate(zip(beads, spec.boundary_rows)):
-        base = spec.a + 2 * spec.d * j  # label(spec, i, j) = base + period * i
+    for j, (b, r) in enumerate(zip(beads, prog.boundary_rows)):
+        base = prog.a + 2 * prog.d * j  # label(prog, i, j) = base + period * i
         if b > 0:
             hooks.extend(range(base + period * r, base + period * (r + b), period))
         elif b < 0:
@@ -241,7 +191,7 @@ def _state_md(spec: AbacusSpec, beads: Sequence[int]) -> tuple[int, ...]:
     return tuple(hooks)
 
 
-def validate_core_function(values: Sequence[int], spec: AbacusSpec, p: int) -> bool:
+def validate_core_function(values: Sequence[int], prog: Progression) -> bool:
     """Check every structural condition the summary f of a core satisfies.
 
     Shared conditions: f(0) = 0 and consecutive values differ by at
@@ -264,17 +214,17 @@ def validate_core_function(values: Sequence[int], spec: AbacusSpec, p: int) -> b
     is p-2 columns (k = 0..p-3), not p-1: the wider bound would need
     the progression to reach one step past s+pd, and genuine cores do
     violate it (diagonal hooks {23, 7, 5, 3, 1} with s=8, d=1, p=3 dip
-    to -2 one column further in); see the regression test.
+    to -2 one column further in); see the regression test.  Needs p >= 2.
     """
+    s, d, p = prog.s, prog.d, prog.p
     check_progression_length(p)
-    if len(values) != spec.columns:
+    if len(values) != prog.columns:
         raise InvalidInputError(
-            f"expected {spec.columns} values for s={spec.s}, d={spec.d}, "
+            f"expected {prog.columns} values for s={prog.s}, d={prog.d}, "
             f"got {len(values)}"
         )
     f = list(values)
-    top = spec.max_column
-    s, d = spec.s, spec.d
+    top = prog.max_column
 
     if f[0] != 0:
         return False
@@ -321,72 +271,58 @@ def render_abacus(
     window covers every bead with one row of margin and always includes
     the sign boundary of each column.
     """
-    spec = state.spec
-    bead_rows = []
-    for j, b in enumerate(state.beads):
-        r = boundary_row(spec, j)
-        if b > 0:
-            bead_rows.extend((r, r + b - 1))
-        elif b < 0:
-            bead_rows.extend((r + b, r - 1))
-    boundaries = [boundary_row(spec, j) for j in range(spec.columns)]
+    prog = state.prog
+    boundaries = prog.boundary_rows
+    marked = set()
+    for j, (b, r) in enumerate(zip(state.beads, boundaries)):
+        marked.update((i, j) for i in (range(r, r + b) if b > 0 else range(r + b, r)))
     if row_range is None:
-        lo = min(boundaries) - 1
-        hi = max(boundaries)
-        if bead_rows:
-            lo = min(lo, min(bead_rows) - 1)
-            hi = max(hi, max(bead_rows) + 1)
+        bead_rows = [i for i, _ in marked]
+        lo = min([*boundaries, *bead_rows]) - 1
+        hi = max([*boundaries, *(i + 1 for i in bead_rows)])
     else:
         lo, hi = row_range
         if lo > hi:
             raise InvalidInputError(f"empty row window {row_range}")
 
-    marked = set()
-    for j, b in enumerate(state.beads):
-        r = boundary_row(spec, j)
-        if b > 0:
-            marked.update((i, j) for i in range(r, r + b))
-        elif b < 0:
-            marked.update((i, j) for i in range(r + b, r))
-
     def cell(i: int, j: int) -> str:
-        text = str(label(spec, i, j))
+        text = str(label(prog, i, j))
         return f"({text})" if (i, j) in marked else text
 
     grid = {
         (i, j): cell(i, j)
         for i in range(lo, hi + 1)
-        for j in range(spec.columns)
+        for j in range(prog.columns)
     }
     widths = [
         max(len(str(j)), max(len(grid[(i, j)]) for i in range(lo, hi + 1)))
-        for j in range(spec.columns)
+        for j in range(prog.columns)
     ]
     left = max(len(str(lo)), len(str(hi)), len("i\\j"))
     lines = [
         "i\\j".rjust(left)
         + " | "
-        + "  ".join(str(j).rjust(widths[j]) for j in range(spec.columns))
+        + "  ".join(str(j).rjust(widths[j]) for j in range(prog.columns))
     ]
     for i in range(hi, lo - 1, -1):
         lines.append(
             str(i).rjust(left)
             + " | "
-            + "  ".join(grid[(i, j)].rjust(widths[j]) for j in range(spec.columns))
+            + "  ".join(grid[(i, j)].rjust(widths[j]) for j in range(prog.columns))
         )
     return "\n".join(lines)
 
 
 def abacus_record(state: AbacusState) -> dict:
-    """JSON-ready record: spec plus per-column (j, r, b, f)."""
-    spec = state.spec
+    """JSON-ready record: (s, d, a) plus per-column (j, r, b, f)."""
+    prog = state.prog
     f = abacus_function(state)
     return {
-        "s": spec.s,
-        "d": spec.d,
-        "a": spec.a,
+        "s": prog.s,
+        "d": prog.d,
+        "a": prog.a,
         "columns": [
-            {"j": j, "r": boundary_row(spec, j), "b": b, "f": f[j]}
-            for j, b in enumerate(state.beads)
+            {"j": j, "r": r, "b": b, "f": f[j]}
+            for j, (r, b) in enumerate(zip(prog.boundary_rows, state.beads))
         ],
     }

@@ -21,7 +21,8 @@ from math import gcd
 
 from . import abacus as abacus_mod
 from . import bijection, formulas, mdcore, motzkin, oracle
-from .errors import ScoreLabError
+from .errors import ScoreLabError, check_progression_length
+from .progression import Progression
 
 USAGE_ERROR = 64
 _PARTITION_COLUMNS = ("size", "corners", "md", "parts")
@@ -131,7 +132,7 @@ def build_parser() -> _Parser:
     p_count = sub.add_parser("count", help="count self-conjugate simultaneous cores")
     p_count.add_argument("--s", type=int, required=True)
     p_count.add_argument("--d", type=int)
-    p_count.add_argument("--p", type=int, default=2)
+    p_count.add_argument("--p", type=int)  # 2 unless given; not with --t
     p_count.add_argument("--t", type=int, help="pair mode: count (s, t)-cores")
     p_count.add_argument(
         "--method", choices=("formula", "dp", "enumerate", "all"), default="all"
@@ -197,6 +198,8 @@ def _cmd_count(args, emit: _Emitter) -> int:
     results: list[formulas.CountResult] = []
     method = args.method
     if args.t is not None:
+        if args.d is not None or args.p is not None:
+            raise _UsageError("--d and --p do not apply to a pair; drop them or --t")
         s, t = sorted((args.s, args.t))
         _check_bound(args.bound, s, t - s)
         if method in ("formula", "all"):
@@ -205,14 +208,12 @@ def _cmd_count(args, emit: _Emitter) -> int:
             print("error: no path model for a bare pair; use --p", file=sys.stderr)
             return 2
         if method in ("enumerate", "all"):
-            task = oracle.EnumerationTask(s, t - s, 1, args.bound)
-            results.append(
-                formulas.CountResult(len(oracle.enumerate_md_sets(task)), "enumeration")
-            )
+            mds = oracle.enumerate_md_sets(Progression(s, t - s, 1), args.bound)
+            results.append(formulas.CountResult(len(mds), "enumeration"))
     else:
         if args.d is None:
             raise _UsageError("--d is required unless --t is given")
-        s, d, p = args.s, args.d, args.p
+        s, d, p = args.s, args.d, 2 if args.p is None else args.p
         _check_bound(args.bound, s, d)
         if method in ("formula", "all"):
             results.extend(formulas.closed_forms(s, d, p))
@@ -226,10 +227,8 @@ def _cmd_count(args, emit: _Emitter) -> int:
         if method in ("dp", "all"):
             results.append(formulas.count_via_paths(s, d, p))
         if method in ("enumerate", "all"):
-            task = oracle.EnumerationTask(s, d, p, args.bound)
-            results.append(
-                formulas.CountResult(len(oracle.enumerate_md_sets(task)), "enumeration")
-            )
+            mds = oracle.enumerate_md_sets(Progression(s, d, p), args.bound)
+            results.append(formulas.CountResult(len(mds), "enumeration"))
     agree = len({r.value for r in results}) <= 1
     records = [r.as_json() for r in results]
     if args.format == "json":
@@ -250,12 +249,12 @@ def _cmd_count(args, emit: _Emitter) -> int:
 
 def _cmd_enumerate(args, emit: _Emitter) -> int:
     _check_bound(args.bound, args.s, args.d)
-    task = oracle.EnumerationTask(args.s, args.d, args.p, args.bound)
+    prog = Progression(args.s, args.d, args.p)
     if args.n_max is not None:
-        partitions = oracle.enumerate_by_partition_scan(task, args.n_max)
+        partitions = oracle.enumerate_by_partition_scan(prog, args.n_max)
         mds = [mdcore.partition_to_md(parts) for parts in partitions]
     else:
-        mds = oracle.enumerate_md_sets(task)
+        mds = oracle.enumerate_md_sets(prog, args.bound)
     records = [mdcore.partition_record(md) for md in mds]
     if args.format == "json":
         for record in records:
@@ -272,13 +271,13 @@ def _cmd_enumerate(args, emit: _Emitter) -> int:
 
 
 def _cmd_map(args, emit: _Emitter) -> int:
-    ctx = bijection.phi_context(args.s, args.d, args.p)
+    prog = bijection.phi_context(args.s, args.d, args.p)
     md = _parse_md(args.md)
-    steps = bijection.phi(md, ctx)
+    steps = bijection.phi(md, prog)
     if args.format == "json":
-        emit.json(bijection.mapping_record(md, ctx))
+        emit.json(bijection.mapping_record(md, prog))
     elif args.format == "csv":
-        row = (steps, ctx.x, ctx.y, motzkin.flat_count(steps), motzkin.last_step(steps) or "-")
+        row = (steps, prog.x, prog.y, motzkin.flat_count(steps), motzkin.last_step(steps) or "-")
         emit.csv(("steps", "x", "y", "flats", "last"), [row])
     else:
         emit.line(steps)
@@ -287,11 +286,11 @@ def _cmd_map(args, emit: _Emitter) -> int:
 
 
 def _cmd_unmap(args, emit: _Emitter) -> int:
-    ctx = bijection.phi_context(args.s, args.d, args.p)
-    md = bijection.phi_inverse(args.path, ctx)
+    prog = bijection.phi_context(args.s, args.d, args.p)
+    md = bijection.phi_inverse(args.path, prog)
     record = mdcore.partition_record(md)
     if args.format == "json":
-        emit.json(bijection.mapping_record(md, ctx))
+        emit.json(bijection.mapping_record(md, prog))
         emit.json(record)
     elif args.format == "csv":
         emit.csv(_PARTITION_COLUMNS, [record])
@@ -303,8 +302,8 @@ def _cmd_unmap(args, emit: _Emitter) -> int:
 
 
 def _cmd_abacus(args, emit: _Emitter) -> int:
-    spec = abacus_mod.abacus_spec(args.s, args.d)
-    state = abacus_mod.place_beads(spec, _parse_md(args.md))
+    prog = Progression(args.s, args.d, 1)
+    state = abacus_mod.place_beads(prog, _parse_md(args.md))
     if args.format == "json":
         emit.json(abacus_mod.abacus_record(state))
     elif args.format == "csv":
@@ -317,11 +316,11 @@ def _cmd_abacus(args, emit: _Emitter) -> int:
 
 def _cmd_corners(args, emit: _Emitter) -> int:
     s, p = args.s, args.p
-    task = oracle.EnumerationTask(s, 1, p)
-    ctx = bijection.phi_context(s, 1, p)
+    prog = Progression(s, 1, p)  # p < 1 is refused here, p = 1 by the next line
+    check_progression_length(p)
     histogram: dict[int, int] = {}
-    for md in oracle.enumerate_md_sets(task):
-        m, _, _ = bijection.corner_statistics(md, ctx)
+    for md in oracle.enumerate_md_sets(prog):
+        m, _, _ = bijection.corner_statistics(md, prog)
         histogram[m] = histogram.get(m, 0) + 1
     formula = formulas.CORNER_FORMULAS.get(p)
     top = max(max(histogram, default=0), s // 2)

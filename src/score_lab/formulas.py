@@ -13,8 +13,9 @@ from decimal import Decimal
 from math import comb, gcd
 from typing import Sequence
 
+from .bijection import phi_context
 from .errors import InvalidInputError, check_progression, check_progression_length
-from .motzkin import constraints_for, count_paths_dp
+from .motzkin import count_paths_dp
 
 __all__ = [
     "CountResult",
@@ -211,12 +212,8 @@ def _require_corner_args(s: int, m: int) -> None:
 
 def count_via_paths(s: int, d: int, p: int) -> CountResult:
     """Core count through the lattice-path encoding (automaton DP)."""
-    check_progression(s, d)
-    half_up = (d + 1) // 2
-    value = count_paths_dp(
-        s // 2 + half_up, -half_up, constraints_for(s, d, p)
-    )
-    return CountResult(value, "dp")
+    prog = phi_context(s, d, p)
+    return CountResult(count_paths_dp(prog.x, prog.y, prog.constraints), "dp")
 
 
 def check_shift_equivalence(s: int, d: int, p: int) -> bool:

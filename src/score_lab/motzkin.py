@@ -19,8 +19,9 @@ agree exactly, and the test suite enforces that.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from operator import add
 
 from .errors import (
@@ -48,45 +49,49 @@ _ALPHABET = frozenset(_HEIGHT)
 
 @dataclass(frozen=True)
 class PathConstraintSet:
-    """Forbidden factors/prefixes/suffixes for one parameter triple."""
+    """The banned patterns of one parameter triple, as the longest F-run each bans.
 
-    p: int
-    parity_case: str  # one of "odd_even", "odd_odd", "even_odd"
-    forbidden_factors: tuple[str, ...]
-    forbidden_prefixes: tuple[str, ...]
-    forbidden_suffixes: tuple[str, ...]
+    A path may not contain ``UF^iU`` for i <= ``factor_top``, start with
+    ``F^jU`` for j <= ``prefix_top`` or end with ``UF^k`` for
+    k <= ``suffix_top``; a top of -1 bans nothing of that shape.
+    """
+
+    parity_case: str  # "odd_even", "odd_odd", "even_odd" or "unconstrained"
+    factor_top: int
+    prefix_top: int
+    suffix_top: int
+
+    @cached_property
+    def pattern(self) -> re.Pattern | None:
+        """One expression matching every banned pattern, or None when none is banned."""
+        shapes = (
+            (self.prefix_top, r"\AF{{0,{}}}U"),
+            (self.factor_top, "UF{{0,{}}}U"),
+            (self.suffix_top, r"UF{{0,{}}}\Z"),
+        )
+        alternatives = [shape.format(top) for top, shape in shapes if top >= 0]
+        return re.compile("|".join(alternatives)) if alternatives else None
 
 
-EMPTY_CONSTRAINTS = PathConstraintSet(2, "unconstrained", (), (), ())
+EMPTY_CONSTRAINTS = PathConstraintSet("unconstrained", -1, -1, -1)
 
 
-@lru_cache(maxsize=None)
 def constraints_for(s: int, d: int, p: int) -> PathConstraintSet:
     """Constraint set for self-conjugate (s, s+d, ..., s+pd)-cores.
 
     Factor bans ``UF^iU`` for i <= p-3 apply in every parity case.  The
     prefix range ``F^jU`` and suffix range ``UF^k`` depend on the
     parities of s and d; notably both odd-d cases forbid a bare trailing
-    U already at p = 2.
+    U already at p = 2.  Floor division takes each top to -1 (no ban)
+    for the small p where its range is empty.
     """
     check_progression(s, d)
     check_progression_length(p)
     if s % 2 == 1 and d % 2 == 0:
-        case = "odd_even"
-        prefix_top = (p - 4) // 2 if p >= 4 else -1
-        suffix_top = (p - 3) // 2 if p >= 3 else -1
-    elif s % 2 == 1:
-        case = "odd_odd"
-        prefix_top = (p - 4) // 2 if p >= 4 else -1
-        suffix_top = p - 2
-    else:
-        case = "even_odd"
-        prefix_top = (p - 3) // 2 if p >= 3 else -1
-        suffix_top = p - 2
-    factors = tuple("U" + "F" * i + "U" for i in range(p - 2))
-    prefixes = tuple("F" * j + "U" for j in range(prefix_top + 1))
-    suffixes = tuple("U" + "F" * k for k in range(suffix_top + 1))
-    return PathConstraintSet(p, case, factors, prefixes, suffixes)
+        return PathConstraintSet("odd_even", p - 3, (p - 4) // 2, (p - 3) // 2)
+    if s % 2 == 1:
+        return PathConstraintSet("odd_odd", p - 3, (p - 4) // 2, p - 2)
+    return PathConstraintSet("even_odd", p - 3, (p - 3) // 2, p - 2)
 
 
 def _validate_steps(steps: str) -> str:
@@ -125,13 +130,8 @@ def _satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> bo
     """`satisfies` for a string already known to be over U/D/F."""
     if _path_type(steps) != (x, y):
         return False
-    if any(w in steps for w in constraints.forbidden_factors):
-        return False
-    # startswith/endswith with an empty tuple is False.
-    return not (
-        steps.startswith(constraints.forbidden_prefixes)
-        or steps.endswith(constraints.forbidden_suffixes)
-    )
+    pattern = constraints.pattern
+    return pattern is None or pattern.search(steps) is None
 
 
 def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]:
@@ -190,9 +190,7 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
         raise InvalidInputError(f"path length must be a nonnegative integer, got {x!r}")
     if abs(y) > x:
         return 0
-    factor_top = max((len(w) - 2 for w in constraints.forbidden_factors), default=-1)
-    prefix_top = max((len(w) - 1 for w in constraints.forbidden_prefixes), default=-1)
-    suffix_top = max((len(w) - 1 for w in constraints.forbidden_suffixes), default=-1)
+    factor_top, suffix_top = constraints.factor_top, constraints.suffix_top
     ucap = max(factor_top, suffix_top) + 1
 
     lo = 0  # the lowest height of the window
@@ -212,7 +210,7 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
         # The all-flat prefix F^pos steps down, and up once past the prefix bans.
         if new_lo <= -1 < new_lo + width:
             new_idle[-1 - new_lo] += 1
-        if pos > prefix_top and new_lo <= 1 < new_lo + width:
+        if pos > constraints.prefix_top and new_lo <= 1 < new_lo + width:
             rose[1 - new_lo] += 1
         if ucap:
             saturated = list(map(add, ups[ucap - 1], ups[ucap]))

@@ -20,14 +20,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .bijection import phi, phi_context, phi_inverse
-from .errors import InvalidInputError, check_progression, check_progression_length
+from .bijection import phi, phi_inverse
+from .errors import InvalidInputError, check_progression_length
 from .formulas import CORNER_FORMULAS, closed_forms
-from .mdcore import _md_to_partition, md_is_simultaneous_core
+from .mdcore import _md_to_partition
 from .motzkin import count_paths_dp, enumerate_paths
+from .progression import Progression
 
 __all__ = [
-    "EnumerationTask",
     "default_md_bound",
     "pair_core_size_bound",
     "enumerate_md_sets",
@@ -54,38 +54,11 @@ def pair_core_size_bound(s: int, t: int) -> int:
     return (s * s - 1) * (t * t - 1) // 24
 
 
-@dataclass(frozen=True)
-class EnumerationTask:
-    """Progression parameters plus the hook search bound.
+def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple[int, ...]]:
+    """All core diagonal hook sets of the progression, lexicographically sorted.
 
-    ``p`` is the number of steps past s, so the moduli run s, s+d, ...,
-    s+pd; p = 1 describes a plain (s, s+d) pair.  ``bound`` caps the
-    candidate diagonal hooks and defaults to `default_md_bound`.
-    """
-
-    s: int
-    d: int
-    p: int
-    bound: int | None = None
-
-    def __post_init__(self) -> None:
-        check_progression(self.s, self.d)
-        if not (isinstance(self.p, int) and self.p >= 1):
-            raise InvalidInputError(f"p must be an integer >= 1, got {self.p!r}")
-        if self.bound is not None and self.bound < 1:
-            raise InvalidInputError(f"bound must be >= 1, got {self.bound!r}")
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(self.s + k * self.d for k in range(self.p + 1))
-
-    @property
-    def effective_bound(self) -> int:
-        return self.bound if self.bound is not None else default_md_bound(self.s, self.d)
-
-
-def enumerate_md_sets(task: EnumerationTask) -> list[tuple[int, ...]]:
-    """All core diagonal hook sets for the task, lexicographically sorted.
+    ``bound`` caps the candidate diagonal hooks and defaults to
+    `default_md_bound`; p = 1 enumerates the cores of a plain pair.
 
     Backtracks over odd candidates in decreasing order.  Including a
     candidate h immediately pulls in everything it forces (h - 2t for
@@ -95,9 +68,11 @@ def enumerate_md_sets(task: EnumerationTask) -> list[tuple[int, ...]]:
     Completeness: any hook above the bound would be a hook above the
     maximal (s, s+d)-core hook, which no core has.
     """
-    moduli = task.moduli
-    doubled = [2 * t for t in moduli]
-    bound = task.effective_bound
+    if bound is None:
+        bound = default_md_bound(prog.s, prog.d)
+    elif bound < 1:
+        raise InvalidInputError(f"bound must be >= 1, got {bound!r}")
+    moduli, doubled = prog.moduli, prog.doubled
     candidates = list(range(bound if bound % 2 else bound - 1, 0, -2))
 
     chosen: set[int] = set()
@@ -152,9 +127,7 @@ def enumerate_md_sets(task: EnumerationTask) -> list[tuple[int, ...]]:
     return results
 
 
-def enumerate_by_partition_scan(
-    task: EnumerationTask, n_max: int
-) -> list[tuple[int, ...]]:
+def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int, ...]]:
     """All core partitions of size at most ``n_max``, as part tuples.
 
     Grows self-conjugate partitions by prepending ever larger diagonal
@@ -173,7 +146,7 @@ def enumerate_by_partition_scan(
     """
     if not (isinstance(n_max, int) and n_max >= 0):
         raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    moduli = set(task.moduli)
+    moduli = set(prog.moduli)
     min_modulus = min(moduli)
     results: list[tuple[int, ...]] = [()]
 
@@ -264,11 +237,10 @@ def verify_instance(
     partition.
     """
     check_progression_length(p)
-    task = EnumerationTask(s, d, p, bound)
-    mds = enumerate_md_sets(task)
-    ctx = phi_context(s, d, p)
-    paths = enumerate_paths(ctx.x, ctx.y, ctx.constraints)
-    n_dp = count_paths_dp(ctx.x, ctx.y, ctx.constraints)
+    prog = Progression(s, d, p)
+    mds = enumerate_md_sets(prog, bound)
+    paths = enumerate_paths(prog.x, prog.y, prog.constraints)
+    n_dp = count_paths_dp(prog.x, prog.y, prog.constraints)
 
     formulas = [result.value for result in closed_forms(s, d, p)]
     formulas_agree = len(set(formulas)) <= 1
@@ -277,9 +249,9 @@ def verify_instance(
     images = []
     roundtrip_ok = True
     for md in mds:
-        steps = phi(md, ctx)
+        steps = phi(md, prog)
         images.append(steps)
-        if phi_inverse(steps, ctx) != md:
+        if phi_inverse(steps, prog) != md:
             roundtrip_ok = False
     if len(set(images)) != len(images) or set(images) != set(paths):
         roundtrip_ok = False
@@ -312,7 +284,7 @@ def verify_instance(
     n_scan = None
     scan_ok = True
     if n_max is not None:
-        scanned = enumerate_by_partition_scan(task, n_max)
+        scanned = enumerate_by_partition_scan(prog, n_max)
         n_scan = len(scanned)
         scan_ok = sorted(scanned) == sorted(partitions)
 

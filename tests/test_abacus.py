@@ -4,8 +4,8 @@ import pytest
 
 from score_lab import (
     BeadStructureError,
-    EnumerationTask,
     InvalidInputError,
+    Progression,
     UnplaceableHookError,
     abacus_function,
     abacus_spec,
@@ -37,27 +37,27 @@ def test_spec_corner_label_choice():
 
 
 def test_labels_reference():
-    spec = abacus_spec(21, 4)
-    assert label(spec, 0, 0) == -21
-    assert label(spec, 1, 6) == 77
+    prog = abacus_spec(21, 4)
+    assert label(prog, 0, 0) == -21
+    assert label(prog, 1, 6) == 77
     assert label(abacus_spec(22, 3), 0, 0) == -25
     with pytest.raises(InvalidInputError):
-        label(spec, 0, 13)
+        label(prog, 0, 13)
 
 
 def test_boundary_rows():
-    spec = abacus_spec(21, 4)
-    assert boundary_row(spec, 0) == 1
-    assert boundary_row(spec, 12) == -1
+    prog = abacus_spec(21, 4)
+    assert boundary_row(prog, 0) == 1
+    assert boundary_row(prog, 12) == -1
     assert boundary_row(abacus_spec(22, 3), 0) == 1
 
 
 @pytest.mark.parametrize("s,d", [(21, 4), (23, 3), (22, 3), (1, 1), (2, 5), (8, 1)])
 def test_boundary_row_sign_condition(s, d):
-    spec = abacus_spec(s, d)
-    for j in range(spec.columns):
-        r = boundary_row(spec, j)
-        assert label(spec, r, j) > 0 > label(spec, r - 1, j)
+    prog = abacus_spec(s, d)
+    for j in range(prog.columns):
+        r = boundary_row(prog, j)
+        assert label(prog, r, j) > 0 > label(prog, r - 1, j)
 
 
 @pytest.mark.parametrize("s,d", [(21, 4), (23, 3), (22, 3), (5, 2), (8, 1)])
@@ -65,12 +65,12 @@ def test_every_eligible_odd_value_has_one_slot(s, d):
     # Each odd h below 4(s+d) occupies exactly one position up to sign,
     # except odd multiples of s+d, which occupy two (one per sign) and
     # are exactly the values place_beads refuses.
-    spec = abacus_spec(s, d)
-    period = spec.period
+    prog = abacus_spec(s, d)
+    period = prog.period
     counted = {}
     for i in range(-2 * period, 2 * period):
-        for j in range(spec.columns):
-            value = abs(label(spec, i, j))
+        for j in range(prog.columns):
+            value = abs(label(prog, i, j))
             counted[value] = counted.get(value, 0) + 1
     for h in range(1, 2 * period, 2):
         expected = 2 if h % period == (s + d) % period else 1
@@ -120,30 +120,30 @@ def test_summary_roundtrip_through_beads():
         (5, 1, (9,)),
         (3, 2, ()),
     ):
-        spec = abacus_spec(s, d)
-        state = place_beads(spec, md)
-        assert beads_from_function(spec, abacus_function(state)) == state
+        prog = abacus_spec(s, d)
+        state = place_beads(prog, md)
+        assert beads_from_function(prog, abacus_function(state)) == state
         assert state_md(state) == md
     with pytest.raises(InvalidInputError):
         beads_from_function(abacus_spec(3, 2), (0, 0))
 
 
 def test_validator_worked_examples():
-    spec = abacus_spec(21, 4)
-    assert validate_core_function(EXAMPLE_F, spec, 4)
+    prog = Progression(21, 4, 4)
+    assert validate_core_function(EXAMPLE_F, prog)
     broken = EXAMPLE_F[:-1] + (-1,)
-    assert not validate_core_function(broken, spec, 4)
-    assert validate_core_function((0, 0, -1), abacus_spec(3, 2), 2)
+    assert not validate_core_function(broken, prog)
+    assert validate_core_function((0, 0, -1), Progression(3, 2, 2))
 
 
 def test_validator_accepts_the_wide_window_core():
     # (8, 9, 10, 11)-core whose summary dips to -2 in the column just
     # inside the end window; only the narrow near-end bound is sound.
-    spec = abacus_spec(8, 1)
+    prog = Progression(8, 1, 3)
     md = (23, 7, 5, 3, 1)
-    f = abacus_function(place_beads(spec, md))
+    f = abacus_function(place_beads(prog, md))
     assert f == (0, -1, -2, -1, -1)
-    assert validate_core_function(f, spec, 3)
+    assert validate_core_function(f, prog)
 
 
 @pytest.mark.parametrize(
@@ -153,33 +153,33 @@ def test_validator_accepts_the_wide_window_core():
 def test_summary_conditions_characterize_cores(s, d, p):
     # Walks satisfying every validator condition are in bijection with
     # the cores themselves, so the counts must match exactly.
-    spec = abacus_spec(s, d)
-    n_cores = len(enumerate_md_sets(EnumerationTask(s, d, p)))
+    prog = Progression(s, d, p)
+    n_cores = len(enumerate_md_sets(prog))
     n_valid = 0
-    for deltas in itertools.product((-1, 0, 1), repeat=spec.max_column):
+    for deltas in itertools.product((-1, 0, 1), repeat=prog.max_column):
         f = [0]
         for step in deltas:
             f.append(f[-1] + step)
-        if validate_core_function(f, spec, p):
+        if validate_core_function(f, prog):
             n_valid += 1
     assert n_valid == n_cores
 
 
 def test_every_swept_core_passes_the_validator():
     for (s, d, p) in ((5, 1, 2), (8, 3, 4), (9, 2, 5), (12, 1, 3), (7, 4, 2)):
-        spec = abacus_spec(s, d)
-        for md in enumerate_md_sets(EnumerationTask(s, d, p)):
-            f = abacus_function(place_beads(spec, md))
-            assert validate_core_function(f, spec, p), (s, d, p, md)
+        prog = Progression(s, d, p)
+        for md in enumerate_md_sets(prog):
+            f = abacus_function(place_beads(prog, md))
+            assert validate_core_function(f, prog), (s, d, p, md)
 
 
 def test_render_marks_beads_only():
-    spec = abacus_spec(21, 4)
-    empty = render_abacus(place_beads(spec, ()), row_range=(0, 1))
+    prog = abacus_spec(21, 4)
+    empty = render_abacus(place_beads(prog, ()), row_range=(0, 1))
     assert "-21" in empty and "29" in empty
     assert "(" not in empty
 
-    marked = render_abacus(place_beads(spec, EXAMPLE_MD_OE))
+    marked = render_abacus(place_beads(prog, EXAMPLE_MD_OE))
     assert "(27)" in marked and "(77)" in marked and "(-41)" in marked
     assert "(-21)" not in marked
 

@@ -11,7 +11,7 @@ from collections import Counter
 from math import gcd
 
 from score_lab import (
-    EnumerationTask,
+    Progression,
     abacus_function,
     abacus_spec,
     corner_statistics,
@@ -37,9 +37,9 @@ from conftest import SWEEP_GRID
 
 def test_criterion_1_worked_examples():
     started = time.perf_counter()
-    spec = abacus_spec(21, 4)
+    prog = abacus_spec(21, 4)
     md = (77, 41, 35, 27, 19, 11, 5, 3)
-    assert abacus_function(place_beads(spec, md)) == (
+    assert abacus_function(place_beads(prog, md)) == (
         0, 0, -1, 0, 0, 0, 1, 0, -1, -2, -3, -2, -2,
     )
     assert phi(md, phi_context(21, 4, 4)) == "FDUFFUDDDDUF"
@@ -88,7 +88,7 @@ def test_criterion_4_pair_baseline():
         for s in range(1, t):
             if gcd(s, t) != 1:
                 continue
-            enumerated = len(enumerate_md_sets(EnumerationTask(s, t - s, 1)))
+            enumerated = len(enumerate_md_sets(Progression(s, t - s, 1)))
             assert enumerated == count_sc_pair(s, t).value, (s, t)
             checked += 1
     elapsed = time.perf_counter() - started
@@ -101,10 +101,10 @@ def test_criterion_5_corner_refinement():
     for p in (2, 3):
         formula = count_corners_p2 if p == 2 else count_corners_p3
         for s in range(1, 14):
-            ctx = phi_context(s, 1, p)
+            prog = phi_context(s, 1, p)
             histogram = Counter()
-            for md in enumerate_md_sets(EnumerationTask(s, 1, p)):
-                m, last, flats = corner_statistics(md, ctx)
+            for md in enumerate_md_sets(prog):
+                m, last, flats = corner_statistics(md, prog)
                 histogram[m] += 1
                 assert last == ("D" if m % 2 == 0 else "F"), (s, p, md)
                 assert flats == s // 2 - m + (m % 2), (s, p, md)
@@ -142,9 +142,9 @@ def test_criterion_7_dual_oracle():
         if s + d > 10:
             continue
         n_max = pair_core_size_bound(s, s + d)
-        task = EnumerationTask(s, d, p)
-        scanned = enumerate_by_partition_scan(task, n_max)
-        direct = sorted(md_to_partition(md) for md in enumerate_md_sets(task))
+        prog = Progression(s, d, p)
+        scanned = enumerate_by_partition_scan(prog, n_max)
+        direct = sorted(md_to_partition(md) for md in enumerate_md_sets(prog))
         assert scanned == direct, (s, d, p)
         checked += 1
     elapsed = time.perf_counter() - started

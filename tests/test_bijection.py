@@ -5,10 +5,10 @@ import pytest
 
 import score_lab
 from score_lab import (
-    EnumerationTask,
     InternalConsistencyError,
     InvalidPathError,
     NotACoreError,
+    Progression,
     UnsupportedParametersError,
     constraints_for,
     corner_statistics,
@@ -32,8 +32,8 @@ NU = (65, 61, 21, 17, 15, 13, 11, 9, 5, 3)
 
 
 def test_context_type():
-    ctx = phi_context(21, 4, 4)
-    assert (ctx.x, ctx.y) == (12, -2)
+    prog = phi_context(21, 4, 4)
+    assert (prog.x, prog.y) == (12, -2)
     assert phi_context(23, 3, 3).x == 13
     assert phi_context(22, 3, 3).moduli == (22, 25, 28, 31)
 
@@ -63,24 +63,24 @@ def test_phi_rejects_non_cores():
 
 
 def test_phi_inverse_rejects_bad_paths():
-    ctx = phi_context(21, 4, 4)
+    prog = phi_context(21, 4, 4)
     with pytest.raises(InvalidPathError):
-        phi_inverse("UUU", ctx)  # wrong type
+        phi_inverse("UUU", prog)  # wrong type
     with pytest.raises(InvalidPathError):
-        phi_inverse("UDDDFFFFFFFF", ctx)  # right type, forbidden prefix U
+        phi_inverse("UDDDFFFFFFFF", prog)  # right type, forbidden prefix U
     with pytest.raises(InvalidPathError):
-        phi_inverse("FDUFFUDDDDFU", ctx)  # right type, forbidden suffix U
+        phi_inverse("FDUFFUDDDDFU", prog)  # right type, forbidden suffix U
 
 
 @pytest.mark.parametrize("s,d,p", [(5, 2, 2), (4, 3, 3), (7, 1, 2), (5, 3, 4), (8, 1, 3)])
 def test_bijection_on_full_small_instances(s, d, p):
-    ctx = phi_context(s, d, p)
-    mds = enumerate_md_sets(EnumerationTask(s, d, p))
-    images = [phi(md, ctx) for md in mds]
+    prog = phi_context(s, d, p)
+    mds = enumerate_md_sets(prog)
+    images = [phi(md, prog) for md in mds]
     assert len(set(images)) == len(images)
-    assert set(images) == set(enumerate_paths(ctx.x, ctx.y, constraints_for(s, d, p)))
+    assert set(images) == set(enumerate_paths(prog.x, prog.y, constraints_for(s, d, p)))
     for md, steps in zip(mds, images):
-        assert phi_inverse(steps, ctx) == md
+        assert phi_inverse(steps, prog) == md
 
 
 def test_corner_statistics_small():
@@ -96,12 +96,12 @@ def test_dropping_the_largest_hook_shifts_flats_by_zero_or_two(s, p):
     # For d = 1: removing the top diagonal hook keeps the flat count
     # when the top two hooks are adjacent (gap exactly 2) and adds two
     # flats otherwise.
-    ctx = phi_context(s, 1, p)
-    for md in enumerate_md_sets(EnumerationTask(s, 1, p)):
+    prog = phi_context(s, 1, p)
+    for md in enumerate_md_sets(prog):
         if len(md) < 2:
             continue
-        full = flat_count(phi(md, ctx))
-        reduced = flat_count(phi(md[1:], ctx))
+        full = flat_count(phi(md, prog))
+        reduced = flat_count(phi(md[1:], prog))
         if md[0] == md[1] + 2:
             assert full == reduced
         else:
@@ -129,29 +129,29 @@ def test_mapping_record_layout():
 def test_phi_rejects_exactly_the_non_cores_of_the_hook_table(s, d, p):
     # Every subset of the odd hooks up to the completeness bound, judged
     # by the plain hook-table test, which shares no logic with phi.
-    ctx = phi_context(s, d, p)
+    prog = phi_context(s, d, p)
     hooks = range(1, default_md_bound(s, d) + 1, 2)[::-1]  # decreasing, like md
     cores = 0
     for size in range(len(hooks) + 1):
         for md in itertools.combinations(hooks, size):
             parts = md_to_partition(md)
-            if all(is_core(parts, t) for t in ctx.moduli):
+            if all(is_core(parts, t) for t in prog.moduli):
                 cores += 1
-                assert phi_inverse(phi(md, ctx), ctx) == md
+                assert phi_inverse(phi(md, prog), prog) == md
             else:
                 with pytest.raises(NotACoreError):
-                    phi(md, ctx)
-    assert cores == len(enumerate_md_sets(EnumerationTask(s, d, p)))
+                    phi(md, prog)
+    assert cores == len(enumerate_md_sets(prog))
 
 
 def test_phi_inverse_rechecks_the_rebuilt_hook_set(monkeypatch):
     import score_lab.bijection as bijection_mod
 
-    ctx = phi_context(21, 4, 4)
-    assert phi_inverse("FDUFFUDDDDUF", ctx) == LAMBDA
+    prog = phi_context(21, 4, 4)
+    assert phi_inverse("FDUFFUDDDDUF", prog) == LAMBDA
     monkeypatch.setattr(bijection_mod, "_is_simultaneous_core", lambda *args: False)
     with pytest.raises(InternalConsistencyError):
-        phi_inverse("FDUFFUDDDDUF", ctx)
+        phi_inverse("FDUFFUDDDDUF", prog)
 
 
 def _count_calls(monkeypatch, names):
@@ -174,20 +174,34 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
+def _count_builds(monkeypatch, names):
+    """Count how often each named cached table of a Progression is computed."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        table = vars(Progression)[name]
+
+        def counting(prog, name=name, build=table.func):
+            counts[name] += 1
+            return build(prog)
+
+        monkeypatch.setattr(table, "func", counting)
+    return counts
+
+
 def test_bijection_does_per_instance_work_once(monkeypatch):
     # A work count, not a timing: per-instance set-up must not creep back
     # into the per-core path.
-    mds = enumerate_md_sets(EnumerationTask(13, 2, 3))
-    counts = _count_calls(
-        monkeypatch, ("validate_md", "boundary_row", "abacus_spec", "constraints_for")
-    )
-    ctx = phi_context(13, 2, 3)
+    mds = enumerate_md_sets(Progression(13, 2, 3))
+    counts = _count_calls(monkeypatch, ("validate_md", "boundary_row", "constraints_for"))
+    builds = _count_builds(monkeypatch, ("boundary_rows", "slots", "pair_sums"))
+    prog = phi_context(13, 2, 3)
     for md in mds:
-        assert phi_inverse(phi(md, ctx), ctx) == md
+        assert phi_inverse(phi(md, prog), prog) == md
     assert len(mds) == 201
-    assert counts["abacus_spec"] == 1 and counts["constraints_for"] == 1
+    assert counts["constraints_for"] == 1
+    assert builds == {"boundary_rows": 1, "slots": 1, "pair_sums": 1}  # the grid, once
     assert counts["validate_md"] <= len(mds)  # at most one per phi call
-    assert counts["boundary_row"] <= ctx.spec.columns  # none per core
+    assert counts["boundary_row"] <= prog.columns  # none per core
 
 
 def test_verify_instance_validates_each_core_once(monkeypatch):

@@ -36,6 +36,16 @@ def test_count_pair_mode(capsys):
     assert "formula-pair: 2" in out and "enumeration: 2" in out
 
 
+def test_count_pair_mode_refuses_progression_flags(capsys):
+    # --d and --p describe a progression; with --t they used to be ignored.
+    for extra in (("--d", "3"), ("--p", "9"), ("--d", "3", "--p", "9")):
+        code, out, err = run(capsys, "count", "--s", "5", "--t", "7", *extra)
+        assert (code, out) == (64, "")
+        assert err == "error: --d and --p do not apply to a pair; drop them or --t\n"
+    code, out, _ = run(capsys, "count", "--s", "5", "--d", "2", "--method", "dp")
+    assert (code, out) == (0, "dp: 6\n")  # p defaults to 2 in progression mode
+
+
 def test_count_rejects_non_coprime(capsys):
     # p = 5, d = 2 has no closed form; (s, d) must still be checked.
     for extra in (("--p", "2"), ("--p", "5", "--method", "formula")):

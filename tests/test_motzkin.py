@@ -1,5 +1,6 @@
 import itertools
-from math import comb
+import tracemalloc
+from math import comb, gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from score_lab import (
     InvalidPathError,
     constraints_for,
     count_paths_dp,
+    count_via_paths,
     enumerate_paths,
     flat_count,
     last_step,
@@ -26,30 +28,89 @@ def free_path_count(x, y):
     )
 
 
+def literal_forbidden_words(s, d, p):
+    """The banned factors, prefixes and suffixes of (s, d, p), spelled out.
+
+    The rule as the paper states it, one word per banned pattern, kept
+    as the reference for the integer tops of `constraints_for`.
+    """
+    if s % 2 == 1 and d % 2 == 0:
+        prefixes, suffixes = range((p - 2) // 2), range((p - 1) // 2)
+    elif s % 2 == 1:
+        prefixes, suffixes = range((p - 2) // 2), range(p - 1)
+    else:
+        prefixes, suffixes = range((p - 1) // 2), range(p - 1)
+    return (
+        tuple("U" + "F" * i + "U" for i in range(p - 2)),
+        tuple("F" * j + "U" for j in prefixes),
+        tuple("U" + "F" * k for k in suffixes),
+    )
+
+
+def literal_satisfies(word, words):
+    factors, prefixes, suffixes = words
+    return not (
+        any(w in word for w in factors)
+        or word.startswith(prefixes)
+        or word.endswith(suffixes)
+    )
+
+
+def tops(c):
+    return c.factor_top, c.prefix_top, c.suffix_top
+
+
 def test_constraint_sets_reference():
     c = constraints_for(21, 4, 4)
     assert c.parity_case == "odd_even"
-    assert c.forbidden_factors == ("UU", "UFU")
-    assert c.forbidden_prefixes == ("U",)
-    assert c.forbidden_suffixes == ("U",)
+    assert tops(c) == (1, 0, 0)  # UU, UFU; prefix U; suffix U
+    assert literal_forbidden_words(21, 4, 4) == (("UU", "UFU"), ("U",), ("U",))
 
-    c = constraints_for(3, 2, 2)
-    assert (c.forbidden_factors, c.forbidden_prefixes, c.forbidden_suffixes) == (
-        (),
-        (),
-        (),
-    )
+    assert tops(constraints_for(3, 2, 2)) == (-1, -1, -1)
+    assert literal_forbidden_words(3, 2, 2) == ((), (), ())
 
     c = constraints_for(22, 3, 3)
     assert c.parity_case == "even_odd"
-    assert c.forbidden_factors == ("UU",)
-    assert c.forbidden_prefixes == ("U",)
-    assert c.forbidden_suffixes == ("U", "UF")
+    assert tops(c) == (0, 0, 1)  # UU; prefix U; suffixes U, UF
+    assert literal_forbidden_words(22, 3, 3) == (("UU",), ("U",), ("U", "UF"))
 
     # both odd-d cases forbid a bare trailing U already at p = 2
-    assert constraints_for(3, 1, 2).forbidden_suffixes == ("U",)
-    assert constraints_for(2, 1, 2).forbidden_suffixes == ("U",)
-    assert constraints_for(3, 2, 2).forbidden_suffixes == ()
+    assert constraints_for(3, 1, 2).suffix_top == 0
+    assert constraints_for(2, 1, 2).suffix_top == 0
+    assert constraints_for(3, 2, 2).suffix_top == -1
+
+
+def test_satisfies_matches_the_literal_forbidden_words():
+    # Every word of length <= 8 against every distinct constraint set of
+    # coprime s < 30, d < 8, p = 2..9: the tops and the one pattern that
+    # tests them ban exactly the spelled-out words.
+    sets = {}
+    for s in range(1, 30):
+        for d in range(1, 8):
+            if gcd(s, d) == 1:
+                for p in range(2, 10):
+                    words = literal_forbidden_words(s, d, p)
+                    assert sets.setdefault(constraints_for(s, d, p), words) == words
+    assert len(sets) == 24
+    all_words = ["".join(w) for n in range(9) for w in itertools.product("UDF", repeat=n)]
+    for cset, words in sets.items():
+        for word in all_words:
+            x, y = path_type(word)
+            assert satisfies(word, cset, x, y) == literal_satisfies(word, words), (cset, word)
+
+
+def test_constraint_sets_stay_small_for_long_progressions():
+    # Three integers whatever p is, where one string per banned factor
+    # grew quadratically in p (about 12.5 MB at p = 4000).
+    tracemalloc.start()
+    try:
+        constraints_for(3, 2, 4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert tops(constraints_for(3, 2, 4000)) == (3997, 1998, 1998)
+    assert count_via_paths(3, 2, 4000).value == 2
 
 
 def test_constraints_for_rejects_bad_input():

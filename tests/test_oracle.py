@@ -4,11 +4,11 @@ from math import gcd
 import pytest
 
 from score_lab import (
-    EnumerationTask,
     InvalidInputError,
-    abacus_spec,
+    Progression,
     constraints_for,
     count_sc_d1,
+    count_via_paths,
     default_md_bound,
     enumerate_by_partition_scan,
     enumerate_md_sets,
@@ -23,7 +23,7 @@ from score_lab import (
 )
 
 
-def brute_force_scan(task, n_max):
+def brute_force_scan(prog, n_max):
     """Generate-and-filter reference for the partition scan: every
     self-conjugate partition of size <= n_max, kept when its full hook
     table avoids all moduli."""
@@ -31,7 +31,7 @@ def brute_force_scan(task, n_max):
 
     def grow(md, total):
         parts = md_to_partition(tuple(md))
-        if all(is_core(parts, t) for t in task.moduli):
+        if all(is_core(parts, t) for t in prog.moduli):
             found.append(parts)
         start = md[-1] - 2 if md else (n_max if n_max % 2 else n_max - 1)
         for c in range(start, 0, -2):
@@ -44,15 +44,15 @@ def brute_force_scan(task, n_max):
     return sorted(found)
 
 
-def test_task_validation():
+def test_enumeration_validation():
     with pytest.raises(InvalidInputError):
-        EnumerationTask(4, 2, 2)
+        Progression(4, 2, 2)
     with pytest.raises(InvalidInputError):
-        EnumerationTask(3, 2, 0)
-    with pytest.raises(InvalidInputError):
-        EnumerationTask(3, 2, 2, bound=0)
-    assert EnumerationTask(3, 2, 1).moduli == (3, 5)
-    assert EnumerationTask(3, 2, 3).moduli == (3, 5, 7, 9)
+        Progression(3, 2, 0)
+    with pytest.raises(InvalidInputError, match=r"^bound must be >= 1, got 0$"):
+        enumerate_md_sets(Progression(3, 2, 2), bound=0)
+    assert Progression(3, 2, 1).moduli == (3, 5)
+    assert Progression(3, 2, 3).moduli == (3, 5, 7, 9)
 
 
 @pytest.mark.parametrize(
@@ -61,16 +61,24 @@ def test_task_validation():
         lambda p: constraints_for(3, 2, p),
         lambda p: phi_context(3, 2, p),
         lambda p: count_sc_d1(3, p),
-        lambda p: validate_core_function((0, 0, 0), abacus_spec(3, 2), p),
+        lambda p: count_via_paths(3, 2, p),
         lambda p: verify_instance(3, 2, p),
     ],
-    ids=["constraints_for", "phi_context", "count_sc_d1", "validate_core_function", "verify"],
+    ids=["constraints_for", "phi_context", "count_sc_d1", "count_via_paths", "verify"],
 )
 def test_every_route_words_the_progression_length_rule_alike(route):
     for p in (1, "2"):
         with pytest.raises(InvalidInputError) as excinfo:
             route(p)
         assert str(excinfo.value) == f"progression length p must be >= 2, got {p!r}"
+
+
+def test_validate_core_function_words_the_progression_length_rule_alike():
+    # It reads p from a Progression, which refuses a p that is not an
+    # integer >= 1 itself; p = 1 is a legal Progression but no core summary.
+    with pytest.raises(InvalidInputError) as excinfo:
+        validate_core_function((0, 0, 0), Progression(3, 2, 1))
+    assert str(excinfo.value) == "progression length p must be >= 2, got 1"
 
 
 def test_bounds():
@@ -81,39 +89,39 @@ def test_bounds():
 
 
 def test_enumerate_md_sets_small():
-    assert enumerate_md_sets(EnumerationTask(3, 2, 2)) == [(), (1,)]
-    assert enumerate_md_sets(EnumerationTask(2, 1, 1)) == [(), (1,)]
+    assert enumerate_md_sets(Progression(3, 2, 2)) == [(), (1,)]
+    assert enumerate_md_sets(Progression(2, 1, 1)) == [(), (1,)]
     for d in (1, 2, 5):
-        assert enumerate_md_sets(EnumerationTask(1, d, 2)) == [()]
+        assert enumerate_md_sets(Progression(1, d, 2)) == [()]
 
 
 @pytest.mark.parametrize("s,d,p", [(5, 1, 2), (4, 3, 2), (7, 2, 3), (8, 1, 3), (5, 4, 5)])
 def test_enumeration_output_is_sound(s, d, p):
-    task = EnumerationTask(s, d, p)
-    mds = enumerate_md_sets(task)
+    prog = Progression(s, d, p)
+    mds = enumerate_md_sets(prog)
     assert mds == sorted(set(mds))
-    bound = task.effective_bound
+    bound = default_md_bound(s, d)
     for md in mds:
         assert all(h <= bound for h in md)
         # modular route and full hook table must both accept
-        assert md_is_simultaneous_core(md, task.moduli)
+        assert md_is_simultaneous_core(md, prog.moduli)
         parts = md_to_partition(md)
-        for t in task.moduli:
+        for t in prog.moduli:
             assert is_core(parts, t)
 
 
 @pytest.mark.parametrize("s,d,p", [(5, 1, 2), (4, 3, 2), (7, 2, 3), (3, 4, 4)])
 def test_hook_bound_is_not_binding(s, d, p):
     # Enumerating with a far larger candidate bound finds nothing new.
-    task = EnumerationTask(s, d, p)
-    inflated = EnumerationTask(s, d, p, bound=task.effective_bound + 4 * (s + p * d))
-    assert enumerate_md_sets(task) == enumerate_md_sets(inflated)
+    prog = Progression(s, d, p)
+    inflated = default_md_bound(s, d) + 4 * (s + p * d)
+    assert enumerate_md_sets(prog) == enumerate_md_sets(prog, inflated)
 
 
 def test_partition_scan_small():
-    assert enumerate_by_partition_scan(EnumerationTask(3, 2, 2), 10) == [(), (1,)]
-    assert enumerate_by_partition_scan(EnumerationTask(2, 1, 1), 5) == [(), (1,)]
-    assert enumerate_by_partition_scan(EnumerationTask(5, 1, 2), 0) == [()]
+    assert enumerate_by_partition_scan(Progression(3, 2, 2), 10) == [(), (1,)]
+    assert enumerate_by_partition_scan(Progression(2, 1, 1), 5) == [(), (1,)]
+    assert enumerate_by_partition_scan(Progression(5, 1, 2), 0) == [()]
 
 
 @pytest.mark.parametrize(
@@ -121,8 +129,8 @@ def test_partition_scan_small():
     [(4, 1, 2, 15), (3, 2, 2, 10), (5, 1, 3, 20), (2, 3, 2, 12), (5, 2, 4, 18)],
 )
 def test_partition_scan_matches_generate_and_filter(s, d, p, n_max):
-    task = EnumerationTask(s, d, p)
-    assert enumerate_by_partition_scan(task, n_max) == brute_force_scan(task, n_max)
+    prog = Progression(s, d, p)
+    assert enumerate_by_partition_scan(prog, n_max) == brute_force_scan(prog, n_max)
 
 
 def test_dropping_the_top_hook_preserves_remaining_hook_values():
@@ -143,7 +151,7 @@ def test_verify_instance_passes(s, d, p):
 
 
 def test_verify_instance_worked_example_membership():
-    mds = enumerate_md_sets(EnumerationTask(21, 4, 4))
+    mds = enumerate_md_sets(Progression(21, 4, 4))
     assert (77, 41, 35, 27, 19, 11, 5, 3) in mds
 
 
@@ -194,8 +202,8 @@ def test_scan_independence_from_modular_logic(monkeypatch):
 
     for name in ("md_is_core", "md_is_simultaneous_core", "_is_core", "_is_simultaneous_core"):
         monkeypatch.setattr(mdcore_mod, name, forbidden)
-    task = EnumerationTask(4, 1, 2)
-    assert len(enumerate_by_partition_scan(task, 15)) == 5
+    prog = Progression(4, 1, 2)
+    assert len(enumerate_by_partition_scan(prog, 15)) == 5
 
 
 def test_md_enumeration_independence_from_encoding(monkeypatch):
@@ -210,7 +218,7 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
     monkeypatch.setattr(abacus_mod, "_place_beads", forbidden)
     monkeypatch.setattr(bijection_mod, "phi", forbidden)
     monkeypatch.setattr(bijection_mod, "_phi", forbidden)
-    assert enumerate_md_sets(EnumerationTask(5, 1, 2)) == [
+    assert enumerate_md_sets(Progression(5, 1, 2)) == [
         (),
         (1,),
         (3,),
