@@ -38,7 +38,7 @@ from .errors import (
     UnplaceableHookError,
     check_progression_length,
 )
-from .mdcore import validate_md
+from .mdcore import _hook_mask, validate_md
 from .progression import Progression
 
 __all__ = [
@@ -95,56 +95,58 @@ def place_beads(prog: Progression, md: Iterable[int]) -> AbacusState:
     when the beads do not form the boundary-hugging blocks of a
     simultaneous core.
     """
-    return AbacusState(prog, _place_beads(prog, validate_md(md)))
+    return AbacusState(prog, _place_beads(prog, _hook_mask(validate_md(md))))
 
 
-def _place_beads(prog: Progression, md: tuple[int, ...]) -> tuple[int, ...]:
-    """Signed bead counts of a canonical hook set; see `place_beads`."""
-    period = prog.period
-    unplaceable = (prog.s + prog.d) % period
-    slots = prog.slots
-    rows: dict[int, list[int]] = {}
-    for h in md:
-        residue = h % period
-        if residue == unplaceable:
+def _place_beads(prog: Progression, mask: int) -> tuple[int, ...]:
+    """Signed bead counts of the hook set whose `_hook_mask` is ``mask``; see `place_beads`.
+
+    A column's beads form a valid block exactly when its hooks are the
+    n smallest of one of its two classes (see `HookColumns`): the other
+    class is empty, and the bits of this one equal the block mask of
+    n = their ``bit_count``.
+    """
+    table = prog.hook_columns_for((mask.bit_length() - 1) // prog.period + 1)
+    stray = mask & table.outside
+    if stray:
+        unplaced = stray & table.unplaceable
+        if unplaced:
             raise UnplaceableHookError(
-                f"hook {h} is {prog.s + prog.d} mod {period}; "
+                f"hook {unplaced.bit_length() - 1} is {prog.s + prog.d} mod {prog.period}; "
                 f"no abacus position carries it"
             )
-        if residue not in slots:
-            raise InternalConsistencyError(f"hook {h} matched no column residue")
-        j, sign, base = slots[residue]
-        i, rem = divmod(sign * h - base, period)
-        if rem:
-            raise InternalConsistencyError(f"hook {h} landed between rows")
-        rows.setdefault(j, []).append(i)
-
-    # Distinct hooks sit on distinct positions, so a column's rows form a
-    # gap-free block exactly when they span max - min + 1 = count rows.
+        raise InternalConsistencyError(f"hook {stray.bit_length() - 1} matched no column")
     beads = []
-    for j, r in enumerate(prog.boundary_rows):
-        placed = rows.get(j)
-        if placed is None:
-            beads.append(0)
-            continue
-        lo, hi, n = min(placed), max(placed), len(placed)
-        if lo < r <= hi:
-            raise BeadStructureError(
-                f"column {j} mixes beads on both sides of the sign boundary"
-            )
-        if lo >= r:
-            if lo != r or hi != r + n - 1:
+    for j, (pos_class, neg_class, blocks, hooks) in enumerate(table.columns):
+        pos = mask & pos_class
+        if pos:
+            if mask & neg_class:
                 raise BeadStructureError(
-                    f"column {j} has a gap in its positive bead block: {sorted(placed)}"
+                    f"column {j} mixes beads on both sides of the sign boundary"
                 )
-            beads.append(n)
+            n = pos.bit_count()
+            if pos != blocks[n]:
+                raise _gap_error(j, pos, hooks[table.depth], prog.boundary_rows[j], 1)
         else:
-            if hi != r - 1 or lo != r - n:
-                raise BeadStructureError(
-                    f"column {j} has a gap in its negative bead block: {sorted(placed)}"
-                )
-            beads.append(-n)
+            neg = mask & neg_class
+            n = -neg.bit_count()
+            if neg != blocks[n]:
+                raise _gap_error(j, neg, hooks[-table.depth], prog.boundary_rows[j] - 1, -1)
+        beads.append(n)
     return tuple(beads)
+
+
+def _gap_error(
+    j: int, bits: int, class_hooks: tuple[int, ...], first_row: int, step: int
+) -> BeadStructureError:
+    """The error for the gapped block ``bits`` in column j, listing its rows.
+
+    ``class_hooks`` is its class, ascending; the k-th of them sits in row
+    first_row + step * k.
+    """
+    rows = sorted(first_row + step * k for k, h in enumerate(class_hooks) if bits >> h & 1)
+    side = "positive" if step > 0 else "negative"
+    return BeadStructureError(f"column {j} has a gap in its {side} bead block: {rows}")
 
 
 def abacus_function(state: AbacusState) -> tuple[int, ...]:
@@ -174,21 +176,23 @@ def _beads_from_function(prog: Progression, values: Sequence[int]) -> tuple[int,
 
 def state_md(state: AbacusState) -> tuple[int, ...]:
     """Diagonal hooks read back off the beads, largest first."""
-    return _state_md(state.prog, state.beads)
+    return _state_hooks(state.prog, state.beads)[0]
 
 
-def _state_md(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
-    """`state_md` for one signed bead count per column."""
-    period = prog.period
+def _state_hooks(prog: Progression, beads: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """`state_md` for one signed bead count per column, with its `_hook_mask`.
+
+    A column with b beads holds the block of b (see `HookColumns`).
+    """
+    table = prog.hook_columns_for(max(map(abs, beads), default=0))
     hooks: list[int] = []
-    for j, (b, r) in enumerate(zip(beads, prog.boundary_rows)):
-        base = prog.a + 2 * prog.d * j  # label(prog, i, j) = base + period * i
-        if b > 0:
-            hooks.extend(range(base + period * r, base + period * (r + b), period))
-        elif b < 0:
-            hooks.extend(range(-base - period * (r + b), -base - period * r, -period))
+    mask = 0
+    for b, (_, _, blocks, block_hooks) in zip(beads, table.columns):
+        if b:
+            hooks += block_hooks[b]
+            mask |= blocks[b]
     hooks.sort(reverse=True)
-    return tuple(hooks)
+    return tuple(hooks), mask
 
 
 def validate_core_function(values: Sequence[int], prog: Progression) -> bool:

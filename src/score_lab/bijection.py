@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from itertools import accumulate
 from operator import sub
 
-from .abacus import _abacus_function, _beads_from_function, _place_beads, _state_md
+from .abacus import _abacus_function, _beads_from_function, _place_beads, _state_hooks
 from .errors import (
     InternalConsistencyError,
     InvalidPathError,
@@ -34,8 +34,8 @@ from .errors import (
     check_progression,
     check_progression_length,
 )
-from .mdcore import _is_simultaneous_core, corners, md_to_partition, validate_md
-from .motzkin import _satisfies, flat_count, last_step, satisfies
+from .mdcore import _hook_mask, _is_simultaneous_core, _md_to_partition, validate_md
+from .motzkin import _satisfies, satisfies
 from .progression import Progression
 
 __all__ = [
@@ -72,11 +72,12 @@ def phi(md: Iterable[int], prog: Progression) -> str:
 
 def _phi(md: tuple[int, ...], prog: Progression) -> str:
     """`phi` on a canonical hook set."""
-    if not _is_simultaneous_core(md, prog.doubled, prog.pair_sums):
+    mask = _hook_mask(md)
+    if not _is_simultaneous_core(mask, prog.doubled, prog.pair_mask):
         raise NotACoreError(
             f"{md} is not a self-conjugate {prog.moduli}-core hook set"
         )
-    f = list(_abacus_function(prog, _place_beads(prog, md)))
+    f = list(_abacus_function(prog, _place_beads(prog, mask)))
     if prog.d % 2 == 1:
         f.append(prog.y)  # the convention step to -(d+1)/2
     try:
@@ -107,8 +108,8 @@ def phi_inverse(steps: str, prog: Progression) -> tuple[int, ...]:
     heights = list(accumulate(map(_HEIGHT.__getitem__, steps), initial=0))
     if prog.d % 2 == 1:
         heights.pop()  # the appended convention step
-    md = _state_md(prog, _beads_from_function(prog, heights))
-    if not _is_simultaneous_core(md, prog.doubled, prog.pair_sums):
+    md, mask = _state_hooks(prog, _beads_from_function(prog, heights))
+    if not _is_simultaneous_core(mask, prog.doubled, prog.pair_mask):
         raise InternalConsistencyError(
             f"path {steps} reconstructed a non-core hook set {md}"
         )
@@ -128,7 +129,7 @@ def corner_statistics(md: Iterable[int], prog: Progression) -> tuple[int, str, i
         )
     md = validate_md(md)
     steps = _phi(md, prog)
-    return corners(md_to_partition(md)), last_step(steps) or "-", flat_count(steps)
+    return _corners(md), steps[-1:] or "-", steps.count("F")
 
 
 def mapping_record(md: Iterable[int], prog: Progression) -> dict:
@@ -145,5 +146,10 @@ def mapping_record(md: Iterable[int], prog: Progression) -> dict:
         "y": prog.y,
     }
     if prog.d == 1:
-        record["corners"] = corners(md_to_partition(md))
+        record["corners"] = _corners(md)
     return record
+
+
+def _corners(md: tuple[int, ...]) -> int:
+    """Corners of the partition of a canonical hook set: its distinct part sizes."""
+    return len(set(_md_to_partition(md)))

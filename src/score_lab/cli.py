@@ -370,6 +370,7 @@ def _cmd_verify(args, emit: _Emitter) -> int:
                 if gcd(s, d) != 1:
                     skipped.append((s, d, p))
                 else:
+                    _check_bound(args.bound, s, d)
                     grid.append((s, d, p, args.bound, args.n_max))
 
     if args.jobs > 1:

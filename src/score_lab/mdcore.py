@@ -159,8 +159,7 @@ def md_is_core(md: Iterable[int], t: int) -> bool:
     multiple of 2t.  Equals ``is_core(md_to_partition(md), t)``.
     """
     _check_modulus(t)
-    md = validate_md(md)
-    return _is_core(md, set(md), 2 * t)
+    return _is_simultaneous_core(_hook_mask(validate_md(md)), (2 * t,), 0)
 
 
 def md_is_simultaneous_core(md: Iterable[int], moduli: Sequence[int]) -> bool:
@@ -174,9 +173,10 @@ def md_is_simultaneous_core(md: Iterable[int], moduli: Sequence[int]) -> bool:
         raise InvalidInputError("at least one core modulus is required")
     for t in moduli:
         _check_modulus(t)
-    md = validate_md(md)
     return _is_simultaneous_core(
-        md, tuple(2 * t for t in moduli), _coprime_pair_sums(moduli)
+        _hook_mask(validate_md(md)),
+        tuple(2 * t for t in moduli),
+        _hook_mask(_coprime_pair_sums(moduli)),
     )
 
 
@@ -192,31 +192,38 @@ def _coprime_pair_sums(moduli: Sequence[int]) -> frozenset[int]:
     )
 
 
-def _is_simultaneous_core(
-    md: tuple[int, ...], doubled: Sequence[int], pair_sums: frozenset[int]
-) -> bool:
-    """`md_is_simultaneous_core` on a canonical hook set.
+def _hook_mask(hooks: Iterable[int]) -> int:
+    """The hook set as one int: bit h is set for each hook h."""
+    return sum(map((1).__lshift__, hooks))
 
-    ``doubled`` holds 2t for each modulus t and ``pair_sums`` is
-    `_coprime_pair_sums` of the moduli, so callers that test many hook
-    sets against one progression derive them once.
+
+def _is_simultaneous_core(mask: int, doubled: Sequence[int], pair_mask: int) -> bool:
+    """`md_is_simultaneous_core` on the `_hook_mask` of a canonical hook set.
+
+    ``doubled`` holds 2t for each modulus t and ``pair_mask`` is the
+    mask of the coprime pair sums, so callers that test many hook sets
+    against one progression derive them once.  For each 2t the closure
+    test is one shift and one AND: a hook h > 2t whose h - 2t is missing
+    leaves a bit in ``(mask >> 2t) & ~mask``.  Under closure every
+    residue mod 2t is itself a hook below 2t, so two hooks summing to a
+    multiple of 2t exist exactly when two hooks sum to 2t.  The bit
+    reversal ``mirror`` of the mask (bit top - h for each hook h, top
+    the largest hook) finds such a pair: ``mirror << 2t`` has bit
+    top + 2t - h, which meets bit top + h' of ``mask << top`` exactly
+    when h + h' = 2t.
     """
-    present = set(md)
-    if not pair_sums.isdisjoint(present):
+    if mask & pair_mask:
         return False
-    return all(_is_core(md, present, m2) for m2 in doubled)
-
-
-def _is_core(md: tuple[int, ...], present: set[int], m2: int) -> bool:
-    """`md_is_core` for t = m2 / 2 on a canonical hook set ``md`` with ``present = set(md)``."""
-    for h in md:  # decreasing, so the first h <= m2 ends the closure test
-        if h <= m2:
-            break
-        if h - m2 not in present:
+    if not mask:
+        return True
+    top = mask.bit_length() - 1
+    mirror = int(f"{mask:b}"[::-1], 2)
+    missing = ~mask
+    raised = mask << top
+    for m2 in doubled:
+        if (mask >> m2) & missing or raised & (mirror << m2):
             return False
-    # Hooks are odd and m2 is even, so h % m2 is never 0 and (-h) % m2 == m2 - h % m2.
-    residues = {h % m2 for h in md}
-    return residues.isdisjoint([m2 - r for r in residues])
+    return True
 
 
 def corners(parts: Iterable[int]) -> int:

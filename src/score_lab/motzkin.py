@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from operator import add
 
 from .errors import (
@@ -43,8 +44,7 @@ __all__ = [
 ]
 
 _STEPS = ("U", "D", "F")
-_HEIGHT = {"U": 1, "D": -1, "F": 0}
-_ALPHABET = frozenset(_HEIGHT)
+_ALPHABET = frozenset(_STEPS)
 
 
 @dataclass(frozen=True)
@@ -137,36 +137,28 @@ def _satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> bo
 def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]:
     """All admissible paths of type (x, y), in U < D < F lexicographic order.
 
-    Generates every type-(x, y) word (pruning only on height
-    feasibility) and filters through `satisfies`, so the result is a
-    constraint-logic-free oracle for `count_paths_dp`.
+    Generates every type-(x, y) word and filters it through `satisfies`,
+    so the result is a constraint-logic-free oracle for `count_paths_dp`.
+    A word is a left half of x // 2 steps followed by a right half whose
+    net height brings it to y: the right halves are generated once with
+    `itertools.product` and grouped by net height, and each left half,
+    in product order, is joined to its group, so the words come out in
+    lexicographic order.
     """
     if not (isinstance(x, int) and x >= 0):
         raise InvalidInputError(f"path length must be a nonnegative integer, got {x!r}")
     if abs(y) > x:
         return []
-    out: list[str] = []
-    prefix: list[str] = []
-
-    def grow(height: int) -> None:
-        remaining = x - len(prefix)
-        if remaining == 0:
-            word = "".join(prefix)
-            if satisfies(word, constraints, x, y):
-                out.append(word)
-            return
-        for step in _STEPS:
-            nxt = height + _HEIGHT[step]
-            if abs(y - nxt) <= remaining - 1:
-                prefix.append(step)
-                grow(nxt)
-                prefix.pop()
-
-    grow(0)
-    # The nested function refers to itself, a reference cycle that would keep
-    # everything it closes over alive until the next full garbage collection.
-    del grow
-    return out
+    half = x // 2
+    rights: dict[int, list[str]] = {}
+    for right in map("".join, product(_STEPS, repeat=x - half)):
+        rights.setdefault(right.count("U") - right.count("D"), []).append(right)
+    return [
+        word
+        for left in map("".join, product(_STEPS, repeat=half))
+        for word in map(left.__add__, rights.get(y - left.count("U") + left.count("D"), ()))
+        if satisfies(word, constraints, x, y)
+    ]
 
 
 def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
@@ -191,7 +183,8 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
     if abs(y) > x:
         return 0
     factor_top, suffix_top = constraints.factor_top, constraints.suffix_top
-    ucap = max(factor_top, suffix_top) + 1
+    # No U in a path of length x is followed by x flats, so x run states suffice.
+    ucap = min(max(factor_top, suffix_top) + 1, x)
 
     lo = 0  # the lowest height of the window
     ups = [[0]] * (ucap + 1)  # ups[m]: a U then m flats (m = ucap: at least ucap)

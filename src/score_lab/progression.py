@@ -5,9 +5,11 @@ s and d and a length p >= 1.  It is validated once, at construction,
 and derives everything the layers read from it, each value computed on
 first use and then kept:
 
-* the moduli, their doubles and the coprime pair sums (core tests);
+* the moduli, their doubles and the coprime pair sums, also as a hook
+  mask (core tests);
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
-  the first positive row of each column and the residue -> column slots;
+  the first positive row of each column, and its columns as hook masks
+  (`HookColumns`);
 * the path type (x, y) and the constraint set of the path encoding.
 
 p = 1 describes a plain (s, s+d) pair, which the enumeration and the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidInputError, check_progression
-from .mdcore import _coprime_pair_sums
+from .mdcore import _coprime_pair_sums, _hook_mask
 from .motzkin import PathConstraintSet, constraints_for
 
 __all__ = ["Progression"]
@@ -92,20 +94,78 @@ class Progression:
         )
 
     @cached_property
-    def slots(self) -> dict[int, tuple[int, int, int]]:
-        """Residue of a hook h mod the period -> (column j, sign, label of row 0 in j).
+    def pair_mask(self) -> int:
+        """`pair_sums` as a hook mask (bit h set for each sum h)."""
+        return _hook_mask(self.pair_sums)
 
-        h sits at the position labeled h (sign 1) or -h (sign -1); the
-        positive reading wins where both residues match a column.
+    @cached_property
+    def hook_columns(self) -> HookColumns:
+        """`hook_columns_for` a depth that holds every (s, s+d)-core.
+
+        Such a core's hooks are below s(s+d), which is s/2 periods, so
+        no residue class carries more than s//2 + 1 of them.
         """
-        slots = {}
-        for sign in (-1, 1):
-            for j in range(self.columns):
-                base = self.a + 2 * self.d * j
-                slots[(sign * base) % self.period] = (j, sign, base)
-        return slots
+        return HookColumns(self, self.s // 2 + 1)
+
+    def hook_columns_for(self, depth: int) -> HookColumns:
+        """Column tables covering ``depth`` hooks per residue class.
+
+        The cached `hook_columns` when it is deep enough; deeper tables,
+        for hook sets no core has, are built for the call and dropped.
+        """
+        table = self.hook_columns
+        return table if depth <= table.depth else HookColumns(self, depth)
 
     @cached_property
     def constraints(self) -> PathConstraintSet:
         """The patterns the paths avoid; needs p >= 2."""
         return constraints_for(self.s, self.d, self.p)
+
+
+class HookColumns:
+    """The abacus columns of a progression as bit masks of hooks.
+
+    Column j holds two residue classes mod the period: positive-label
+    beads, whose hooks are P, P + period, ... from row r(j) upward, and
+    negative-label beads, whose hooks are N, N + period, ... from row
+    r(j) - 1 downward, where P = label(r(j), j) and N = period - P.  So
+    the gap-free block of a signed bead count b is the |b| smallest
+    hooks of the positive (b > 0) or the negative (b < 0) class.
+    ``columns[j]`` covers ``depth`` hooks per class with four tables:
+
+    * the mask of the positive class and that of the negative class;
+    * ``blocks``: blocks[b] is the mask of the block of b, for
+      -depth <= b <= depth (negative b indexes from the end, as Python
+      does);
+    * ``hooks``: hooks[b] is that block's hooks, ascending.
+
+    ``unplaceable`` masks the hooks congruent to s+d, which no position
+    carries, and ``outside`` every bit no column carries, those included.
+    """
+
+    __slots__ = ("depth", "columns", "unplaceable", "outside")
+
+    def __init__(self, prog: Progression, depth: int) -> None:
+        period = prog.period
+        runs = [0]  # runs[n]: bits 0, period, ..., (n - 1) * period
+        for i in range(depth):
+            runs.append(runs[-1] | 1 << period * i)
+
+        def column(first: int) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+            """The tables of the column whose positive class starts at hook ``first``."""
+            signed = (*((first, n) for n in range(depth + 1)),
+                      *((period - first, n) for n in range(depth, 0, -1)))
+            blocks = tuple(runs[n] << c for c, n in signed)
+            hooks = tuple(tuple(range(c, c + period * n, period)) for c, n in signed)
+            return blocks[depth], blocks[-depth], blocks, hooks
+
+        self.depth = depth
+        self.columns = tuple(
+            column(prog.a + 2 * prog.d * j + period * r)
+            for j, r in enumerate(prog.boundary_rows)
+        )
+        self.unplaceable = runs[depth] << (prog.s + prog.d)
+        placeable = 0
+        for pos_class, neg_class, _, _ in self.columns:
+            placeable |= pos_class | neg_class
+        self.outside = ~placeable | self.unplaceable

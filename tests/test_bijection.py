@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import score_lab
+import score_lab.progression as progression_mod
 from score_lab import (
     InternalConsistencyError,
     InvalidPathError,
@@ -25,6 +26,7 @@ from score_lab import (
     verify_instance,
 )
 from score_lab.bijection import mapping_record
+from score_lab.progression import HookColumns
 
 LAMBDA = (77, 41, 35, 27, 19, 11, 5, 3)
 MU = (67, 65, 21, 19, 15, 13, 11, 9, 7, 3, 1)
@@ -193,13 +195,23 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
     # into the per-core path.
     mds = enumerate_md_sets(Progression(13, 2, 3))
     counts = _count_calls(monkeypatch, ("validate_md", "boundary_row", "constraints_for"))
-    builds = _count_builds(monkeypatch, ("boundary_rows", "slots", "pair_sums"))
+    tables = ("boundary_rows", "pair_sums", "pair_mask", "hook_columns")
+    builds = _count_builds(monkeypatch, tables)
+    column_tables = []
+
+    class CountedColumns(HookColumns):
+        def __init__(self, *args):
+            super().__init__(*args)
+            column_tables.append(self)
+
+    monkeypatch.setattr(progression_mod, "HookColumns", CountedColumns)
     prog = phi_context(13, 2, 3)
     for md in mds:
         assert phi_inverse(phi(md, prog), prog) == md
     assert len(mds) == 201
     assert counts["constraints_for"] == 1
-    assert builds == {"boundary_rows": 1, "slots": 1, "pair_sums": 1}  # the grid, once
+    assert builds == dict.fromkeys(tables, 1)  # the grid and the masks, once
+    assert len(column_tables) == 1  # no deeper table for any core
     assert counts["validate_md"] <= len(mds)  # at most one per phi call
     assert counts["boundary_row"] <= prog.columns  # none per core
 
@@ -215,3 +227,23 @@ def test_verify_instance_validates_each_core_once(monkeypatch):
     assert counts["validate_md"] <= report.n_md  # at most one per phi call
     assert counts["md_to_partition"] == counts["corners"] == 0
     assert counts["last_step"] == counts["flat_count"] == 0
+
+
+def test_corner_statistics_and_mapping_record_validate_once(monkeypatch):
+    # After phi they read the canonical hook set and the path directly.
+    counts = _count_calls(
+        monkeypatch, ("validate_md", "md_to_partition", "corners", "last_step", "flat_count")
+    )
+    prog = phi_context(9, 1, 2)
+    mds = enumerate_md_sets(prog)
+    for md in mds:
+        m, last, flats = corner_statistics(md, prog)
+        assert mapping_record(md, prog)["corners"] == m
+        assert (last, flats) == (("D", 9 // 2 - m) if m % 2 == 0 else ("F", 9 // 2 - m + 1))
+    assert counts == {
+        "validate_md": 2 * len(mds),
+        "md_to_partition": 0,
+        "corners": 0,
+        "last_step": 0,
+        "flat_count": 0,
+    }

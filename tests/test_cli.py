@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import sys
@@ -212,9 +213,27 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--s", "x", "--d", "1", "--p", "2")[0] == 64
 
 
-def test_verify_detects_failures_via_bound(capsys):
-    code, out, _ = run(capsys, "verify", "--s", "5", "--d", "1", "--p", "2", "--bound", "1")
-    assert code == 1 and "FAIL" in out
+def test_verify_rejects_a_bound_that_truncates_the_enumeration(capsys):
+    # A search cut short would blame the bijection and the corners for it.
+    code, out, err = run(capsys, "verify", "--s", "5", "--d", "1", "--p", "2", "--bound", "1")
+    assert (code, out) == (64, "")
+    assert err == (
+        "error: --bound 1 is below the completeness bound 19 of (5, 6)-cores; "
+        "the enumeration would miss cores\n"
+    )
+    # Every instance of a grid is checked before any runs.
+    code, out, err = run(capsys, "verify", "--s", "4..5", "--d", "1", "--p", "2", "--bound", "14")
+    assert (code, out) == (64, "") and "completeness bound 19 of (5, 6)-cores" in err
+    code, out, _ = run(capsys, "verify", "--s", "5", "--d", "1", "--p", "2", "--bound", "19")
+    assert code == 0 and "PASS" in out
+
+
+def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
+    passed = cli.oracle.verify_instance(5, 1, 2)
+    failed = dataclasses.replace(passed, roundtrip="fail", passed=False)
+    monkeypatch.setattr(cli.oracle, "verify_instance", lambda *args, **kwargs: failed)
+    code, out, _ = run(capsys, "verify", "--s", "5", "--d", "1", "--p", "2")
+    assert code == 1 and "roundtrip=fail" in out and "FAIL" in out
 
 
 def test_verify_json_lines(capsys):

@@ -2,7 +2,7 @@
 
 `golden_cli.json` holds the recorded result of every argv in `CASES`:
 each subcommand in each output format on small instances, plus the
-error exits (1, 2, 3 and 64).  After a deliberate output change,
+error exits (2, 3 and 64).  After a deliberate output change,
 rewrite it with ``PYTHONPATH=src python tests/test_cli_golden.py`` and
 review the diff.
 """
@@ -137,7 +137,9 @@ def test_golden_covers_every_subcommand_format_and_exit(golden):
             seen.add((argv[0], fmt))
     commands = ("count", "enumerate", "map", "unmap", "abacus", "corners", "verify")
     assert seen == {(command, fmt) for command in commands for fmt in FORMATS}
-    assert {case["exit"] for case in golden} == {0, 1, 2, 3, 64}
+    # Exit 1 (a failed check) is unreachable from a correct program: verify
+    # refuses a truncating --bound.  test_cli.py forces a failing report.
+    assert {case["exit"] for case in golden} == {0, 2, 3, 64}
 
 
 if __name__ == "__main__":

@@ -192,6 +192,22 @@ def test_dp_matches_enumeration_at_the_edges_of_its_state_space(name):
             assert count_paths_dp(x, y, cset) == len(enumerate_paths(x, y, cset)), (x, y)
 
 
+@pytest.mark.parametrize("s,d", [(3, 2), (3, 5), (2, 5)])  # one per parity case
+def test_dp_matches_enumeration_when_the_bans_outgrow_the_path(s, d):
+    # No U in a path of length x is followed by x flats, so the DP keeps at
+    # most x U-run states however long the bans grow with p.
+    for x in range(10):
+        for p in sorted({*range(2, x + 3), 2 * x, 3 * x, 4 * x} - {0, 1}):
+            cset = constraints_for(s, d, p)
+            for y in (-2, -1, 0):
+                assert count_paths_dp(x, y, cset) == len(enumerate_paths(x, y, cset)), (x, p, y)
+
+
+def test_dp_run_states_stop_growing_past_the_path_length():
+    # x = 101 for (201, 2): from p = 200 on every ban is longer than the path.
+    assert count_via_paths(201, 2, 6400) == count_via_paths(201, 2, 200)
+
+
 def test_unconstrained_count_is_trinomial():
     for x in range(0, 13):
         for y in range(-x, x + 1):

@@ -200,8 +200,9 @@ def test_scan_independence_from_modular_logic(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("partition scan called the modular core test")
 
-    for name in ("md_is_core", "md_is_simultaneous_core", "_is_core", "_is_simultaneous_core"):
+    for name in ("md_is_core", "md_is_simultaneous_core", "_is_simultaneous_core", "_hook_mask"):
         monkeypatch.setattr(mdcore_mod, name, forbidden)
+    monkeypatch.setattr(Progression, "pair_mask", property(forbidden))
     prog = Progression(4, 1, 2)
     assert len(enumerate_by_partition_scan(prog, 15)) == 5
 
@@ -216,6 +217,9 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
 
     monkeypatch.setattr(abacus_mod, "place_beads", forbidden)
     monkeypatch.setattr(abacus_mod, "_place_beads", forbidden)
+    monkeypatch.setattr(abacus_mod, "_state_hooks", forbidden)
+    monkeypatch.setattr(Progression, "hook_columns", property(forbidden))
+    monkeypatch.setattr(Progression, "hook_columns_for", forbidden)
     monkeypatch.setattr(bijection_mod, "phi", forbidden)
     monkeypatch.setattr(bijection_mod, "_phi", forbidden)
     assert enumerate_md_sets(Progression(5, 1, 2)) == [
