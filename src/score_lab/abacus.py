@@ -39,7 +39,7 @@ from .errors import (
     check_progression_length,
 )
 from .mdcore import _hook_mask, validate_md
-from .progression import Progression
+from .progression import Progression, _class_runs
 
 __all__ = [
     "AbacusState",
@@ -95,29 +95,40 @@ def place_beads(prog: Progression, md: Iterable[int]) -> AbacusState:
     when the beads do not form the boundary-hugging blocks of a
     simultaneous core.
     """
-    return AbacusState(prog, _place_beads(prog, _hook_mask(validate_md(md))))
+    md = validate_md(md)
+    cap = prog.period * len(md)
+    mask = _hook_mask({h if h < cap else cap + h % prog.period for h in md})
+    return AbacusState(prog, _place_beads(prog, md, mask))
 
 
-def _place_beads(prog: Progression, mask: int) -> tuple[int, ...]:
-    """Signed bead counts of the hook set whose `_hook_mask` is ``mask``; see `place_beads`.
+def _place_beads(prog: Progression, md: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """Signed bead counts of the canonical hook set ``md``; see `place_beads`.
 
-    A column's beads form a valid block exactly when its hooks are the
-    n smallest of one of its two classes (see `HookColumns`): the other
-    class is empty, and the bits of this one equal the block mask of
-    n = their ``bit_count``.
+    ``mask`` is the `_hook_mask` of ``md``, except that a hook h at or
+    above cap = period * len(md) sets bit cap + h % period instead.  No
+    gap-free block holds such a hook: it sits at index len(md) or more
+    in its class, and a block of n hooks fills indices 0..n-1.  Moving
+    it to index len(md) keeps its class and keeps its column invalid,
+    so the mask stays within len(md) + 1 rows however large the hooks.
+    A core's hooks all sit in gap-free blocks, so its plain mask
+    qualifies.
+
+    A column's beads form a valid block exactly when one of its two
+    classes is empty and the other holds n hooks whose top one has
+    index n - 1: n distinct indices up to n - 1 are 0..n-1.  The errors
+    read the hooks themselves from ``md``.
     """
-    table = prog.hook_columns_for((mask.bit_length() - 1) // prog.period + 1)
-    stray = mask & table.outside
-    if stray:
-        unplaced = stray & table.unplaceable
-        if unplaced:
-            raise UnplaceableHookError(
-                f"hook {unplaced.bit_length() - 1} is {prog.s + prog.d} mod {prog.period}; "
-                f"no abacus position carries it"
-            )
-        raise InternalConsistencyError(f"hook {stray.bit_length() - 1} matched no column")
+    period = prog.period
+    unplaceable, columns = prog.class_masks_for((mask.bit_length() - 1) // period + 1)
+    if mask & unplaceable:
+        unplaced = next(h for h in md if h % period == prog.s + prog.d)
+        raise UnplaceableHookError(
+            f"hook {unplaced} is {prog.s + prog.d} mod {period}; "
+            f"no abacus position carries it"
+        )
     beads = []
-    for j, (pos_class, neg_class, blocks, hooks) in enumerate(table.columns):
+    placed = 0
+    for j, (pos_first, pos_class, neg_first, neg_class) in enumerate(columns):
         pos = mask & pos_class
         if pos:
             if mask & neg_class:
@@ -125,26 +136,36 @@ def _place_beads(prog: Progression, mask: int) -> tuple[int, ...]:
                     f"column {j} mixes beads on both sides of the sign boundary"
                 )
             n = pos.bit_count()
-            if pos != blocks[n]:
-                raise _gap_error(j, pos, hooks[table.depth], prog.boundary_rows[j], 1)
+            if pos.bit_length() != pos_first + period * (n - 1) + 1:
+                raise _gap_error(prog, md, j, pos_first, 1)
+            placed += n
         else:
             neg = mask & neg_class
-            n = -neg.bit_count()
-            if neg != blocks[n]:
-                raise _gap_error(j, neg, hooks[-table.depth], prog.boundary_rows[j] - 1, -1)
+            n = neg.bit_count()
+            if n and neg.bit_length() != neg_first + period * (n - 1) + 1:
+                raise _gap_error(prog, md, j, neg_first, -1)
+            placed += n
+            n = -n
         beads.append(n)
+    if placed != mask.bit_count():
+        raise InternalConsistencyError(f"a hook of {md} matched no column")
     return tuple(beads)
 
 
 def _gap_error(
-    j: int, bits: int, class_hooks: tuple[int, ...], first_row: int, step: int
+    prog: Progression, md: tuple[int, ...], j: int, first: int, step: int
 ) -> BeadStructureError:
-    """The error for the gapped block ``bits`` in column j, listing its rows.
+    """The error for the gapped block of column j's class starting at hook ``first``.
 
-    ``class_hooks`` is its class, ascending; the k-th of them sits in row
-    first_row + step * k.
+    The class's k-th hook sits in row r(j) + k (positive class, step 1)
+    or r(j) - 1 - k (negative class, step -1).
     """
-    rows = sorted(first_row + step * k for k, h in enumerate(class_hooks) if bits >> h & 1)
+    first_row = prog.boundary_rows[j] if step > 0 else prog.boundary_rows[j] - 1
+    rows = sorted(
+        first_row + step * ((h - first) // prog.period)
+        for h in md
+        if h % prog.period == first
+    )
     side = "positive" if step > 0 else "negative"
     return BeadStructureError(f"column {j} has a gap in its {side} bead block: {rows}")
 
@@ -182,15 +203,22 @@ def state_md(state: AbacusState) -> tuple[int, ...]:
 def _state_hooks(prog: Progression, beads: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """`state_md` for one signed bead count per column, with its `_hook_mask`.
 
-    A column with b beads holds the block of b (see `HookColumns`).
+    A column with b beads holds the |b| smallest hooks of one class, its
+    block, read from `Progression.class_blocks`; a count past every
+    core's builds its block for the call.
     """
-    table = prog.hook_columns_for(max(map(abs, beads), default=0))
+    period, depth = prog.period, prog.class_depth
     hooks: list[int] = []
     mask = 0
-    for b, (_, _, blocks, block_hooks) in zip(beads, table.columns):
-        if b:
-            hooks += block_hooks[b]
-            mask |= blocks[b]
+    for b, blocks, (pos_first, neg_first) in zip(beads, prog.class_blocks, prog.class_firsts):
+        if -depth <= b <= depth:
+            block_hooks, block = blocks[b]
+        else:
+            first = pos_first if b > 0 else neg_first
+            block_hooks = range(first, first + period * abs(b), period)
+            block = _class_runs(period, abs(b)) << first
+        hooks += block_hooks
+        mask |= block
     hooks.sort(reverse=True)
     return tuple(hooks), mask
 

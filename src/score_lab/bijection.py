@@ -34,7 +34,13 @@ from .errors import (
     check_progression,
     check_progression_length,
 )
-from .mdcore import _hook_mask, _is_simultaneous_core, _md_to_partition, validate_md
+from .mdcore import (
+    _corners,
+    _hook_mask,
+    _is_simultaneous_core,
+    _md_to_partition,
+    validate_md,
+)
 from .motzkin import _satisfies, satisfies
 from .progression import Progression
 
@@ -71,13 +77,19 @@ def phi(md: Iterable[int], prog: Progression) -> str:
 
 
 def _phi(md: tuple[int, ...], prog: Progression) -> str:
-    """`phi` on a canonical hook set."""
-    mask = _hook_mask(md)
-    if not _is_simultaneous_core(mask, prog.doubled, prog.pair_mask):
+    """`phi` on a canonical hook set.
+
+    A hook past `Progression.md_bound` is refused before any mask is
+    built: no core has one, and the mask would take a bit per odd number
+    below it.
+    """
+    if (md and md[0] > prog.md_bound) or not _is_simultaneous_core(
+        mask := _hook_mask(md), prog.doubled, prog.pair_mask
+    ):
         raise NotACoreError(
             f"{md} is not a self-conjugate {prog.moduli}-core hook set"
         )
-    f = list(_abacus_function(prog, _place_beads(prog, mask)))
+    f = list(_abacus_function(prog, _place_beads(prog, md, mask)))
     if prog.d % 2 == 1:
         f.append(prog.y)  # the convention step to -(d+1)/2
     try:
@@ -129,7 +141,7 @@ def corner_statistics(md: Iterable[int], prog: Progression) -> tuple[int, str, i
         )
     md = validate_md(md)
     steps = _phi(md, prog)
-    return _corners(md), steps[-1:] or "-", steps.count("F")
+    return _corners(_md_to_partition(md)), steps[-1:] or "-", steps.count("F")
 
 
 def mapping_record(md: Iterable[int], prog: Progression) -> dict:
@@ -146,10 +158,5 @@ def mapping_record(md: Iterable[int], prog: Progression) -> dict:
         "y": prog.y,
     }
     if prog.d == 1:
-        record["corners"] = _corners(md)
+        record["corners"] = _corners(_md_to_partition(md))
     return record
-
-
-def _corners(md: tuple[int, ...]) -> int:
-    """Corners of the partition of a canonical hook set: its distinct part sizes."""
-    return len(set(_md_to_partition(md)))

@@ -156,10 +156,13 @@ def md_is_core(md: Iterable[int], t: int) -> bool:
     A self-conjugate partition is a t-core exactly when its diagonal
     hook set is closed under subtracting 2t (whenever the difference is
     still positive) and no two entries, repeats allowed, sum to a
-    multiple of 2t.  Equals ``is_core(md_to_partition(md), t)``.
+    multiple of 2t.  Equals ``is_core(md_to_partition(md), t)``.  The
+    hook mask tested takes a bit per odd number up to the largest hook,
+    which `_closure_can_hold` keeps below 2t * len(md) + 1.
     """
     _check_modulus(t)
-    return _is_simultaneous_core(_hook_mask(validate_md(md)), (2 * t,), 0)
+    md = validate_md(md)
+    return _closure_can_hold(md, t) and _is_simultaneous_core(_hook_mask(md), (2 * t,), 0)
 
 
 def md_is_simultaneous_core(md: Iterable[int], moduli: Sequence[int]) -> bool:
@@ -167,22 +170,35 @@ def md_is_simultaneous_core(md: Iterable[int], moduli: Sequence[int]) -> bool:
 
     For every coprime pair of moduli (s, t), a simultaneous core can
     never contain the diagonal hook s + t; that cheap rejection runs
-    first.
+    first, after `_closure_can_hold` for the smallest modulus.
     """
     if not moduli:
         raise InvalidInputError("at least one core modulus is required")
     for t in moduli:
         _check_modulus(t)
-    return _is_simultaneous_core(
-        _hook_mask(validate_md(md)),
+    md = validate_md(md)
+    top = md[0] if md else 0
+    return _closure_can_hold(md, min(moduli)) and _is_simultaneous_core(
+        _hook_mask(md),
         tuple(2 * t for t in moduli),
-        _hook_mask(_coprime_pair_sums(moduli)),
+        _hook_mask(h for h in _coprime_pair_sums(moduli) if h <= top),
     )
 
 
 def _check_modulus(t: int) -> None:
     if not isinstance(t, int) or t < 1:
         raise InvalidInputError(f"core modulus must be a positive integer, got {t!r}")
+
+
+def _closure_can_hold(md: tuple[int, ...], t: int) -> bool:
+    """False when ``md`` is too short to be closed under subtracting 2t.
+
+    Closure puts the whole chain h, h - 2t, ..., down to h mod 2t, of
+    the largest hook h in the set: (h - 1) // 2t + 1 hooks.  Checked on
+    the tuple before any mask is built, it keeps the mask of a set that
+    may still be a t-core below 2t * len(md) + 1 bits.
+    """
+    return not md or (md[0] - 1) // (2 * t) < len(md)
 
 
 def _coprime_pair_sums(moduli: Sequence[int]) -> frozenset[int]:
@@ -210,7 +226,9 @@ def _is_simultaneous_core(mask: int, doubled: Sequence[int], pair_mask: int) -> 
     reversal ``mirror`` of the mask (bit top - h for each hook h, top
     the largest hook) finds such a pair: ``mirror << 2t`` has bit
     top + 2t - h, which meets bit top + h' of ``mask << top`` exactly
-    when h + h' = 2t.
+    when h + h' = 2t.  A 2t past twice the top hook is skipped: nothing
+    is closed under it and no pair reaches it, and the shifted mirror
+    would take a bit per unit of 2t.
     """
     if mask & pair_mask:
         return False
@@ -221,14 +239,19 @@ def _is_simultaneous_core(mask: int, doubled: Sequence[int], pair_mask: int) -> 
     missing = ~mask
     raised = mask << top
     for m2 in doubled:
-        if (mask >> m2) & missing or raised & (mirror << m2):
+        if m2 <= 2 * top and ((mask >> m2) & missing or raised & (mirror << m2)):
             return False
     return True
 
 
 def corners(parts: Iterable[int]) -> int:
     """Number of removable boxes, i.e. the number of distinct part sizes."""
-    return len(set(validate_partition(parts)))
+    return _corners(validate_partition(parts))
+
+
+def _corners(parts: Sequence[int]) -> int:
+    """`corners` of a canonical partition."""
+    return len(set(parts))
 
 
 def partition_record(md: Iterable[int]) -> dict:

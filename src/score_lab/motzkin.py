@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from operator import add
 
 from .errors import (
@@ -43,8 +42,8 @@ __all__ = [
     "count_paths_dp",
 ]
 
-_STEPS = ("U", "D", "F")
-_ALPHABET = frozenset(_STEPS)
+_RISES = (("U", 1), ("D", -1), ("F", 0))  # the steps in U < D < F order, with their rise
+_ALPHABET = frozenset("UDF")
 
 
 @dataclass(frozen=True)
@@ -140,25 +139,46 @@ def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]
     Generates every type-(x, y) word and filters it through `satisfies`,
     so the result is a constraint-logic-free oracle for `count_paths_dp`.
     A word is a left half of x // 2 steps followed by a right half whose
-    net height brings it to y: the right halves are generated once with
-    `itertools.product` and grouped by net height, and each left half,
-    in product order, is joined to its group, so the words come out in
-    lexicographic order.
+    net height brings it to y.  Each half is grown one step at a time in
+    U, D, F order, keeping only the prefixes whose height can still end
+    where a word of type (x, y) needs that half to end (see
+    `_half_words`); the right halves are grouped by net height, and each
+    left half, in order, is joined to its group, so the words come out
+    in lexicographic order.
     """
     if not (isinstance(x, int) and x >= 0):
         raise InvalidInputError(f"path length must be a nonnegative integer, got {x!r}")
     if abs(y) > x:
         return []
     half = x // 2
+    rest = x - half
     rights: dict[int, list[str]] = {}
-    for right in map("".join, product(_STEPS, repeat=x - half)):
-        rights.setdefault(right.count("U") - right.count("D"), []).append(right)
+    for right, height in _half_words(rest, y - half, y + half):
+        rights.setdefault(height, []).append(right)
     return [
         word
-        for left in map("".join, product(_STEPS, repeat=half))
-        for word in map(left.__add__, rights.get(y - left.count("U") + left.count("D"), ()))
+        for left, height in _half_words(half, y - rest, y + rest)
+        for word in map(left.__add__, rights.get(y - height, ()))
         if satisfies(word, constraints, x, y)
     ]
+
+
+def _half_words(n: int, lo: int, hi: int) -> list[tuple[str, int]]:
+    """The words of length n ending at a height in [lo, hi], with their heights.
+
+    In U < D < F lexicographic order: each step extends every kept
+    prefix by U, D and F in turn, and keeps the extension only when the
+    steps still left can bring it into [lo, hi].
+    """
+    level = [("", 0)]
+    for remaining in range(n - 1, -1, -1):
+        level = [
+            (word + letter, height + step)
+            for word, height in level
+            for letter, step in _RISES
+            if lo - remaining <= height + step <= hi + remaining
+        ]
+    return level
 
 
 def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:

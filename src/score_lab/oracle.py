@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from .bijection import phi, phi_inverse
 from .errors import InvalidInputError, check_progression_length
 from .formulas import CORNER_FORMULAS, closed_forms
-from .mdcore import _md_to_partition
+from .mdcore import _corners, _md_to_partition
 from .motzkin import count_paths_dp, enumerate_paths
-from .progression import Progression
+from .progression import Progression, default_md_bound
 
 __all__ = [
     "default_md_bound",
@@ -35,18 +35,6 @@ __all__ = [
     "VerifyReport",
     "verify_instance",
 ]
-
-
-def default_md_bound(s: int, d: int) -> int:
-    """Largest possible diagonal hook of any (s, s+d)-core.
-
-    Every hook of an (s, t)-core with coprime s, t is at most
-    st - s - t, and diagonal hooks are hooks; the bound is clamped to 1
-    so that s = 1 (where the raw bound is negative and only the empty
-    partition survives) still yields a valid candidate range.
-    """
-    t = s + d
-    return max(1, s * t - s - t)
 
 
 def pair_core_size_bound(s: int, t: int) -> int:
@@ -269,7 +257,7 @@ def verify_instance(
         histogram = Counter()
         refinement_ok = True
         for parts, steps in zip(partitions, images):
-            m = len(set(parts))  # corners: the distinct part sizes
+            m = _corners(parts)
             histogram[m] += 1
             expected_last = "D" if m % 2 == 0 else "F"
             expected_flats = s // 2 - m + (m % 2)

@@ -8,8 +8,10 @@ first use and then kept:
 * the moduli, their doubles and the coprime pair sums, also as a hook
   mask (core tests);
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
-  the first positive row of each column, and its columns as hook masks
-  (`HookColumns`);
+  the first positive row of each column, and the hooks of each column's
+  two residue classes, as masks (`class_masks`) and as gap-free blocks
+  (`class_blocks`);
+* the completeness bound `md_bound` on the diagonal hooks of a core;
 * the path type (x, y) and the constraint set of the path encoding.
 
 p = 1 describes a plain (s, s+d) pair, which the enumeration and the
@@ -19,6 +21,7 @@ abacus accept; the path encoding needs p >= 2, which
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +29,7 @@ from .errors import InvalidInputError, check_progression
 from .mdcore import _coprime_pair_sums, _hook_mask
 from .motzkin import PathConstraintSet, constraints_for
 
-__all__ = ["Progression"]
+__all__ = ["Progression", "default_md_bound"]
 
 
 @dataclass(frozen=True)
@@ -99,22 +102,74 @@ class Progression:
         return _hook_mask(self.pair_sums)
 
     @cached_property
-    def hook_columns(self) -> HookColumns:
-        """`hook_columns_for` a depth that holds every (s, s+d)-core.
+    def md_bound(self) -> int:
+        """`default_md_bound`: no (s, s+d)-core has a larger diagonal hook."""
+        return default_md_bound(self.s, self.d)
 
-        Such a core's hooks are below s(s+d), which is s/2 periods, so
-        no residue class carries more than s//2 + 1 of them.
+    @cached_property
+    def class_firsts(self) -> tuple[tuple[int, int], ...]:
+        """The smallest hook of each column's positive and negative class.
+
+        Column j holds two residue classes mod the period: positive-label
+        beads, whose hooks are P, P + period, ... from row r(j) upward, and
+        negative-label beads, whose hooks are N, N + period, ... from row
+        r(j) - 1 downward, where P = label(r(j), j) and N = period - P.  So
+        the gap-free block of a signed bead count b is the |b| smallest
+        hooks of the positive (b > 0) or the negative (b < 0) class.
         """
-        return HookColumns(self, self.s // 2 + 1)
+        firsts = (
+            self.a + 2 * self.d * j + self.period * r for j, r in enumerate(self.boundary_rows)
+        )
+        return tuple((first, self.period - first) for first in firsts)
 
-    def hook_columns_for(self, depth: int) -> HookColumns:
-        """Column tables covering ``depth`` hooks per residue class.
+    @cached_property
+    def class_depth(self) -> int:
+        """Hooks per class that every (s, s+d)-core fits in.
 
-        The cached `hook_columns` when it is deep enough; deeper tables,
-        for hook sets no core has, are built for the call and dropped.
+        Such a core's hooks are below s(s+d), which is s/2 periods, so no
+        residue class carries more than s//2 + 1 of them.
         """
-        table = self.hook_columns
-        return table if depth <= table.depth else HookColumns(self, depth)
+        return self.s // 2 + 1
+
+    @cached_property
+    def class_masks(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """`class_masks_for` the `class_depth`, kept."""
+        unplaceable, columns = _class_masks(self, self.class_depth)
+        return unplaceable, tuple(columns)
+
+    def class_masks_for(
+        self, depth: int
+    ) -> tuple[int, Iterable[tuple[int, int, int, int]]]:
+        """Hook masks of the residue classes, ``depth`` hooks each.
+
+        The mask of the hooks congruent to s+d, which no position
+        carries, and per column (P, the mask of P's class, N, the mask of
+        N's class), with P, N as in `class_firsts`.  The kept
+        `class_masks` when they are deep enough; deeper ones, for hook
+        sets no core has, are built one column at a time as they are
+        read, so a call holds one column's masks at once.
+        """
+        return self.class_masks if depth <= self.class_depth else _class_masks(self, depth)
+
+    @cached_property
+    def class_blocks(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+        """Per column, the block of every signed bead count b with |b| <= `class_depth`.
+
+        ``class_blocks[j][b]`` is (the block's hooks, ascending, and their
+        hook mask); a negative b indexes from the end, as Python does.
+        """
+        period, depth = self.period, self.class_depth
+        runs = [_class_runs(period, n) for n in range(depth + 1)]
+        return tuple(
+            tuple(
+                (tuple(range(first, first + period * n, period)), runs[n] << first)
+                for first, n in (
+                    *((pos_first, n) for n in range(depth + 1)),
+                    *((neg_first, n) for n in range(depth, 0, -1)),
+                )
+            )
+            for pos_first, neg_first in self.class_firsts
+        )
 
     @cached_property
     def constraints(self) -> PathConstraintSet:
@@ -122,50 +177,31 @@ class Progression:
         return constraints_for(self.s, self.d, self.p)
 
 
-class HookColumns:
-    """The abacus columns of a progression as bit masks of hooks.
+def default_md_bound(s: int, d: int) -> int:
+    """Largest possible diagonal hook of any (s, s+d)-core.
 
-    Column j holds two residue classes mod the period: positive-label
-    beads, whose hooks are P, P + period, ... from row r(j) upward, and
-    negative-label beads, whose hooks are N, N + period, ... from row
-    r(j) - 1 downward, where P = label(r(j), j) and N = period - P.  So
-    the gap-free block of a signed bead count b is the |b| smallest
-    hooks of the positive (b > 0) or the negative (b < 0) class.
-    ``columns[j]`` covers ``depth`` hooks per class with four tables:
-
-    * the mask of the positive class and that of the negative class;
-    * ``blocks``: blocks[b] is the mask of the block of b, for
-      -depth <= b <= depth (negative b indexes from the end, as Python
-      does);
-    * ``hooks``: hooks[b] is that block's hooks, ascending.
-
-    ``unplaceable`` masks the hooks congruent to s+d, which no position
-    carries, and ``outside`` every bit no column carries, those included.
+    Every hook of an (s, t)-core with coprime s, t is at most
+    st - s - t, and diagonal hooks are hooks; the bound is clamped to 1
+    so that s = 1 (where the raw bound is negative and only the empty
+    partition survives) still yields a valid candidate range.
     """
+    t = s + d
+    return max(1, s * t - s - t)
 
-    __slots__ = ("depth", "columns", "unplaceable", "outside")
 
-    def __init__(self, prog: Progression, depth: int) -> None:
-        period = prog.period
-        runs = [0]  # runs[n]: bits 0, period, ..., (n - 1) * period
-        for i in range(depth):
-            runs.append(runs[-1] | 1 << period * i)
+def _class_masks(
+    prog: Progression, depth: int
+) -> tuple[int, Iterator[tuple[int, int, int, int]]]:
+    """`Progression.class_masks_for`, its columns built as they are read."""
+    runs = _class_runs(prog.period, depth)
+    columns = ((pos, runs << pos, neg, runs << neg) for pos, neg in prog.class_firsts)
+    return runs << (prog.s + prog.d), columns
 
-        def column(first: int) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-            """The tables of the column whose positive class starts at hook ``first``."""
-            signed = (*((first, n) for n in range(depth + 1)),
-                      *((period - first, n) for n in range(depth, 0, -1)))
-            blocks = tuple(runs[n] << c for c, n in signed)
-            hooks = tuple(tuple(range(c, c + period * n, period)) for c, n in signed)
-            return blocks[depth], blocks[-depth], blocks, hooks
 
-        self.depth = depth
-        self.columns = tuple(
-            column(prog.a + 2 * prog.d * j + period * r)
-            for j, r in enumerate(prog.boundary_rows)
-        )
-        self.unplaceable = runs[depth] << (prog.s + prog.d)
-        placeable = 0
-        for pos_class, neg_class, _, _ in self.columns:
-            placeable |= pos_class | neg_class
-        self.outside = ~placeable | self.unplaceable
+def _class_runs(period: int, depth: int) -> int:
+    """Bits 0, period, ..., (depth - 1) * period: a geometric series in 2^period.
+
+    Shifted to a class's first hook it masks the class's first ``depth``
+    hooks, one row per period.
+    """
+    return ((1 << period * depth) - 1) // ((1 << period) - 1)

@@ -26,7 +26,6 @@ from score_lab import (
     verify_instance,
 )
 from score_lab.bijection import mapping_record
-from score_lab.progression import HookColumns
 
 LAMBDA = (77, 41, 35, 27, 19, 11, 5, 3)
 MU = (67, 65, 21, 19, 15, 13, 11, 9, 7, 3, 1)
@@ -195,23 +194,25 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
     # into the per-core path.
     mds = enumerate_md_sets(Progression(13, 2, 3))
     counts = _count_calls(monkeypatch, ("validate_md", "boundary_row", "constraints_for"))
-    tables = ("boundary_rows", "pair_sums", "pair_mask", "hook_columns")
+    tables = (
+        "boundary_rows", "pair_sums", "pair_mask", "md_bound",
+        "class_firsts", "class_masks", "class_blocks",
+    )
     builds = _count_builds(monkeypatch, tables)
-    column_tables = []
+    runs_built = []
 
-    class CountedColumns(HookColumns):
-        def __init__(self, *args):
-            super().__init__(*args)
-            column_tables.append(self)
+    def counted_runs(period, depth, build=progression_mod._class_runs):
+        runs_built.append(depth)
+        return build(period, depth)
 
-    monkeypatch.setattr(progression_mod, "HookColumns", CountedColumns)
+    monkeypatch.setattr(progression_mod, "_class_runs", counted_runs)
     prog = phi_context(13, 2, 3)
     for md in mds:
         assert phi_inverse(phi(md, prog), prog) == md
     assert len(mds) == 201
     assert counts["constraints_for"] == 1
     assert builds == dict.fromkeys(tables, 1)  # the grid and the masks, once
-    assert len(column_tables) == 1  # no deeper table for any core
+    assert max(runs_built) == prog.class_depth  # no deeper masks or blocks for any core
     assert counts["validate_md"] <= len(mds)  # at most one per phi call
     assert counts["boundary_row"] <= prog.columns  # none per core
 

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import sys
+import tracemalloc
 from math import comb
 
 import pytest
@@ -308,3 +309,30 @@ def test_main_builds_its_parser_once_and_leaves_no_garbage(capsys, monkeypatch):
             gc.enable()
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("abacus", "--s", "5", "--d", "1", "--md", "1000001"),
+         "error: column 0 has a gap in its negative bead block: [-83333]\n"),
+        (("abacus", "--s", "5", "--d", "1", "--md", "1000003,1"),
+         "error: column 0 has a gap in its positive bead block: [83334]\n"),
+        (("map", "--s", "5", "--d", "1", "--p", "2", "--md", "1000001"),
+         "error: (1000001,) is not a self-conjugate (5, 6, 7)-core hook set\n"),
+        (("map", "--s", "5", "--d", "1", "--p", "2", "--md", "1000000001"),
+         "error: (1000000001,) is not a self-conjugate (5, 6, 7)-core hook set\n"),
+    ],
+)
+def test_a_huge_hook_is_refused_in_memory_proportional_to_the_hook_count(capsys, argv, message):
+    # A hook set is held as one int with a bit per hook; a hook far past
+    # every core must not cost a bit per odd number below it, let alone a
+    # table of them per column.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (3, "", message)
+    assert peak < 2_000_000

@@ -137,8 +137,10 @@ def test_golden_covers_every_subcommand_format_and_exit(golden):
             seen.add((argv[0], fmt))
     commands = ("count", "enumerate", "map", "unmap", "abacus", "corners", "verify")
     assert seen == {(command, fmt) for command in commands for fmt in FORMATS}
-    # Exit 1 (a failed check) is unreachable from a correct program: verify
-    # refuses a truncating --bound.  test_cli.py forces a failing report.
+    # No golden case exits 1 (a failed check) any more: verify refuses a
+    # truncating --bound.  A --n-max below the largest core size still
+    # truncates the scan and exits 1 (a known defect, not pinned here), and
+    # test_cli.py forces a failing report.
     assert {case["exit"] for case in golden} == {0, 2, 3, 64}
 
 

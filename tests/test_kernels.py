@@ -1,8 +1,8 @@
-"""The hook-mask and product kernels agree with the plain loops they replaced.
+"""The hook-mask and half-word kernels agree with the plain loops they replaced.
 
 `place_beads`, `state_md`, `phi`, `phi_inverse` and the modular core
 tests work on one int per hook set (bit h set for each hook h), and
-`enumerate_paths` joins product-generated half words.  Each reference
+`enumerate_paths` joins height-pruned half words.  Each reference
 below is the straightforward loop over hooks, columns or steps, kept
 verbatim: the kernels must give the same results, raise the same error
 types with the same messages, and list paths in the same order.
@@ -261,8 +261,8 @@ def test_placement_and_phi_match_the_per_hook_loops(s, d, p):
 @pytest.mark.parametrize("s,d,p", INSTANCES)
 def test_state_md_and_phi_inverse_match_the_per_column_loops(s, d, p):
     prog = phi_context(s, d, p)
-    # Counts past the cached tables' depth take the deeper-table route.
-    reach = prog.hook_columns.depth + 1
+    # Counts past the cached blocks' depth build their blocks for the call.
+    reach = prog.class_depth + 1
     for beads in itertools.product(range(-reach, reach + 1), repeat=prog.columns):
         assert state_md(AbacusState(prog, beads)) == reference_state_md(prog, beads)
     for steps in enumerate_paths(prog.x, prog.y, EMPTY_CONSTRAINTS):
@@ -325,3 +325,50 @@ def test_enumerate_paths_generates_every_word_in_order():
         for y in range(-x - 1, x + 2):
             expected = reference_enumerate_paths(x, y, EMPTY_CONSTRAINTS)
             assert enumerate_paths(x, y, EMPTY_CONSTRAINTS) == expected, (x, y)
+
+
+def test_enumerate_paths_prunes_on_height():
+    # Near |y| = x few words reach the end height; the halves must not be
+    # generated in full (3^20 words each for x = 40).
+    assert enumerate_paths(40, -40, EMPTY_CONSTRAINTS) == ["D" * 40]
+    assert enumerate_paths(40, 40, EMPTY_CONSTRAINTS) == ["U" * 40]
+    for y in (-20, -19, 19, 20):
+        expected = reference_enumerate_paths(20, y, EMPTY_CONSTRAINTS)
+        assert enumerate_paths(20, y, EMPTY_CONSTRAINTS) == expected, y
+
+
+@pytest.mark.parametrize("s,d,p", INSTANCES)
+def test_placement_of_deep_and_huge_hooks_matches_the_per_hook_loop(s, d, p):
+    # Blocks deeper than any core's, each with a gap or a stray hook, and
+    # hooks of seven and of fourteen digits: the huge ones must not cost
+    # a bit per odd number below them.
+    prog = phi_context(s, d, p)
+    deep = prog.class_depth + 3
+    sets = []
+    for pos_first, neg_first in prog.class_firsts:
+        for first in (pos_first, neg_first):
+            block = [first + prog.period * k for k in range(deep)]
+            sets += [block, block[:-2] + block[-1:], [*block, 10**6 + first]]
+            sets.append(block[:2] + [10**13 * prog.period + first])
+    sets += [[1, 3, 10**13 + 2 * k + 1] for k in range(prog.period // 2)]
+    deep_blocks = 0
+    for md in sets:
+        md = tuple(sorted(set(md), reverse=True))
+        beads = outcome(lambda: place_beads(prog, md).beads)
+        assert beads == outcome(reference_place_beads, prog, md), md
+        if beads[0] == "ok":
+            deep_blocks += max(map(abs, beads[1])) == deep
+            assert state_md(AbacusState(prog, beads[1])) == reference_state_md(prog, beads[1]) == md
+        assert outcome(phi, md, prog) == outcome(reference_phi, md, prog), md
+    assert deep_blocks >= prog.columns  # the deep blocks themselves are placed
+
+
+def test_core_tests_with_huge_hooks_or_moduli_need_no_huge_mask():
+    # Before any mask is built, a set too short for the chain of its top
+    # hook fails closure; a doubled modulus past twice the top hook is
+    # skipped.
+    assert md_is_core((1,), 10**12) is True
+    assert md_is_core((3, 1), 10**12) is True
+    assert md_is_core((10**13 + 1,), 3) is False
+    assert md_is_simultaneous_core((10**13 + 1, 1), (3, 4)) is False
+    assert md_is_simultaneous_core((5, 3, 1), (10**12, 10**12 + 1)) is True

@@ -218,8 +218,9 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
     monkeypatch.setattr(abacus_mod, "place_beads", forbidden)
     monkeypatch.setattr(abacus_mod, "_place_beads", forbidden)
     monkeypatch.setattr(abacus_mod, "_state_hooks", forbidden)
-    monkeypatch.setattr(Progression, "hook_columns", property(forbidden))
-    monkeypatch.setattr(Progression, "hook_columns_for", forbidden)
+    for name in ("class_firsts", "class_masks", "class_blocks"):
+        monkeypatch.setattr(Progression, name, property(forbidden))
+    monkeypatch.setattr(Progression, "class_masks_for", forbidden)
     monkeypatch.setattr(bijection_mod, "phi", forbidden)
     monkeypatch.setattr(bijection_mod, "_phi", forbidden)
     assert enumerate_md_sets(Progression(5, 1, 2)) == [
