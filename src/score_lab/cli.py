@@ -18,6 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from math import gcd
+from typing import NamedTuple
 
 from . import abacus as abacus_mod
 from . import bijection, formulas, mdcore, motzkin, oracle
@@ -30,6 +31,29 @@ _PARTITION_COLUMNS = ("size", "corners", "md", "parts")
 
 class _UsageError(Exception):
     """Flags that parse but do not make sense together; exits 64."""
+
+    exit_code = USAGE_ERROR
+
+
+class _Unavailable(Exception):
+    """The requested method does not apply to these parameters; exits 2."""
+
+    exit_code = 2
+
+
+class _Output(NamedTuple):
+    """What a subcommand prints, in each format, and its exit code.
+
+    ``records`` are the JSON lines, ``header`` and ``rows`` the CSV
+    table (a dict row is read by the header) and ``text`` the text
+    lines.  Only `main` picks a format and writes.
+    """
+
+    records: list
+    header: tuple[str, ...]
+    rows: list
+    text: list[str]
+    code: int = 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,34 +91,9 @@ def _parse_span(text: str) -> tuple[int, int]:
     return value, value
 
 
-class _Emitter:
-    """Collects output lines and writes them to stdout or a file."""
-
-    def __init__(self, output: str | None):
-        self.output = output
-        self.lines: list[str] = []
-
-    def line(self, text: str) -> None:
-        self.lines.append(text)
-
-    def json(self, obj) -> None:
-        self.lines.append(json.dumps(obj, separators=(",", ":")))
-
-    def csv(self, header, rows) -> None:
-        """A header line, then one line per row; a dict row is read by the header."""
-        self.line(",".join(header))
-        for row in rows:
-            if isinstance(row, dict):
-                row = [row[key] for key in header]
-            self.line(",".join(map(_csv_cell, row)))
-
-    def flush(self) -> None:
-        text = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.output:
-            with open(self.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+def _join(values) -> str:
+    """A hook set or partition as comma-separated values, '-' when empty."""
+    return ",".join(map(str, values)) or "-"
 
 
 def _csv_cell(value) -> str:
@@ -107,6 +106,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _lines(out: _Output, fmt: str) -> list[str]:
+    """The output lines of ``out`` in format ``fmt``."""
+    if fmt == "json":
+        return [json.dumps(record, separators=(",", ":")) for record in out.records]
+    if fmt == "csv":
+        header = out.header
+        rows = ([row[key] for key in header] if isinstance(row, dict) else row for row in out.rows)
+        return [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+    return out.text
+
+
 def _check_bound(bound: int | None, s: int, d: int) -> None:
     """Refuse a hook bound that would cut the enumeration short."""
     complete = oracle.default_md_bound(s, d)
@@ -114,6 +124,16 @@ def _check_bound(bound: int | None, s: int, d: int) -> None:
         raise _UsageError(
             f"--bound {bound} is below the completeness bound {complete} "
             f"of ({s}, {s + d})-cores; the enumeration would miss cores"
+        )
+
+
+def _check_n_max(n_max: int | None, s: int, d: int) -> None:
+    """Refuse a scan size cap below the largest core, which the scan would miss."""
+    largest = oracle.pair_core_size_bound(s, s + d)
+    if n_max is not None and n_max < largest:
+        raise _UsageError(
+            f"--n-max {n_max} is below the largest core size {largest} "
+            f"of ({s}, {s + d})-cores; the partition scan would miss cores"
         )
 
 
@@ -194,60 +214,43 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_count(args, emit: _Emitter) -> int:
-    results: list[formulas.CountResult] = []
+def _cmd_count(args) -> _Output:
     method = args.method
-    if args.t is not None:
+    pair = args.t is not None
+    if pair:
         if args.d is not None or args.p is not None:
             raise _UsageError("--d and --p do not apply to a pair; drop them or --t")
         s, t = sorted((args.s, args.t))
-        _check_bound(args.bound, s, t - s)
-        if method in ("formula", "all"):
-            results.append(formulas.count_sc_pair(s, t))
-        if method in ("dp",):
-            print("error: no path model for a bare pair; use --p", file=sys.stderr)
-            return 2
-        if method in ("enumerate", "all"):
-            mds = oracle.enumerate_md_sets(Progression(s, t - s, 1), args.bound)
-            results.append(formulas.CountResult(len(mds), "enumeration"))
+        d, p = t - s, 1
     else:
         if args.d is None:
             raise _UsageError("--d is required unless --t is given")
         s, d, p = args.s, args.d, 2 if args.p is None else args.p
-        _check_bound(args.bound, s, d)
-        if method in ("formula", "all"):
-            results.extend(formulas.closed_forms(s, d, p))
-            if method == "formula" and not results:
-                print(
-                    f"error: no closed formula for p={p}, d={d}; "
-                    "use --method dp or enumerate",
-                    file=sys.stderr,
-                )
-                return 2
-        if method in ("dp", "all"):
-            results.append(formulas.count_via_paths(s, d, p))
-        if method in ("enumerate", "all"):
-            mds = oracle.enumerate_md_sets(Progression(s, d, p), args.bound)
-            results.append(formulas.CountResult(len(mds), "enumeration"))
+    _check_bound(args.bound, s, d)
+    results: list[formulas.CountResult] = []
+    if method in ("formula", "all"):
+        results.extend([formulas.count_sc_pair(s, t)] if pair else formulas.closed_forms(s, d, p))
+        if method == "formula" and not results:
+            raise _Unavailable(
+                f"no closed formula for p={p}, d={d}; use --method dp or enumerate"
+            )
+    if method in ("dp", "all") and not pair:
+        results.append(formulas.count_via_paths(s, d, p))
+    elif method == "dp":
+        raise _Unavailable("no path model for a bare pair; use --p")
+    if method in ("enumerate", "all"):
+        mds = oracle.enumerate_md_sets(Progression(s, d, p), args.bound)
+        results.append(formulas.CountResult(len(mds), "enumeration"))
     agree = len({r.value for r in results}) <= 1
-    records = [r.as_json() for r in results]
-    if args.format == "json":
-        for record in records:
-            emit.json(record)
-        if method == "all":
-            emit.json({"agree": agree})
-    elif args.format == "csv":
-        emit.csv(("method", "value"), records)
-    else:
-        for record in records:
-            emit.line(f"{record['method']}: {record['value']}")
-        if method == "all":
-            emit.line("AGREE" if agree else "DISAGREE")
-    emit.flush()
-    return 0 if agree else 1
+    rows = records = [r.as_json() for r in results]
+    text = [f"{row['method']}: {row['value']}" for row in rows]
+    if method == "all":
+        records = [*rows, {"agree": agree}]
+        text.append("AGREE" if agree else "DISAGREE")
+    return _Output(records, ("method", "value"), rows, text, 0 if agree else 1)
 
 
-def _cmd_enumerate(args, emit: _Emitter) -> int:
+def _cmd_enumerate(args) -> _Output:
     _check_bound(args.bound, args.s, args.d)
     prog = Progression(args.s, args.d, args.p)
     if args.n_max is not None:
@@ -256,65 +259,38 @@ def _cmd_enumerate(args, emit: _Emitter) -> int:
     else:
         mds = oracle.enumerate_md_sets(prog, args.bound)
     records = [mdcore.partition_record(md) for md in mds]
-    if args.format == "json":
-        for record in records:
-            emit.json(record)
-    elif args.format == "csv":
-        emit.csv(_PARTITION_COLUMNS, records)
-    else:
-        for record in records:
-            md_text = ",".join(map(str, record["md"])) or "-"
-            parts_text = ",".join(map(str, record["parts"])) or "-"
-            emit.line(f"md={md_text} parts={parts_text}")
-    emit.flush()
-    return 0
+    text = [f"md={_join(record['md'])} parts={_join(record['parts'])}" for record in records]
+    return _Output(records, _PARTITION_COLUMNS, records, text)
 
 
-def _cmd_map(args, emit: _Emitter) -> int:
+def _cmd_map(args) -> _Output:
     prog = bijection.phi_context(args.s, args.d, args.p)
-    md = _parse_md(args.md)
-    steps = bijection.phi(md, prog)
-    if args.format == "json":
-        emit.json(bijection.mapping_record(md, prog))
-    elif args.format == "csv":
-        row = (steps, prog.x, prog.y, motzkin.flat_count(steps), motzkin.last_step(steps) or "-")
-        emit.csv(("steps", "x", "y", "flats", "last"), [row])
-    else:
-        emit.line(steps)
-    emit.flush()
-    return 0
+    record = bijection.mapping_record(_parse_md(args.md), prog)
+    steps = record["path"]
+    row = (steps, prog.x, prog.y, motzkin.flat_count(steps), motzkin.last_step(steps) or "-")
+    return _Output([record], ("steps", "x", "y", "flats", "last"), [row], [steps])
 
 
-def _cmd_unmap(args, emit: _Emitter) -> int:
+def _cmd_unmap(args) -> _Output:
     prog = bijection.phi_context(args.s, args.d, args.p)
     md = bijection.phi_inverse(args.path, prog)
     record = mdcore.partition_record(md)
-    if args.format == "json":
-        emit.json(bijection.mapping_record(md, prog))
-        emit.json(record)
-    elif args.format == "csv":
-        emit.csv(_PARTITION_COLUMNS, [record])
-    else:
-        emit.line(",".join(map(str, record["md"])) or "-")
-        emit.line("parts: " + (",".join(map(str, record["parts"])) or "-"))
-    emit.flush()
-    return 0
+    text = [_join(record["md"]), "parts: " + _join(record["parts"])]
+    return _Output(
+        [bijection.mapping_record(md, prog), record], _PARTITION_COLUMNS, [record], text
+    )
 
 
-def _cmd_abacus(args, emit: _Emitter) -> int:
+def _cmd_abacus(args) -> _Output:
     prog = Progression(args.s, args.d, 1)
     state = abacus_mod.place_beads(prog, _parse_md(args.md))
-    if args.format == "json":
-        emit.json(abacus_mod.abacus_record(state))
-    elif args.format == "csv":
-        emit.csv(("j", "r", "b", "f"), abacus_mod.abacus_record(state)["columns"])
-    else:
-        emit.line(abacus_mod.render_abacus(state))
-    emit.flush()
-    return 0
+    record = abacus_mod.abacus_record(state)
+    return _Output(
+        [record], ("j", "r", "b", "f"), record["columns"], [abacus_mod.render_abacus(state)]
+    )
 
 
-def _cmd_corners(args, emit: _Emitter) -> int:
+def _cmd_corners(args) -> _Output:
     s, p = args.s, args.p
     prog = Progression(s, 1, p)  # p < 1 is refused here, p = 1 by the next line
     check_progression_length(p)
@@ -325,24 +301,17 @@ def _cmd_corners(args, emit: _Emitter) -> int:
     formula = formulas.CORNER_FORMULAS.get(p)
     top = max(max(histogram, default=0), s // 2)
     rows = []
+    text = []
     for m in range(top + 1):
         if args.m is not None and m != args.m:
             continue
         expected = formula(s, m).value if formula else None
         rows.append({"m": m, "enumerated": histogram.get(m, 0), "formula": expected})
+        tail = "" if expected is None else f" formula={expected}"
+        text.append(f"m={m} enumerated={histogram.get(m, 0)}{tail}")
     agree = all(row["formula"] in (None, row["enumerated"]) for row in rows)
-    if args.format == "json":
-        for row in rows:
-            emit.json(row)
-    elif args.format == "csv":
-        emit.csv(("m", "enumerated", "formula"), rows)
-    else:
-        for row in rows:
-            tail = "" if row["formula"] is None else f" formula={row['formula']}"
-            emit.line(f"m={row['m']} enumerated={row['enumerated']}{tail}")
-        emit.line("AGREE" if agree else "DISAGREE")
-    emit.flush()
-    return 0 if agree else 1
+    text.append("AGREE" if agree else "DISAGREE")
+    return _Output(rows, ("m", "enumerated", "formula"), rows, text, 0 if agree else 1)
 
 
 def _verify_one(item: tuple[int, int, int, int | None, int | None]) -> oracle.VerifyReport:
@@ -350,7 +319,7 @@ def _verify_one(item: tuple[int, int, int, int | None, int | None]) -> oracle.Ve
     return oracle.verify_instance(s, d, p, bound=bound, n_max=n_max)
 
 
-def _cmd_verify(args, emit: _Emitter) -> int:
+def _cmd_verify(args) -> _Output:
     try:
         s_lo, s_hi = _parse_span(args.s)
         d_lo, d_hi = _parse_span(args.d)
@@ -371,54 +340,46 @@ def _cmd_verify(args, emit: _Emitter) -> int:
                     skipped.append((s, d, p))
                 else:
                     _check_bound(args.bound, s, d)
+                    _check_n_max(args.n_max, s, d)
                     grid.append((s, d, p, args.bound, args.n_max))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A pool starts all its workers at once, so it gets no more than the grid needs.
+    workers = min(args.jobs, len(grid))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_one, grid))
     else:
         reports = [_verify_one(item) for item in grid]
 
-    if args.format == "json":
-        for s, d, p in skipped:
-            emit.json({"s": s, "d": d, "p": p, "skipped": "gcd(s, d) != 1"})
-        for report in reports:
-            emit.json(report.as_json())
-    elif args.format == "csv":
-        header = (
-            "s", "d", "p", "n_md", "n_path", "n_dp", "n_formula", "roundtrip", "corners", "pass",
-        )
-        rows = [(s, d, p, *[None] * 6, "skipped") for s, d, p in skipped]
-        emit.csv(header, rows + [report.as_json() for report in reports])
-    else:
-        for s, d, p in skipped:
-            emit.line(f"s={s} d={d} p={p} skipped (gcd != 1)")
-        for report in reports:
-            formula_text = "-" if report.n_formula is None else str(report.n_formula)
-            verdict = "PASS" if report.passed else "FAIL"
-            emit.line(
-                f"s={report.s} d={report.d} p={report.p} md={report.n_md} "
-                f"paths={report.n_path} dp={report.n_dp} formula={formula_text} "
-                f"roundtrip={report.roundtrip} corners={report.corners} {verdict}"
-            )
+    results = [report.as_json() for report in reports]
     failures = sum(1 for r in reports if not r.passed)
+    tally = {
+        "instances": len(reports), "pass": len(reports) - failures,
+        "fail": failures, "skipped": len(skipped),
+    }
     summary = (
         f"verified {len(reports)} instances: {len(reports) - failures} pass, "
         f"{failures} fail, {len(skipped)} skipped"
     )
-    if args.format == "json":
-        emit.json(
-            {
-                "instances": len(reports),
-                "pass": len(reports) - failures,
-                "fail": failures,
-                "skipped": len(skipped),
-            }
+    header = (
+        "s", "d", "p", "n_md", "n_path", "n_dp", "n_formula", "roundtrip", "corners", "pass",
+    )
+    text = [f"s={s} d={d} p={p} skipped (gcd != 1)" for s, d, p in skipped]
+    for r in reports:
+        text.append(
+            f"s={r.s} d={r.d} p={r.p} md={r.n_md} paths={r.n_path} dp={r.n_dp} "
+            f"formula={'-' if r.n_formula is None else r.n_formula} roundtrip={r.roundtrip} "
+            f"corners={r.corners} {'PASS' if r.passed else 'FAIL'}"
         )
-    else:
-        emit.line(summary)
-    emit.flush()
-    return 1 if failures else 0
+    return _Output(
+        [*({"s": s, "d": d, "p": p, "skipped": "gcd(s, d) != 1"} for s, d, p in skipped),
+         *results, tally],
+        header,
+        # the CSV ends in the text summary, a one-cell row
+        [*((s, d, p, *[None] * 6, "skipped") for s, d, p in skipped), *results, (summary,)],
+        [*text, summary],
+        1 if failures else 0,
+    )
 
 
 _HANDLERS = {
@@ -440,15 +401,18 @@ def _parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    emit = _Emitter(args.output)
     try:
-        return _HANDLERS[args.command](args, emit)
-    except _UsageError as exc:
+        out = _HANDLERS[args.command](args)
+    except (_UsageError, _Unavailable, ScoreLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ScoreLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 3)  # a ScoreLabError is a domain error
+    text = "".join(line + "\n" for line in _lines(out, args.format))
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return out.code
 
 
 if __name__ == "__main__":

@@ -156,13 +156,10 @@ def md_is_core(md: Iterable[int], t: int) -> bool:
     A self-conjugate partition is a t-core exactly when its diagonal
     hook set is closed under subtracting 2t (whenever the difference is
     still positive) and no two entries, repeats allowed, sum to a
-    multiple of 2t.  Equals ``is_core(md_to_partition(md), t)``.  The
-    hook mask tested takes a bit per odd number up to the largest hook,
-    which `_closure_can_hold` keeps below 2t * len(md) + 1.
+    multiple of 2t.  Equals ``is_core(md_to_partition(md), t)``.
     """
     _check_modulus(t)
-    md = validate_md(md)
-    return _closure_can_hold(md, t) and _is_simultaneous_core(_hook_mask(md), (2 * t,), 0)
+    return _residues_pass(validate_md(md), (t,))
 
 
 def md_is_simultaneous_core(md: Iterable[int], moduli: Sequence[int]) -> bool:
@@ -170,19 +167,14 @@ def md_is_simultaneous_core(md: Iterable[int], moduli: Sequence[int]) -> bool:
 
     For every coprime pair of moduli (s, t), a simultaneous core can
     never contain the diagonal hook s + t; that cheap rejection runs
-    first, after `_closure_can_hold` for the smallest modulus.
+    first.
     """
     if not moduli:
         raise InvalidInputError("at least one core modulus is required")
     for t in moduli:
         _check_modulus(t)
     md = validate_md(md)
-    top = md[0] if md else 0
-    return _closure_can_hold(md, min(moduli)) and _is_simultaneous_core(
-        _hook_mask(md),
-        tuple(2 * t for t in moduli),
-        _hook_mask(h for h in _coprime_pair_sums(moduli) if h <= top),
-    )
+    return _coprime_pair_sums(moduli).isdisjoint(md) and _residues_pass(md, moduli)
 
 
 def _check_modulus(t: int) -> None:
@@ -190,15 +182,23 @@ def _check_modulus(t: int) -> None:
         raise InvalidInputError(f"core modulus must be a positive integer, got {t!r}")
 
 
-def _closure_can_hold(md: tuple[int, ...], t: int) -> bool:
-    """False when ``md`` is too short to be closed under subtracting 2t.
+def _residues_pass(md: tuple[int, ...], moduli: Sequence[int]) -> bool:
+    """The closure and pair-sum conditions of `md_is_core` for each modulus.
 
-    Closure puts the whole chain h, h - 2t, ..., down to h mod 2t, of
-    the largest hook h in the set: (h - 1) // 2t + 1 hooks.  Checked on
-    the tuple before any mask is built, it keeps the mask of a set that
-    may still be a t-core below 2t * len(md) + 1 bits.
+    Read off the hooks and their residues mod 2t, so the memory taken
+    grows with the number of hooks, not their size.  A residue r of an
+    odd hook lies strictly between 0 and 2t, so two hooks sum to a
+    multiple of 2t exactly when their residues sum to 2t.
     """
-    return not md or (md[0] - 1) // (2 * t) < len(md)
+    hooks = set(md)
+    for t in moduli:
+        m2 = 2 * t
+        residues = {h % m2 for h in md}
+        if any(h > m2 and h - m2 not in hooks for h in md):
+            return False
+        if any(m2 - r in residues for r in residues):
+            return False
+    return True
 
 
 def _coprime_pair_sums(moduli: Sequence[int]) -> frozenset[int]:

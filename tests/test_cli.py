@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from score_lab import cli
+from score_lab import bijection, cli
 from score_lab.cli import main
 
 
@@ -143,6 +143,23 @@ def test_map_csv_row(capsys):
     assert out.splitlines() == ["steps,x,y,flats,last", "FFD,3,-1,2,D"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_map_runs_phi_once_in_every_format(capsys, monkeypatch, fmt):
+    calls = []
+    real_phi = bijection._phi
+
+    def counting_phi(*args):
+        calls.append(args)
+        return real_phi(*args)
+
+    monkeypatch.setattr(bijection, "_phi", counting_phi)
+    code, out, _ = run(
+        capsys, "map", "--md", "3,1", "--s", "5", "--d", "1", "--p", "2", "--format", fmt
+    )
+    assert code == 0 and "DFF" in out
+    assert len(calls) == 1
+
+
 def test_md_input_is_resorted_with_warning(capsys):
     code, out, err = run(
         capsys, "map", "--md", "1,3,3", "--s", "5", "--d", "1", "--p", "2"
@@ -229,6 +246,31 @@ def test_verify_rejects_a_bound_that_truncates_the_enumeration(capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_verify_rejects_an_n_max_below_the_largest_core_size(capsys, monkeypatch):
+    # A scan cut short used to fail the instance (exit 1) for missing cores.
+    code, out, err = run(capsys, "verify", "--s", "5", "--d", "1", "--p", "2", "--n-max", "1")
+    assert (code, out) == (64, "")
+    assert err == (
+        "error: --n-max 1 is below the largest core size 35 of (5, 6)-cores; "
+        "the partition scan would miss cores\n"
+    )
+    # Every instance of a grid is checked before any runs: (4, 5) needs 15.
+    ran = []
+    monkeypatch.setattr(cli.oracle, "verify_instance", lambda *args, **kwargs: ran.append(args))
+    code, out, err = run(capsys, "verify", "--s", "4..5", "--d", "1", "--p", "2", "--n-max", "34")
+    assert (code, out, ran) == (64, "", [])
+    assert "largest core size 35 of (5, 6)-cores" in err
+    monkeypatch.undo()
+    code, out, _ = run(
+        capsys, "verify", "--s", "5", "--d", "1", "--p", "2", "--n-max", "35", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["n_scan"] == 5
+    # enumerate only lists the cores up to the size it is given.
+    code, out, _ = run(capsys, "enumerate", "--s", "5", "--d", "1", "--p", "2", "--n-max", "1")
+    assert (code, out) == (0, "md=- parts=-\nmd=1 parts=1\n")
+
+
 def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
     passed = cli.oracle.verify_instance(5, 1, 2)
     failed = dataclasses.replace(passed, roundtrip="fail", passed=False)
@@ -262,6 +304,37 @@ def test_verify_parallel_matches_serial(capsys):
         capsys, "verify", "--s", "1..5", "--d", "1..2", "--p", "2..3", "--jobs", "2"
     )
     assert (code1, out1) == (code2, out2)
+
+
+def test_verify_jobs_are_capped_by_the_grid_size(capsys, monkeypatch):
+    # A pool starts every worker on its first task, so --jobs 100000 over a
+    # small grid must not ask for 100000 processes.  The stand-in pool
+    # records its size and maps in this process.
+    sizes = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+    serial = run(capsys, "verify", "--s", "1..3", "--d", "1", "--p", "2")
+    assert run(capsys, "verify", "--s", "1..3", "--d", "1", "--p", "2", "--jobs", "100000") == serial
+    assert sizes == [3]
+    # One instance, or none at all, runs inline with no pool.
+    code, out, _ = run(capsys, "verify", "--s", "3", "--d", "2", "--p", "2", "--jobs", "100000")
+    assert code == 0 and "PASS" in out
+    code, out, _ = run(capsys, "verify", "--s", "2", "--d", "2", "--p", "2", "--jobs", "4")
+    assert code == 0 and "verified 0 instances: 0 pass, 0 fail, 1 skipped" in out
+    assert sizes == [3]
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

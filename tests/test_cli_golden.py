@@ -127,6 +127,23 @@ def test_cli_output_matches_golden(golden, index):
     assert run_cli(CASES[index]) == golden[index]
 
 
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(argv) or "<none>" for argv in CASES])
+def test_cli_output_file_matches_golden(golden, index, tmp_path):
+    # With --output the same bytes go to the file and none to stdout; a
+    # refused run writes no file at all.  With no subcommand the file name
+    # is read as the command, so stderr names it.
+    target = tmp_path / "out"
+    result = run_cli([*CASES[index], "--output", str(target)])
+    expected = golden[index]
+    assert (result["exit"], result["stdout"]) == (expected["exit"], "")
+    if CASES[index]:
+        assert result["stderr"] == expected["stderr"]
+    if expected["exit"] == 0:
+        assert target.read_text(encoding="utf-8") == expected["stdout"]
+    else:
+        assert not target.exists()
+
+
 def test_golden_covers_every_subcommand_format_and_exit(golden):
     assert [case["argv"] for case in golden] == CASES
     seen = set()
@@ -137,10 +154,9 @@ def test_golden_covers_every_subcommand_format_and_exit(golden):
             seen.add((argv[0], fmt))
     commands = ("count", "enumerate", "map", "unmap", "abacus", "corners", "verify")
     assert seen == {(command, fmt) for command in commands for fmt in FORMATS}
-    # No golden case exits 1 (a failed check) any more: verify refuses a
-    # truncating --bound.  A --n-max below the largest core size still
-    # truncates the scan and exits 1 (a known defect, not pinned here), and
-    # test_cli.py forces a failing report.
+    # No golden case exits 1 (a failed check): verify refuses a --bound or
+    # --n-max that would cut its search short, so a correct program fails
+    # no check.  test_cli.py forces a failing report to cover exit 1.
     assert {case["exit"] for case in golden} == {0, 2, 3, 64}
 
 

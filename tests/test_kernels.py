@@ -1,7 +1,7 @@
 """The hook-mask and half-word kernels agree with the plain loops they replaced.
 
-`place_beads`, `state_md`, `phi`, `phi_inverse` and the modular core
-tests work on one int per hook set (bit h set for each hook h), and
+`place_beads`, `state_md`, `phi`, `phi_inverse` and the private modular
+core test work on one int per hook set (bit h set for each hook h), and
 `enumerate_paths` joins height-pruned half words.  Each reference
 below is the straightforward loop over hooks, columns or steps, kept
 verbatim: the kernels must give the same results, raise the same error
@@ -9,6 +9,7 @@ types with the same messages, and list paths in the same order.
 """
 
 import itertools
+import tracemalloc
 from itertools import accumulate
 from math import gcd
 from operator import sub
@@ -39,7 +40,7 @@ from score_lab import (
     satisfies,
     state_md,
 )
-from score_lab.mdcore import _coprime_pair_sums
+from score_lab.mdcore import _coprime_pair_sums, _hook_mask, _is_simultaneous_core
 from score_lab.motzkin import EMPTY_CONSTRAINTS, _satisfies
 
 from conftest import sc_partitions_up_to
@@ -289,10 +290,13 @@ def test_the_modular_core_tests_match_the_hook_table_on_every_small_progression(
                 doubled = prog.doubled
                 for md in {*small, *enumerate_md_sets(prog)}:
                     expected = all(hook_table_is_core(md, t) for t in prog.moduli)
+                    mask = _hook_mask(md)
                     assert md_is_simultaneous_core(md, prog.moduli) == expected, (md, prog)
+                    assert _is_simultaneous_core(mask, doubled, prog.pair_mask) == expected
                     assert reference_is_simultaneous_core(md, doubled, prog.pair_sums) == expected
                     for t in prog.moduli:
                         assert md_is_core(md, t) == hook_table_is_core(md, t), (md, t)
+                        assert _is_simultaneous_core(mask, (2 * t,), 0) == table[md, t]
     assert progressions == 4 * 29
 
 
@@ -364,11 +368,17 @@ def test_placement_of_deep_and_huge_hooks_matches_the_per_hook_loop(s, d, p):
 
 
 def test_core_tests_with_huge_hooks_or_moduli_need_no_huge_mask():
-    # Before any mask is built, a set too short for the chain of its top
-    # hook fails closure; a doubled modulus past twice the top hook is
-    # skipped.
+    # The public tests read residues, never a mask with a bit per hook.
     assert md_is_core((1,), 10**12) is True
     assert md_is_core((3, 1), 10**12) is True
     assert md_is_core((10**13 + 1,), 3) is False
     assert md_is_simultaneous_core((10**13 + 1, 1), (3, 4)) is False
     assert md_is_simultaneous_core((5, 3, 1), (10**12, 10**12 + 1)) is True
+    tracemalloc.start()
+    try:
+        assert md_is_core((10**12 + 1,), 10**12) is True
+        assert md_is_simultaneous_core((10**12 + 1,), (10**12, 10**12 + 3)) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -200,7 +200,10 @@ def test_scan_independence_from_modular_logic(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("partition scan called the modular core test")
 
-    for name in ("md_is_core", "md_is_simultaneous_core", "_is_simultaneous_core", "_hook_mask"):
+    for name in (
+        "md_is_core", "md_is_simultaneous_core", "_residues_pass", "_is_simultaneous_core",
+        "_hook_mask",
+    ):
         monkeypatch.setattr(mdcore_mod, name, forbidden)
     monkeypatch.setattr(Progression, "pair_mask", property(forbidden))
     prog = Progression(4, 1, 2)
