@@ -33,12 +33,11 @@ from dataclasses import dataclass
 
 from .errors import (
     BeadStructureError,
-    InternalConsistencyError,
     InvalidInputError,
     UnplaceableHookError,
     check_progression_length,
 )
-from .mdcore import _hook_mask, validate_md
+from .mdcore import validate_md
 from .progression import Progression, _class_runs
 
 __all__ = [
@@ -95,78 +94,59 @@ def place_beads(prog: Progression, md: Iterable[int]) -> AbacusState:
     when the beads do not form the boundary-hugging blocks of a
     simultaneous core.
     """
-    md = validate_md(md)
-    cap = prog.period * len(md)
-    mask = _hook_mask({h if h < cap else cap + h % prog.period for h in md})
-    return AbacusState(prog, _place_beads(prog, md, mask))
+    return AbacusState(prog, _place_beads(prog, validate_md(md)))
 
 
-def _place_beads(prog: Progression, md: tuple[int, ...], mask: int) -> tuple[int, ...]:
+def _place_beads(prog: Progression, md: tuple[int, ...]) -> tuple[int, ...]:
     """Signed bead counts of the canonical hook set ``md``; see `place_beads`.
 
-    ``mask`` is the `_hook_mask` of ``md``, except that a hook h at or
-    above cap = period * len(md) sets bit cap + h % period instead.  No
-    gap-free block holds such a hook: it sits at index len(md) or more
-    in its class, and a block of n hooks fills indices 0..n-1.  Moving
-    it to index len(md) keeps its class and keeps its column invalid,
-    so the mask stays within len(md) + 1 rows however large the hooks.
-    A core's hooks all sit in gap-free blocks, so its plain mask
-    qualifies.
-
-    A column's beads form a valid block exactly when one of its two
-    classes is empty and the other holds n hooks whose top one has
-    index n - 1: n distinct indices up to n - 1 are 0..n-1.  The errors
-    read the hooks themselves from ``md``.
+    One `Progression.residue_slots` lookup per hook gives its column,
+    sign and index in its class.  Hooks come largest first, so the first
+    hook a column meets is its top.  n hooks of one class form a block
+    exactly when the top one has index n - 1, since n distinct indices
+    up to n - 1 are 0..n-1.  So every column is a block exactly when its
+    signed count equals its top's signed index + 1: a hook of the other
+    sign moves the count away from the top's side.  The errors are read
+    only after a failure.
     """
-    period = prog.period
-    unplaceable, columns = prog.class_masks_for((mask.bit_length() - 1) // period + 1)
-    if mask & unplaceable:
-        unplaced = next(h for h in md if h % period == prog.s + prog.d)
-        raise UnplaceableHookError(
-            f"hook {unplaced} is {prog.s + prog.d} mod {period}; "
-            f"no abacus position carries it"
-        )
-    beads = []
-    placed = 0
-    for j, (pos_first, pos_class, neg_first, neg_class) in enumerate(columns):
-        pos = mask & pos_class
-        if pos:
-            if mask & neg_class:
-                raise BeadStructureError(
-                    f"column {j} mixes beads on both sides of the sign boundary"
-                )
-            n = pos.bit_count()
-            if pos.bit_length() != pos_first + period * (n - 1) + 1:
-                raise _gap_error(prog, md, j, pos_first, 1)
-            placed += n
-        else:
-            neg = mask & neg_class
-            n = neg.bit_count()
-            if n and neg.bit_length() != neg_first + period * (n - 1) + 1:
-                raise _gap_error(prog, md, j, neg_first, -1)
-            placed += n
-            n = -n
-        beads.append(n)
-    if placed != mask.bit_count():
-        raise InternalConsistencyError(f"a hook of {md} matched no column")
+    period, slots = prog.period, prog.residue_slots
+    beads = [0] * prog.columns
+    tops = [0] * prog.columns
+    for h in md:
+        try:
+            j, sign = slots[h % period]
+        except KeyError:  # hooks are odd, so h is s+d mod the period
+            raise UnplaceableHookError(
+                f"hook {h} is {prog.s + prog.d} mod {period}; "
+                f"no abacus position carries it"
+            ) from None
+        if not tops[j]:
+            tops[j] = sign * (h // period + 1)
+        beads[j] += sign
+    if beads != tops:
+        raise _structure_error(prog, md, beads, tops)
     return tuple(beads)
 
 
-def _gap_error(
-    prog: Progression, md: tuple[int, ...], j: int, first: int, step: int
+def _structure_error(
+    prog: Progression, md: tuple[int, ...], beads: list[int], tops: list[int]
 ) -> BeadStructureError:
-    """The error for the gapped block of column j's class starting at hook ``first``.
+    """The error for the first column whose beads are not a block.
 
-    The class's k-th hook sits in row r(j) + k (positive class, step 1)
-    or r(j) - 1 - k (negative class, step -1).
+    The k-th hook of a column's class sits in row r(j) + k (positive
+    class) or r(j) - 1 - k (negative class).
     """
-    first_row = prog.boundary_rows[j] if step > 0 else prog.boundary_rows[j] - 1
-    rows = sorted(
-        first_row + step * ((h - first) // prog.period)
-        for h in md
-        if h % prog.period == first
-    )
-    side = "positive" if step > 0 else "negative"
+    j = next(j for j, (b, top) in enumerate(zip(beads, tops)) if b != top)
+    placed = [(*prog.residue_slots[h % prog.period], h // prog.period) for h in md]
+    signs = {sign for column, sign, _ in placed if column == j}
+    if len(signs) == 2:
+        return BeadStructureError(
+            f"column {j} mixes beads on both sides of the sign boundary"
+        )
+    (sign,) = signs
+    first_row = prog.boundary_rows[j] if sign > 0 else prog.boundary_rows[j] - 1
+    rows = sorted(first_row + sign * k for column, _, k in placed if column == j)
+    side = "positive" if sign > 0 else "negative"
     return BeadStructureError(f"column {j} has a gap in its {side} bead block: {rows}")
 
 

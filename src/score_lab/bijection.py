@@ -84,12 +84,12 @@ def _phi(md: tuple[int, ...], prog: Progression) -> str:
     below it.
     """
     if (md and md[0] > prog.md_bound) or not _is_simultaneous_core(
-        mask := _hook_mask(md), prog.doubled, prog.pair_mask
+        _hook_mask(md), prog.doubled, prog.pair_mask
     ):
         raise NotACoreError(
             f"{md} is not a self-conjugate {prog.moduli}-core hook set"
         )
-    f = list(_abacus_function(prog, _place_beads(prog, md, mask)))
+    f = list(_abacus_function(prog, _place_beads(prog, md)))
     if prog.d % 2 == 1:
         f.append(prog.y)  # the convention step to -(d+1)/2
     try:

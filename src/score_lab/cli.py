@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import abacus as abacus_mod
 from . import bijection, formulas, mdcore, motzkin, oracle
-from .errors import ScoreLabError, check_progression_length
+from .errors import ScoreLabError, check_pair, check_progression_length
 from .progression import Progression
 
 USAGE_ERROR = 64
@@ -221,6 +221,7 @@ def _cmd_count(args) -> _Output:
         if args.d is not None or args.p is not None:
             raise _UsageError("--d and --p do not apply to a pair; drop them or --t")
         s, t = sorted((args.s, args.t))
+        check_pair(s, t)  # before any method, so every method words it alike
         d, p = t - s, 1
     else:
         if args.d is None:
@@ -296,7 +297,7 @@ def _cmd_corners(args) -> _Output:
     check_progression_length(p)
     histogram: dict[int, int] = {}
     for md in oracle.enumerate_md_sets(prog):
-        m, _, _ = bijection.corner_statistics(md, prog)
+        m = mdcore._corners(mdcore._md_to_partition(md))
         histogram[m] = histogram.get(m, 0) + 1
     formula = formulas.CORNER_FORMULAS.get(p)
     top = max(max(histogram, default=0), s // 2)
@@ -408,8 +409,12 @@ def main(argv: list[str] | None = None) -> int:
         return getattr(exc, "exit_code", 3)  # a ScoreLabError is a domain error
     text = "".join(line + "\n" for line in _lines(out, args.format))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         sys.stdout.write(text)
     return out.code

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the (s, d) and p checks."""
+"""Exception types shared across the package, and the (s, d), (s, t) and p checks."""
 
 from math import gcd
 
@@ -41,6 +41,14 @@ def check_progression(s: int, d: int) -> None:
         raise InvalidInputError(f"s and d must be positive integers, got {s!r}, {d!r}")
     if gcd(s, d) != 1:
         raise InvalidInputError(f"s={s} and d={d} must be coprime")
+
+
+def check_pair(s: int, t: int) -> None:
+    """Raise `InvalidInputError` unless s and t are distinct coprime positive integers."""
+    if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
+        raise InvalidInputError(f"s and t must be positive integers, got {s!r}, {t!r}")
+    if s == t or gcd(s, t) != 1:
+        raise InvalidInputError(f"s={s} and t={t} must be distinct and coprime")
 
 
 def check_progression_length(p: int) -> None:

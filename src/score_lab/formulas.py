@@ -14,7 +14,7 @@ from math import comb, gcd
 from typing import Sequence
 
 from .bijection import phi_context
-from .errors import InvalidInputError, check_progression, check_progression_length
+from .errors import InvalidInputError, check_pair, check_progression, check_progression_length
 from .motzkin import count_paths_dp
 
 __all__ = [
@@ -141,10 +141,7 @@ def count_sc_d1(s: int, p: int) -> CountResult:
 
 def count_sc_pair(s: int, t: int) -> CountResult:
     """Number of self-conjugate (s, t)-cores for coprime s, t."""
-    if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
-        raise InvalidInputError(f"s and t must be positive integers, got {s!r}, {t!r}")
-    if s == t or gcd(s, t) != 1:
-        raise InvalidInputError(f"s={s} and t={t} must be distinct and coprime")
+    check_pair(s, t)
     return CountResult(binom(s // 2 + t // 2, s // 2), "formula-pair")
 
 

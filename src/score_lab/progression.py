@@ -8,9 +8,9 @@ first use and then kept:
 * the moduli, their doubles and the coprime pair sums, also as a hook
   mask (core tests);
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
-  the first positive row of each column, and the hooks of each column's
-  two residue classes, as masks (`class_masks`) and as gap-free blocks
-  (`class_blocks`);
+  the first positive row of each column, the column and sign of each
+  odd residue (`residue_slots`), and the gap-free blocks of each
+  column's two residue classes (`class_blocks`);
 * the completeness bound `md_bound` on the diagonal hooks of a core;
 * the path type (x, y) and the constraint set of the path encoding.
 
@@ -21,11 +21,10 @@ abacus accept; the path encoding needs p >= 2, which
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidInputError, check_progression
+from .errors import InternalConsistencyError, InvalidInputError, check_progression
 from .mdcore import _coprime_pair_sums, _hook_mask
 from .motzkin import PathConstraintSet, constraints_for
 
@@ -132,24 +131,25 @@ class Progression:
         return self.s // 2 + 1
 
     @cached_property
-    def class_masks(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-        """`class_masks_for` the `class_depth`, kept."""
-        unplaceable, columns = _class_masks(self, self.class_depth)
-        return unplaceable, tuple(columns)
+    def residue_slots(self) -> dict[int, tuple[int, int]]:
+        """Residue of a hook mod the period -> (its column j, its sign).
 
-    def class_masks_for(
-        self, depth: int
-    ) -> tuple[int, Iterable[tuple[int, int, int, int]]]:
-        """Hook masks of the residue classes, ``depth`` hooks each.
-
-        The mask of the hooks congruent to s+d, which no position
-        carries, and per column (P, the mask of P's class, N, the mask of
-        N's class), with P, N as in `class_firsts`.  The kept
-        `class_masks` when they are deep enough; deeper ones, for hook
-        sets no core has, are built one column at a time as they are
-        read, so a call holds one column's masks at once.
+        Each class's first hook is below the period, so it is the
+        class's residue, and a hook h sits at index h // period of its
+        class, counting from 0.  Built once and checked to hold every odd
+        residue but that of s+d, which no position carries.
         """
-        return self.class_masks if depth <= self.class_depth else _class_masks(self, depth)
+        slots = {
+            first: (j, sign)
+            for j, pair in enumerate(self.class_firsts)
+            for first, sign in zip(pair, (1, -1))
+        }
+        slots.pop(self.s + self.d, None)
+        if slots.keys() != set(range(1, self.period, 2)) - {self.s + self.d}:
+            raise InternalConsistencyError(
+                f"abacus classes of s={self.s}, d={self.d} miss an odd residue"
+            )
+        return slots
 
     @cached_property
     def class_blocks(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
@@ -187,15 +187,6 @@ def default_md_bound(s: int, d: int) -> int:
     """
     t = s + d
     return max(1, s * t - s - t)
-
-
-def _class_masks(
-    prog: Progression, depth: int
-) -> tuple[int, Iterator[tuple[int, int, int, int]]]:
-    """`Progression.class_masks_for`, its columns built as they are read."""
-    runs = _class_runs(prog.period, depth)
-    columns = ((pos, runs << pos, neg, runs << neg) for pos, neg in prog.class_firsts)
-    return runs << (prog.s + prog.d), columns
 
 
 def _class_runs(period: int, depth: int) -> int:

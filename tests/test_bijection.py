@@ -196,7 +196,7 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
     counts = _count_calls(monkeypatch, ("validate_md", "boundary_row", "constraints_for"))
     tables = (
         "boundary_rows", "pair_sums", "pair_mask", "md_bound",
-        "class_firsts", "class_masks", "class_blocks",
+        "class_firsts", "residue_slots", "class_blocks",
     )
     builds = _count_builds(monkeypatch, tables)
     runs_built = []
@@ -211,8 +211,8 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
         assert phi_inverse(phi(md, prog), prog) == md
     assert len(mds) == 201
     assert counts["constraints_for"] == 1
-    assert builds == dict.fromkeys(tables, 1)  # the grid and the masks, once
-    assert max(runs_built) == prog.class_depth  # no deeper masks or blocks for any core
+    assert builds == dict.fromkeys(tables, 1)  # the grid and its tables, once
+    assert max(runs_built) == prog.class_depth  # no deeper blocks for any core
     assert counts["validate_md"] <= len(mds)  # at most one per phi call
     assert counts["boundary_row"] <= prog.columns  # none per core
 

@@ -56,6 +56,19 @@ def test_count_rejects_non_coprime(capsys):
         assert err == "error: s=4 and d=2 must be coprime\n"
 
 
+@pytest.mark.parametrize("method", ["formula", "dp", "enumerate", "all"])
+def test_count_words_a_bad_pair_alike_for_every_method(capsys, method):
+    # The pair is checked once, before any method runs: enumeration used to
+    # name a d the user never gave, and dp to exit 2 for "no path model".
+    for s, t, reason in (
+        ("3", "3", "s=3 and t=3 must be distinct and coprime"),
+        ("6", "4", "s=4 and t=6 must be distinct and coprime"),
+        ("0", "3", "s and t must be positive integers, got 0, 3"),
+    ):
+        code, out, err = run(capsys, "count", "--s", s, "--t", t, "--method", method)
+        assert (code, out, err) == (3, "", f"error: {reason}\n")
+
+
 def test_count_no_formula_available(capsys):
     code, _, err = run(
         capsys, "count", "--s", "7", "--d", "3", "--p", "5", "--method", "formula"
@@ -158,6 +171,22 @@ def test_map_runs_phi_once_in_every_format(capsys, monkeypatch, fmt):
     )
     assert code == 0 and "DFF" in out
     assert len(calls) == 1
+
+
+def test_corners_runs_no_phi(capsys, monkeypatch):
+    # The histogram needs only each core's corner count, read off its partition.
+    calls = []
+    real_phi = bijection._phi
+
+    def counting_phi(*args):
+        calls.append(args)
+        return real_phi(*args)
+
+    monkeypatch.setattr(bijection, "_phi", counting_phi)
+    for fmt in ("text", "json", "csv"):
+        code, out, _ = run(capsys, "corners", "--s", "7", "--p", "2", "--format", fmt)
+        assert code == 0 and out
+    assert calls == []
 
 
 def test_md_input_is_resorted_with_warning(capsys):
@@ -344,6 +373,16 @@ def test_output_flag_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert "PASS" in target.read_text()
+
+
+def test_output_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(
+        capsys, "map", "--md", "1", "--s", "5", "--d", "1", "--p", "2", "--output", str(target)
+    )
+    assert (code, out) == (64, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_outputs_are_stable_across_runs(capsys):

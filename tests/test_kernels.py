@@ -1,11 +1,13 @@
-"""The hook-mask and half-word kernels agree with the plain loops they replaced.
+"""The table, hook-mask and half-word kernels agree with the plain loops they replaced.
 
-`place_beads`, `state_md`, `phi`, `phi_inverse` and the private modular
-core test work on one int per hook set (bit h set for each hook h), and
-`enumerate_paths` joins height-pruned half words.  Each reference
-below is the straightforward loop over hooks, columns or steps, kept
-verbatim: the kernels must give the same results, raise the same error
-types with the same messages, and list paths in the same order.
+`place_beads` looks each hook up in one residue table
+(`Progression.residue_slots`); `state_md`, `phi_inverse` and the
+private modular core test behind `phi` work on one int per hook set
+(bit h set for each hook h); and `enumerate_paths` joins height-pruned
+half words.  Each reference below is the straightforward loop over
+hooks, columns or steps, kept verbatim: the kernels must give the same
+results, raise the same error types with the same messages, and list
+paths in the same order.
 """
 
 import itertools
@@ -365,6 +367,15 @@ def test_placement_of_deep_and_huge_hooks_matches_the_per_hook_loop(s, d, p):
             assert state_md(AbacusState(prog, beads[1])) == reference_state_md(prog, beads[1]) == md
         assert outcome(phi, md, prog) == outcome(reference_phi, md, prog), md
     assert deep_blocks >= prog.columns  # the deep blocks themselves are placed
+    huge = [md for md in sets if max(md) > 10**12]
+    tracemalloc.start()
+    try:
+        for md in huge:
+            outcome(place_beads, prog, md)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_core_tests_with_huge_hooks_or_moduli_need_no_huge_mask():

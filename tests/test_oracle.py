@@ -205,7 +205,8 @@ def test_scan_independence_from_modular_logic(monkeypatch):
         "_hook_mask",
     ):
         monkeypatch.setattr(mdcore_mod, name, forbidden)
-    monkeypatch.setattr(Progression, "pair_mask", property(forbidden))
+    for name in ("pair_mask", "residue_slots"):
+        monkeypatch.setattr(Progression, name, property(forbidden))
     prog = Progression(4, 1, 2)
     assert len(enumerate_by_partition_scan(prog, 15)) == 5
 
@@ -221,9 +222,8 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
     monkeypatch.setattr(abacus_mod, "place_beads", forbidden)
     monkeypatch.setattr(abacus_mod, "_place_beads", forbidden)
     monkeypatch.setattr(abacus_mod, "_state_hooks", forbidden)
-    for name in ("class_firsts", "class_masks", "class_blocks"):
+    for name in ("class_firsts", "residue_slots", "class_blocks"):
         monkeypatch.setattr(Progression, name, property(forbidden))
-    monkeypatch.setattr(Progression, "class_masks_for", forbidden)
     monkeypatch.setattr(bijection_mod, "phi", forbidden)
     monkeypatch.setattr(bijection_mod, "_phi", forbidden)
     assert enumerate_md_sets(Progression(5, 1, 2)) == [
