@@ -167,40 +167,31 @@ def beads_from_function(prog: Progression, values: Sequence[int]) -> AbacusState
             f"expected {prog.columns} values for s={prog.s}, d={prog.d}, "
             f"got {len(values)}"
         )
-    return AbacusState(prog, _beads_from_function(prog, values))
-
-
-def _beads_from_function(prog: Progression, values: Sequence[int]) -> tuple[int, ...]:
-    """`beads_from_function` for one value per column."""
-    return tuple(v - r + 1 for v, r in zip(values, prog.boundary_rows))
+    return AbacusState(prog, tuple(v - r + 1 for v, r in zip(values, prog.boundary_rows)))
 
 
 def state_md(state: AbacusState) -> tuple[int, ...]:
-    """Diagonal hooks read back off the beads, largest first."""
-    return _state_hooks(state.prog, state.beads)[0]
-
-
-def _state_hooks(prog: Progression, beads: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """`state_md` for one signed bead count per column, with its `_hook_mask`.
+    """Diagonal hooks read back off the beads, largest first.
 
     A column with b beads holds the |b| smallest hooks of one class, its
     block, read from `Progression.class_blocks`; a count past every
     core's builds its block for the call.
     """
-    period, depth = prog.period, prog.class_depth
+    prog = state.prog
+    depth = prog.class_depth
     hooks: list[int] = []
-    mask = 0
-    for b, blocks, (pos_first, neg_first) in zip(beads, prog.class_blocks, prog.class_firsts):
-        if -depth <= b <= depth:
-            block_hooks, block = blocks[b]
-        else:
-            first = pos_first if b > 0 else neg_first
-            block_hooks = range(first, first + period * abs(b), period)
-            block = _class_runs(period, abs(b)) << first
-        hooks += block_hooks
-        mask |= block
+    for j, (b, blocks) in enumerate(zip(state.beads, prog.class_blocks)):
+        hooks += blocks[b][0] if -depth <= b <= depth else _deep_block(prog, j, b)[0]
     hooks.sort(reverse=True)
-    return tuple(hooks), mask
+    return tuple(hooks)
+
+
+def _deep_block(prog: Progression, j: int, b: int) -> tuple[range, int]:
+    """Column j's block of b beads, for a count past `Progression.class_blocks`."""
+    first = prog.class_firsts[j][b < 0]
+    return range(first, first + prog.period * abs(b), prog.period), (
+        _class_runs(prog.period, abs(b)) << first
+    )
 
 
 def validate_core_function(values: Sequence[int], prog: Progression) -> bool:

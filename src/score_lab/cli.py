@@ -13,7 +13,9 @@ path, non-coprime parameters), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
@@ -295,12 +297,16 @@ def _cmd_corners(args) -> _Output:
     s, p = args.s, args.p
     prog = Progression(s, 1, p)  # p < 1 is refused here, p = 1 by the next line
     check_progression_length(p)
+    if args.m is not None and args.m < 0:
+        raise _UsageError(f"--m must be >= 0, got {args.m}")
     histogram: dict[int, int] = {}
     for md in oracle.enumerate_md_sets(prog):
         m = mdcore._corners(mdcore._md_to_partition(md))
         histogram[m] = histogram.get(m, 0) + 1
     formula = formulas.CORNER_FORMULAS.get(p)
     top = max(max(histogram, default=0), s // 2)
+    if args.m is not None and args.m > top:
+        raise _UsageError(f"--m must be in 0..{top} for s={s}, p={p}, got {args.m}")
     rows = []
     text = []
     for m in range(top + 1):
@@ -400,8 +406,38 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening ``path`` for writing would raise, creating nothing.
+
+    Lets a run refuse an unwritable ``--output`` before doing its work.
+    A full device is still found only when the output is written.
+    """
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        parent = os.path.dirname(os.path.abspath(path))
+        os.stat(parent)  # a missing or non-directory component, as open words it
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR
+        elif os.access(path if os.path.lexists(path) else parent, os.W_OK):
+            return
+        else:
+            code = errno.EACCES
+    raise OSError(code, os.strerror(code), path)
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if args.output:
+        try:
+            _check_writable(args.output)
+        except OSError as exc:
+            return _cannot_write(args.output, exc)
     try:
         out = _HANDLERS[args.command](args)
     except (_UsageError, _Unavailable, ScoreLabError) as exc:
@@ -413,8 +449,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _cannot_write(args.output, exc)
     else:
         sys.stdout.write(text)
     return out.code

@@ -101,12 +101,15 @@ def md_to_partition(md: Iterable[int]) -> tuple[int, ...]:
 
 def _md_to_partition(md: tuple[int, ...]) -> tuple[int, ...]:
     """`md_to_partition` of a canonical hook set."""
-    depth = len(md)
-    if depth == 0:
-        return ()
+    # Past the Durfee square, row r has one box per Durfee row at least r
+    # long.  So, walking k down the Durfee rows, the rows after the last one
+    # filled, up to row parts[k - 1], have k boxes each.
     parts = [(h - 1) // 2 + i for i, h in enumerate(md, start=1)]
-    for row in range(depth + 1, parts[0] + 1):
-        parts.append(sum(1 for p in parts[:depth] if p >= row))
+    below = len(md)
+    for k in range(len(md), 0, -1):
+        reach = parts[k - 1]
+        parts += [k] * (reach - below)
+        below = reach
     return tuple(parts)
 
 

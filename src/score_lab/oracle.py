@@ -4,7 +4,11 @@ Two independent enumerators back every identity in the package:
 
 * `enumerate_md_sets` searches diagonal hook sets directly, pruning
   with the modular core conditions (pair sums and downward closure).
-  It never touches the abacus or the path encoding.
+  It holds each hook set as one int and builds its own masks: for each
+  candidate hook, the chain of hooks it forces and the partners
+  2t - (v mod 2t) that no hook v of that chain may meet.  It never
+  touches the abacus, the path encoding or the hook-set core test
+  behind `phi` and `phi_inverse`, so that test cross-checks it.
 * `enumerate_by_partition_scan` searches partitions by growing the
   diagonal hook chain from the smallest hook upward and filters purely
   through Young-diagram hook arithmetic.  It never uses the modular
@@ -48,69 +52,87 @@ def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple
     ``bound`` caps the candidate diagonal hooks and defaults to
     `default_md_bound`; p = 1 enumerates the cores of a plain pair.
 
-    Backtracks over odd candidates in decreasing order.  Including a
-    candidate h immediately pulls in everything it forces (h - 2t for
-    each modulus t with h > 2t, recursively); each addition is vetted
-    against the pair-sum condition through per-modulus residue
-    multisets, so dead branches die at the first contradiction.
-    Completeness: any hook above the bound would be a hook above the
-    maximal (s, s+d)-core hook, which no core has.
+    Hook sets are ints, bit h set for each hook h.  Including a hook h
+    pulls in its forced chain: h, then h - 2t for each modulus t with
+    h > 2t, and so on down.  A set closed under those steps breaks the
+    pair-sum condition exactly when it holds a hook v and its partner
+    2t - (v mod 2t) for some t, since closure puts v mod 2t in the set.
+
+    One pass upward over the odd candidates builds each one's chain mask
+    and the mask of its chain's partners, and drops every candidate whose
+    chain holds a partner of its own (a hook of t mod 2t is its own
+    partner).  A kept candidate's chain is itself a core, so no kept
+    candidate lies above the default bound; once s candidates in a row
+    are dropped, every larger chain holds one of them and the pass stops.
+    Two more passes give, for each kept h, the kept candidates that
+    choosing h rules out: those whose chain holds a partner of a hook of
+    h's chain.
+
+    The search then decides the kept candidates from the largest down,
+    carrying the chosen mask and the mask of candidates still open.
+    Excluding the top open candidate clears its bit; including it ORs
+    its chain into the chosen mask and ANDs the open mask with what it
+    leaves open.  So every branch ends in a core, the search recurses
+    nowhere and nothing is rolled back.  Completeness: any hook above the
+    default bound would be a hook above the maximal (s, s+d)-core hook,
+    which no core has.
     """
     if bound is None:
         bound = default_md_bound(prog.s, prog.d)
     elif bound < 1:
         raise InvalidInputError(f"bound must be >= 1, got {bound!r}")
-    moduli, doubled = prog.moduli, prog.doubled
-    candidates = list(range(bound if bound % 2 else bound - 1, 0, -2))
-
-    chosen: set[int] = set()
-    residues: list[Counter] = [Counter() for _ in doubled]
-    results: list[tuple[int, ...]] = []
-
-    def include(h: int) -> list[int] | None:
-        """Add h plus its forced chain; None (and no change) on conflict."""
-        added: list[int] = []
-        stack = [h]
-        while stack:
-            v = stack.pop()
-            if v in chosen:
+    doubled = prog.doubled
+    chain: dict[int, int] = {}  # kept candidate -> mask of its forced chain
+    partners: dict[int, int] = {}  # kept candidate -> partners of its chain's hooks
+    dropped = 0  # candidates dropped since the last kept one
+    for h in range(1, bound + 1, 2):
+        links, partner_mask = 1 << h, 0
+        for m2 in doubled:
+            if h < m2:
+                partner_mask |= 1 << (m2 - h)
+            elif h - m2 in chain:
+                links |= chain[h - m2]
+                partner_mask |= partners[h - m2]
+            else:  # h - 2t was dropped, and its chain is part of h's
+                break
+        else:
+            if not partner_mask & links:
+                chain[h], partners[h] = links, partner_mask
+                dropped = 0
                 continue
-            for m2, res in zip(doubled, residues):
-                if (2 * v) % m2 == 0 or res[(-v) % m2]:
-                    for u in added:
-                        _remove(u)
-                    return None
-            chosen.add(v)
-            for m2, res in zip(doubled, residues):
-                res[v % m2] += 1
-            added.append(v)
-            for t in moduli:
-                if v > 2 * t:
-                    stack.append(v - 2 * t)
-        return added
+        dropped += 1
+        if dropped == prog.s:
+            break
 
-    def _remove(v: int) -> None:
-        chosen.discard(v)
-        for m2, res in zip(doubled, residues):
-            res[v % m2] -= 1
+    holders: dict[int, int] = {}  # kept u -> the kept candidates whose chain holds u
+    for u in reversed(chain):
+        held = 1 << u
+        for m2 in doubled:
+            if u + m2 in holders:
+                held |= holders[u + m2]
+        holders[u] = held
+    ruled_out: dict[int, int] = {}  # kept h -> the kept candidates choosing h rules out
+    for h in chain:
+        clash = 0
+        for m2 in doubled:
+            clash |= holders.get(m2 - h, 0) if h < m2 else ruled_out[h - m2]
+        ruled_out[h] = clash
+    leaves_open = {h: ~(chain[h] | ruled_out[h]) for h in chain}
 
-    def search(idx: int) -> None:
-        while idx < len(candidates) and candidates[idx] in chosen:
-            idx += 1
-        if idx == len(candidates):
-            results.append(tuple(sorted(chosen, reverse=True)))
-            return
-        search(idx + 1)
-        added = include(candidates[idx])
-        if added is not None:
-            search(idx + 1)
-            for v in added:
-                _remove(v)
-
-    search(0)
-    # The nested function refers to itself, a reference cycle that would keep
-    # everything it closes over alive until the next full garbage collection.
-    del search
+    results: list[tuple[int, ...]] = []
+    stack = [(0, sum(map((1).__lshift__, chain)))]
+    while stack:
+        chosen, open_mask = stack.pop()
+        while open_mask:
+            h = open_mask.bit_length() - 1
+            open_mask ^= 1 << h
+            stack.append((chosen | chain[h], open_mask & leaves_open[h]))
+        hooks = []
+        while chosen:
+            h = chosen.bit_length() - 1
+            hooks.append(h)
+            chosen ^= 1 << h
+        results.append(tuple(hooks))
     results.sort()
     return results
 

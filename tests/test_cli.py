@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import os
 import sys
 import tracemalloc
 from math import comb
@@ -102,6 +103,16 @@ def test_enumerate_rejects_a_bound_that_truncates_the_enumeration(capsys):
     assert "completeness bound 47 of (7, 9)-cores" in err
     code, out, _ = run(capsys, "enumerate", "--s", "7", "--d", "2", "--bound", "47")
     assert code == 0 and len(out.splitlines()) == 16
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_a_bound_far_past_the_completeness_bound_gives_the_default_output(capsys, command):
+    # The search once recursed per candidate and died past about 2,000.
+    argv = (command, "--s", "3", "--d", "2", "--p", "2")
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert run(capsys, *argv, "--bound", "5000") == default
+    assert run(capsys, *argv, "--bound", str(10**12)) == default
 
 
 def _decimal_digits(n):
@@ -217,6 +228,22 @@ def test_corners_histogram(capsys):
     assert "m=0 enumerated=1 formula=1" in lines
     assert "m=1 enumerated=2 formula=2" in lines
     assert lines[-1] == "AGREE"
+
+
+def test_corners_refuses_an_m_outside_its_rows(capsys, monkeypatch):
+    # s = 5, p = 2 prints the rows m = 0..2; the top row is accepted.
+    code, out, _ = run(capsys, "corners", "--s", "5", "--p", "2", "--m", "2")
+    assert (code, out) == (0, "m=2 enumerated=2 formula=2\nAGREE\n")
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "corners", "--s", "5", "--p", "2", "--m", "3", "--format", fmt)
+        assert (code, out, err) == (64, "", "error: --m must be in 0..2 for s=5, p=2, got 3\n")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a negative --m is refused before enumerating")
+
+    monkeypatch.setattr(cli.oracle, "enumerate_md_sets", forbidden)
+    code, out, err = run(capsys, "corners", "--s", "5", "--p", "2", "--m", "-1")
+    assert (code, out, err) == (64, "", "error: --m must be >= 0, got -1\n")
 
 
 def test_enumerate_json_lines(capsys):
@@ -383,6 +410,35 @@ def test_output_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert (code, out) == (64, "")
     assert err == f"error: cannot write {target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+def test_an_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    def forbidden(args):
+        raise AssertionError("the work ran before --output was checked")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", forbidden)
+    a_file = tmp_path / "file"
+    a_file.write_text("kept\n")
+    for target in (tmp_path / "missing" / "x", a_file / "x", tmp_path):
+        with pytest.raises(OSError) as opened:
+            open(target, "w")
+        code, out, err = run(
+            capsys, "verify", "--s", "3", "--d", "2", "--p", "2", "--output", str(target)
+        )
+        assert (code, out) == (64, "")
+        assert err == f"error: cannot write {target}: {opened.value.strerror}\n"
+    assert sorted(tmp_path.iterdir()) == [a_file]
+    assert a_file.read_text() == "kept\n"
+
+
+def test_a_full_device_is_found_when_the_output_is_written(capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    code, out, err = run(
+        capsys, "map", "--md", "1", "--s", "5", "--d", "1", "--p", "2", "--output", "/dev/full"
+    )
+    assert (code, out) == (64, "")
+    assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
 def test_outputs_are_stable_across_runs(capsys):

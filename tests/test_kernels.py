@@ -3,15 +3,18 @@
 `place_beads` looks each hook up in one residue table
 (`Progression.residue_slots`); `state_md`, `phi_inverse` and the
 private modular core test behind `phi` work on one int per hook set
-(bit h set for each hook h); and `enumerate_paths` joins height-pruned
-half words.  Each reference below is the straightforward loop over
-hooks, columns or steps, kept verbatim: the kernels must give the same
-results, raise the same error types with the same messages, and list
+(bit h set for each hook h); `enumerate_md_sets` searches on its own
+chain and partner masks; `md_to_partition` walks down the Durfee rows
+once; and `enumerate_paths` joins height-pruned half words.  Each
+reference below is the straightforward loop over hooks, columns, rows
+or steps, kept verbatim: the kernels must give the same results, raise
+the same error types with the same messages, and list hook sets and
 paths in the same order.
 """
 
 import itertools
 import tracemalloc
+from collections import Counter
 from itertools import accumulate
 from math import gcd
 from operator import sub
@@ -22,6 +25,7 @@ from score_lab import (
     AbacusState,
     BeadStructureError,
     InternalConsistencyError,
+    InvalidInputError,
     InvalidPathError,
     NotACoreError,
     Progression,
@@ -182,6 +186,74 @@ def reference_phi_inverse(steps, prog):
     return md
 
 
+def reference_enumerate_md_sets(prog, bound=None):
+    if bound is None:
+        bound = default_md_bound(prog.s, prog.d)
+    elif bound < 1:
+        raise InvalidInputError(f"bound must be >= 1, got {bound!r}")
+    moduli, doubled = prog.moduli, prog.doubled
+    candidates = list(range(bound if bound % 2 else bound - 1, 0, -2))
+
+    chosen = set()
+    residues = [Counter() for _ in doubled]
+    results = []
+
+    def include(h):
+        """Add h plus its forced chain; None (and no change) on conflict."""
+        added = []
+        stack = [h]
+        while stack:
+            v = stack.pop()
+            if v in chosen:
+                continue
+            for m2, res in zip(doubled, residues):
+                if (2 * v) % m2 == 0 or res[(-v) % m2]:
+                    for u in added:
+                        _remove(u)
+                    return None
+            chosen.add(v)
+            for m2, res in zip(doubled, residues):
+                res[v % m2] += 1
+            added.append(v)
+            for t in moduli:
+                if v > 2 * t:
+                    stack.append(v - 2 * t)
+        return added
+
+    def _remove(v):
+        chosen.discard(v)
+        for m2, res in zip(doubled, residues):
+            res[v % m2] -= 1
+
+    def search(idx):
+        while idx < len(candidates) and candidates[idx] in chosen:
+            idx += 1
+        if idx == len(candidates):
+            results.append(tuple(sorted(chosen, reverse=True)))
+            return
+        search(idx + 1)
+        added = include(candidates[idx])
+        if added is not None:
+            search(idx + 1)
+            for v in added:
+                _remove(v)
+
+    search(0)
+    results.sort()
+    return results
+
+
+def reference_md_to_partition(md):
+    md = tuple(sorted(md, reverse=True))
+    depth = len(md)
+    if depth == 0:
+        return ()
+    parts = [(h - 1) // 2 + i for i, h in enumerate(md, start=1)]
+    for row in range(depth + 1, parts[0] + 1):
+        parts.append(sum(1 for p in parts[:depth] if p >= row))
+    return tuple(parts)
+
+
 _STEPS = ("U", "D", "F")
 
 
@@ -300,6 +372,82 @@ def test_the_modular_core_tests_match_the_hook_table_on_every_small_progression(
                         assert md_is_core(md, t) == hook_table_is_core(md, t), (md, t)
                         assert _is_simultaneous_core(mask, (2 * t,), 0) == table[md, t]
     assert progressions == 4 * 29
+
+
+def test_enumerate_md_sets_matches_the_counter_search():
+    progressions = 0
+    for s in range(1, 14):
+        for d in range(1, 5):
+            if gcd(s, d) != 1:
+                continue
+            for p in range(1, 6):
+                prog = Progression(s, d, p)
+                progressions += 1
+                assert enumerate_md_sets(prog) == reference_enumerate_md_sets(prog), prog
+    assert progressions == 5 * 36
+
+
+@pytest.mark.parametrize("s,d,p", [(1, 3, 2), (2, 3, 3), (7, 2, 3), (8, 3, 2), (11, 4, 4)])
+def test_enumerate_md_sets_matches_the_counter_search_at_other_bounds(s, d, p):
+    # Below the completeness bound the search misses cores, exactly as the
+    # reference does; above it, it finds nothing more.
+    prog = Progression(s, d, p)
+    complete = default_md_bound(s, d)
+    for bound in sorted({1, 2, 3, complete // 3, complete // 2, complete - 1, complete + 9}):
+        if bound >= 1:
+            expected = reference_enumerate_md_sets(prog, bound)
+            assert enumerate_md_sets(prog, bound) == expected, bound
+    for bound in (0, -5):
+        expected = outcome(reference_enumerate_md_sets, prog, bound)
+        assert outcome(enumerate_md_sets, prog, bound) == expected
+
+
+def test_md_to_partition_matches_the_durfee_row_loop():
+    hook_sets = set(sc_partitions_up_to(40))
+    for s, d, p in INSTANCES + [(21, 4, 4)]:
+        hook_sets.update(enumerate_md_sets(Progression(s, d, p)))
+    hook_sets.update([(10**4 + 1,), (10**4 + 1, 3), (201, 199, 197, 1)])
+    for md in hook_sets:
+        assert md_to_partition(md) == reference_md_to_partition(md), md
+
+
+def test_every_path_of_its_type_fits_the_cached_blocks():
+    # A type-(x, y) path stays between max(-j, y - x + j) and min(j, x + y - j)
+    # at column j, and both ends are reached; so no bead count it gives
+    # lies past `class_depth`, and phi_inverse reads every block from the table.
+    for s in range(1, 80):
+        for d in range(1, 30):
+            if gcd(s, d) != 1:
+                continue
+            prog = Progression(s, d, 2)
+            x, y = prog.x, prog.y
+            for j, r in enumerate(prog.boundary_rows):
+                highest, lowest = min(j, x + y - j), max(-j, y - x + j)
+                assert -prog.class_depth <= lowest - r + 1 <= highest - r + 1 <= prog.class_depth
+
+
+# Each has a path whose bead counts reach past depth 1, and all but
+# (9, 2, 2) have paths that break a constraint.
+@pytest.mark.parametrize("s,d,p", [(4, 3, 3), (5, 3, 4), (5, 1, 2), (4, 1, 3), (9, 2, 2), (8, 3, 3)])
+def test_phi_inverse_matches_the_per_column_loop_on_every_path_of_its_type(s, d, p, monkeypatch):
+    # With no constraints every path of the type is read back: the
+    # admissible ones to their cores, the others to non-core hook sets,
+    # which must raise the same InternalConsistencyError.  No such path
+    # reaches past the cached blocks (see above), so the blocks are cut to
+    # depth 1 here to make phi_inverse build the deeper ones for the call.
+    prog = phi_context(s, d, p)
+    admissible = set(enumerate_paths(prog.x, prog.y, prog.constraints))
+    monkeypatch.setattr(Progression, "constraints", EMPTY_CONSTRAINTS)
+    monkeypatch.setattr(Progression, "class_depth", 1)
+    prog = Progression(s, d, p)
+    deep = 0
+    for steps in enumerate_paths(prog.x, prog.y, EMPTY_CONSTRAINTS):
+        result = outcome(phi_inverse, steps, prog)
+        assert result == outcome(reference_phi_inverse, steps, prog), steps
+        assert result[0] == ("ok" if steps in admissible else InternalConsistencyError), steps
+        heights = accumulate(map(_HEIGHT.__getitem__, steps), initial=0)
+        deep += any(abs(f - r + 1) > 1 for f, r in zip(heights, prog.boundary_rows))
+    assert deep > 0
 
 
 # Every distinct constraint set of coprime s < 30, d < 8 and p = 2..9.

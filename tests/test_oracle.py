@@ -212,20 +212,30 @@ def test_scan_independence_from_modular_logic(monkeypatch):
 
 
 def test_md_enumeration_independence_from_encoding(monkeypatch):
-    # The hook-set search must not touch the abacus or the path map.
+    # The hook-set search must not touch the abacus, the path map or the
+    # hook-set mask kernel of the bijection round trip, so that the round
+    # trip's core test stays an independent cross-check of the search.
     import score_lab.abacus as abacus_mod
     import score_lab.bijection as bijection_mod
+    import score_lab.mdcore as mdcore_mod
+    import score_lab.oracle as oracle_mod
 
     def forbidden(*args, **kwargs):
         raise AssertionError("hook-set enumeration called the encoding")
 
-    monkeypatch.setattr(abacus_mod, "place_beads", forbidden)
-    monkeypatch.setattr(abacus_mod, "_place_beads", forbidden)
-    monkeypatch.setattr(abacus_mod, "_state_hooks", forbidden)
-    for name in ("class_firsts", "residue_slots", "class_blocks"):
+    forbidden_names = {
+        abacus_mod: ("place_beads", "_place_beads", "state_md", "_deep_block"),
+        bijection_mod: ("phi", "_phi", "phi_inverse"),
+        mdcore_mod: ("_is_simultaneous_core", "_hook_mask"),
+    }
+    for module, names in forbidden_names.items():
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+            # a name the oracle imports is looked up in the oracle's namespace
+            if hasattr(oracle_mod, name):
+                monkeypatch.setattr(oracle_mod, name, forbidden)
+    for name in ("class_firsts", "residue_slots", "class_blocks", "pair_mask"):
         monkeypatch.setattr(Progression, name, property(forbidden))
-    monkeypatch.setattr(bijection_mod, "phi", forbidden)
-    monkeypatch.setattr(bijection_mod, "_phi", forbidden)
     assert enumerate_md_sets(Progression(5, 1, 2)) == [
         (),
         (1,),
@@ -233,3 +243,4 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
         (3, 1),
         (9,),
     ]
+    assert len(enumerate_md_sets(Progression(21, 4, 4))) == 13694
