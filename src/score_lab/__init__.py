@@ -65,6 +65,7 @@ from .motzkin import (
 )
 from .oracle import (
     VerifyReport,
+    corner_rows,
     default_md_bound,
     enumerate_by_partition_scan,
     enumerate_md_sets,

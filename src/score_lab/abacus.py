@@ -38,7 +38,7 @@ from .errors import (
     check_progression_length,
 )
 from .mdcore import validate_md
-from .progression import Progression, _class_runs
+from .progression import Progression, _class_block
 
 __all__ = [
     "AbacusState",
@@ -171,27 +171,30 @@ def beads_from_function(prog: Progression, values: Sequence[int]) -> AbacusState
 
 
 def state_md(state: AbacusState) -> tuple[int, ...]:
-    """Diagonal hooks read back off the beads, largest first.
+    """Diagonal hooks read back off the beads, largest first."""
+    return _state_hooks(state.prog, state.beads)[0]
+
+
+def _state_hooks(prog: Progression, counts: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """The hooks of one signed bead count per column, largest first, and their mask.
 
     A column with b beads holds the |b| smallest hooks of one class, its
     block, read from `Progression.class_blocks`; a count past every
     core's builds its block for the call.
     """
-    prog = state.prog
     depth = prog.class_depth
     hooks: list[int] = []
-    for j, (b, blocks) in enumerate(zip(state.beads, prog.class_blocks)):
-        hooks += blocks[b][0] if -depth <= b <= depth else _deep_block(prog, j, b)[0]
+    mask = 0
+    for j, (b, blocks) in enumerate(zip(counts, prog.class_blocks)):
+        block_hooks, block = (
+            blocks[b]
+            if -depth <= b <= depth
+            else _class_block(prog.period, prog.class_firsts[j][b < 0], abs(b))
+        )
+        hooks += block_hooks
+        mask |= block
     hooks.sort(reverse=True)
-    return tuple(hooks)
-
-
-def _deep_block(prog: Progression, j: int, b: int) -> tuple[range, int]:
-    """Column j's block of b beads, for a count past `Progression.class_blocks`."""
-    first = prog.class_firsts[j][b < 0]
-    return range(first, first + prog.period * abs(b), prog.period), (
-        _class_runs(prog.period, abs(b)) << first
-    )
+    return tuple(hooks), mask
 
 
 def validate_core_function(values: Sequence[int], prog: Progression) -> bool:

@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from itertools import accumulate
 from operator import sub
 
-from .abacus import _abacus_function, _deep_block, _place_beads
+from .abacus import _abacus_function, _place_beads, _state_hooks
 from .errors import (
     InternalConsistencyError,
     InvalidPathError,
@@ -117,19 +117,11 @@ def phi_inverse(steps: str, prog: Progression) -> tuple[int, ...]:
             f"path {steps!r} is not an admissible type ({prog.x}, {prog.y}) path "
             f"for s={prog.s}, d={prog.d}, p={prog.p}"
         )
-    # Column j holds the block of f(j) - r(j) + 1 beads.  zip stops at the
-    # last column, so the convention step of an odd d is never read.
-    depth = prog.class_depth
-    hooks: list[int] = []
-    mask = 0
-    heights = accumulate(map(_HEIGHT.__getitem__, steps), initial=0)
-    for j, (f, r, blocks) in enumerate(zip(heights, prog.boundary_rows, prog.class_blocks)):
-        b = f - r + 1
-        block_hooks, block = blocks[b] if -depth <= b <= depth else _deep_block(prog, j, b)
-        hooks += block_hooks
-        mask |= block
-    hooks.sort(reverse=True)
-    md = tuple(hooks)
+    # Column j holds f(j) - r(j) + 1 beads: the heights start from 1 to add
+    # the 1.  zip stops at the last column, so the convention step of an odd
+    # d is never read.
+    heights = accumulate(map(_HEIGHT.__getitem__, steps), initial=1)
+    md, mask = _state_hooks(prog, map(sub, heights, prog.boundary_rows))
     if not _is_simultaneous_core(mask, prog.doubled, prog.pair_mask):
         raise InternalConsistencyError(
             f"path {steps} reconstructed a non-core hook set {md}"

@@ -23,7 +23,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import abacus as abacus_mod
-from . import bijection, formulas, mdcore, motzkin, oracle
+from . import bijection, formulas, mdcore, oracle
 from .errors import ScoreLabError, check_pair, check_progression_length
 from .progression import Progression
 
@@ -270,7 +270,7 @@ def _cmd_map(args) -> _Output:
     prog = bijection.phi_context(args.s, args.d, args.p)
     record = bijection.mapping_record(_parse_md(args.md), prog)
     steps = record["path"]
-    row = (steps, prog.x, prog.y, motzkin.flat_count(steps), motzkin.last_step(steps) or "-")
+    row = (steps, prog.x, prog.y, steps.count("F"), steps[-1:] or "-")  # phi's own path
     return _Output([record], ("steps", "x", "y", "flats", "last"), [row], [steps])
 
 
@@ -299,23 +299,16 @@ def _cmd_corners(args) -> _Output:
     check_progression_length(p)
     if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
-    histogram: dict[int, int] = {}
-    for md in oracle.enumerate_md_sets(prog):
-        m = mdcore._corners(mdcore._md_to_partition(md))
-        histogram[m] = histogram.get(m, 0) + 1
-    formula = formulas.CORNER_FORMULAS.get(p)
-    top = max(max(histogram, default=0), s // 2)
-    if args.m is not None and args.m > top:
-        raise _UsageError(f"--m must be in 0..{top} for s={s}, p={p}, got {args.m}")
-    rows = []
-    text = []
-    for m in range(top + 1):
-        if args.m is not None and m != args.m:
-            continue
-        expected = formula(s, m).value if formula else None
-        rows.append({"m": m, "enumerated": histogram.get(m, 0), "formula": expected})
-        tail = "" if expected is None else f" formula={expected}"
-        text.append(f"m={m} enumerated={histogram.get(m, 0)}{tail}")
+    rows = oracle.corner_rows(prog, oracle.enumerate_md_sets(prog))[:-1]  # m = 0..top
+    if args.m is not None:
+        if args.m >= len(rows):
+            raise _UsageError(f"--m must be in 0..{len(rows) - 1} for s={s}, p={p}, got {args.m}")
+        rows = rows[args.m : args.m + 1]
+    text = [
+        f"m={row['m']} enumerated={row['enumerated']}"
+        + ("" if row["formula"] is None else f" formula={row['formula']}")
+        for row in rows
+    ]
     agree = all(row["formula"] in (None, row["enumerated"]) for row in rows)
     text.append("AGREE" if agree else "DISAGREE")
     return _Output(rows, ("m", "enumerated", "formula"), rows, text, 0 if agree else 1)

@@ -260,10 +260,10 @@ def _corners(parts: Sequence[int]) -> int:
 def partition_record(md: Iterable[int]) -> dict:
     """JSON-ready record for the self-conjugate partition with hooks ``md``."""
     md = validate_md(md)
-    parts = md_to_partition(md)
+    parts = _md_to_partition(md)
     return {
         "parts": list(parts),
         "md": list(md),
-        "corners": corners(parts),
+        "corners": _corners(parts),
         "size": sum(parts),
     }

@@ -16,16 +16,18 @@ Two independent enumerators back every identity in the package:
 
 `verify_instance` cross-checks, for one parameter triple, the two
 enumerations, both path-counting routes, the closed formulas, the
-round trip of the path encoding, and the d = 1 corner refinement.
+round trip of the path encoding, and the d = 1 corner refinement, whose
+rows `corner_rows` builds for it and for the ``corners`` command.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .bijection import phi, phi_inverse
-from .errors import InvalidInputError, check_progression_length
+from .errors import InvalidInputError, UnsupportedParametersError, check_progression_length
 from .formulas import CORNER_FORMULAS, closed_forms
 from .mdcore import _corners, _md_to_partition
 from .motzkin import count_paths_dp, enumerate_paths
@@ -36,6 +38,7 @@ __all__ = [
     "pair_core_size_bound",
     "enumerate_md_sets",
     "enumerate_by_partition_scan",
+    "corner_rows",
     "VerifyReport",
     "verify_instance",
 ]
@@ -159,48 +162,51 @@ def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int
     moduli = set(prog.moduli)
     min_modulus = min(moduli)
     results: list[tuple[int, ...]] = [()]
-
-    def first_row_is_clean(c: int, parts: list[int], offsets: list[int]) -> bool:
-        # Prepending hook c: the new first row has (c+1)//2 boxes, old
-        # row i becomes row i+1 with one extra box, and the new first
-        # column pads the bottom with single-box rows.  First-row hooks:
-        # h(1,1) = c; above the old rows h(1,j) = (c+1)//2 + offsets[j-2]
-        # with offsets[i] = parts[i] - (i+1); over the single-box pad the
-        # hooks run straight down from (c+1)//2 - len(parts) - 1 to 1.
-        if c in moduli:
-            return False
-        base = (c + 1) // 2
-        if any(base + g in moduli for g in offsets):
-            return False
-        return min_modulus > base - len(parts) - 1
-
-    def grow(md_asc: list[int], parts: list[int], offsets: list[int], size: int) -> None:
-        lowest = md_asc[-1] + 2 if md_asc else 1
-        for c in range(lowest, n_max - size + 1, 2):
-            if not first_row_is_clean(c, parts, offsets):
-                continue
+    stack = [((), 1, 0)]  # a core's parts, the least hook it may take next, its size
+    while stack:
+        parts, lowest, size = stack.pop()
+        # Prepending hook c: the new first row has (c+1)//2 boxes, old row i
+        # becomes row i+1 with one extra box, and the new first column pads the
+        # bottom with single-box rows.  First-row hooks: h(1,1) = c; above the
+        # old rows h(1,j) = (c+1)//2 + offsets[j-2] with offsets[i] =
+        # parts[i] - (i+1); over the pad the hooks run straight down from
+        # (c+1)//2 - len(parts) - 1 to 1, so the pad is clean exactly when
+        # c <= 2 * (min_modulus + len(parts)) - 1, where the candidates end.
+        offsets = [q - i for i, q in enumerate(parts, start=1)]
+        highest = min(n_max - size, 2 * (min_modulus + len(parts)) - 1)
+        for c in range(lowest, highest + 1, 2):
             width = (c + 1) // 2
-            new_parts = (
-                [width]
-                + [q + 1 for q in parts]
-                + [1] * (width - len(parts) - 1)
-            )
-            results.append(tuple(new_parts))
-            md_asc.append(c)
-            grow(
-                md_asc,
-                new_parts,
-                [q - i - 1 for i, q in enumerate(new_parts)],
-                size + c,
-            )
-            md_asc.pop()
-
-    grow([], [], [], 0)
-    # The nested function refers to itself, a reference cycle that would keep
-    # everything it closes over alive until the next full garbage collection.
-    del grow
+            if c in moduli or any(width + g in moduli for g in offsets):
+                continue
+            grown = (width, *[q + 1 for q in parts], *[1] * (width - len(parts) - 1))
+            results.append(grown)
+            stack.append((grown, c + 2, size + c))
     results.sort()
     return results
+
+
+def corner_rows(prog: Progression, mds: Iterable[tuple[int, ...]]) -> list[dict]:
+    """The corner refinement of a d = 1 progression's cores, one row per corner count.
+
+    ``mds`` are the cores' canonical hook sets, as `enumerate_md_sets`
+    gives them.  Row m holds m, the number of cores with m corners and
+    the count of `CORNER_FORMULAS` for p (None when none is known), for
+    m = 0..top + 1, where top is the larger of s // 2 and the most
+    corners of any core: the last row checks that no core has more.
+    """
+    if prog.d != 1:
+        raise UnsupportedParametersError(f"corner rows are defined for d=1 only, got d={prog.d}")
+    return _corner_rows(prog.s, prog.p, Counter(_corners(_md_to_partition(md)) for md in mds))
+
+
+def _corner_rows(s: int, p: int, histogram: Counter) -> list[dict]:
+    """`corner_rows` from the histogram of the cores' corner counts."""
+    formula = CORNER_FORMULAS.get(p)
+    top = max(max(histogram, default=0), s // 2)
+    return [
+        {"m": m, "enumerated": histogram[m], "formula": formula(s, m).value if formula else None}
+        for m in range(top + 2)
+    ]
 
 
 @dataclass(frozen=True)
@@ -269,34 +275,23 @@ def verify_instance(
     # The hook sets come canonical from the enumeration and the paths from phi,
     # so their partitions and step letters are read without re-validating.
     corner_status = "n/a"
-    corner_formula = CORNER_FORMULAS.get(p) if d == 1 else None
-    partitions = (
-        [_md_to_partition(md) for md in mds]
-        if corner_formula is not None or n_max is not None
-        else []
-    )
-    if corner_formula is not None:
-        histogram = Counter()
-        refinement_ok = True
-        for parts, steps in zip(partitions, images):
-            m = _corners(parts)
-            histogram[m] += 1
-            expected_last = "D" if m % 2 == 0 else "F"
-            expected_flats = s // 2 - m + (m % 2)
-            if steps[-1:] != expected_last or steps.count("F") != expected_flats:
-                refinement_ok = False
-        top = max(max(histogram, default=0), s // 2)
-        for m in range(top + 2):
-            if corner_formula(s, m).value != histogram.get(m, 0):
-                refinement_ok = False
-        corner_status = "pass" if refinement_ok else "fail"
+    if d == 1 and p in CORNER_FORMULAS:
+        counts = [_corners(_md_to_partition(md)) for md in mds]
+        # an even m ends in D with s//2 - m flats, an odd m in F with one more
+        paths_ok = all(
+            steps[-1:] == "DF"[m % 2] and steps.count("F") == s // 2 - m + m % 2
+            for m, steps in zip(counts, images)
+        )
+        rows = _corner_rows(s, p, Counter(counts))
+        rows_ok = all(row["formula"] == row["enumerated"] for row in rows)
+        corner_status = "pass" if paths_ok and rows_ok else "fail"
 
     n_scan = None
     scan_ok = True
     if n_max is not None:
         scanned = enumerate_by_partition_scan(prog, n_max)
         n_scan = len(scanned)
-        scan_ok = sorted(scanned) == sorted(partitions)
+        scan_ok = scanned == sorted(map(_md_to_partition, mds))
 
     counts = {len(mds), len(paths), n_dp}
     if n_formula is not None:

@@ -159,10 +159,9 @@ class Progression:
         hook mask); a negative b indexes from the end, as Python does.
         """
         period, depth = self.period, self.class_depth
-        runs = [_class_runs(period, n) for n in range(depth + 1)]
         return tuple(
             tuple(
-                (tuple(range(first, first + period * n, period)), runs[n] << first)
+                _class_block(period, first, n)
                 for first, n in (
                     *((pos_first, n) for n in range(depth + 1)),
                     *((neg_first, n) for n in range(depth, 0, -1)),
@@ -187,6 +186,15 @@ def default_md_bound(s: int, d: int) -> int:
     """
     t = s + d
     return max(1, s * t - s - t)
+
+
+def _class_block(period: int, first: int, n: int) -> tuple[tuple[int, ...], int]:
+    """The gap-free block of n beads on the class whose smallest hook is ``first``.
+
+    Its hooks are first + period * k for k < n, ascending, and its hook
+    mask is ``_class_runs(period, n) << first``.
+    """
+    return tuple(range(first, first + period * n, period)), _class_runs(period, n) << first
 
 
 def _class_runs(period: int, depth: int) -> int:

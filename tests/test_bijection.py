@@ -230,6 +230,30 @@ def test_verify_instance_validates_each_core_once(monkeypatch):
     assert counts["last_step"] == counts["flat_count"] == 0
 
 
+def test_enumerate_and_map_validate_each_core_once(monkeypatch, capsys):
+    # The record builders check a hook set once, then call the trusted bodies;
+    # map reads phi's own path without re-checking its letters.
+    import score_lab.mdcore as mdcore_mod
+    from score_lab.cli import main
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a record builder re-validated a partition")
+
+    monkeypatch.setattr(mdcore_mod, "validate_partition", forbidden)
+    counts = _count_calls(
+        monkeypatch, ("validate_md", "md_to_partition", "corners", "last_step", "flat_count")
+    )
+    for fmt in ("text", "json", "csv"):
+        assert main(["enumerate", "--s", "9", "--d", "1", "--p", "2", "--format", fmt]) == 0
+    cores = len(enumerate_md_sets(Progression(9, 1, 2)))
+    assert len(capsys.readouterr().out.splitlines()) == 3 * cores + 1  # one CSV header
+    assert counts["validate_md"] <= 3 * cores
+    assert counts["md_to_partition"] == counts["corners"] == 0
+    for fmt in ("text", "json", "csv"):
+        assert main(["map", "--md", "3,1", "--s", "5", "--d", "1", "--p", "2", "--format", fmt]) == 0
+    assert counts["last_step"] == counts["flat_count"] == 0
+
+
 def test_corner_statistics_and_mapping_record_validate_once(monkeypatch):
     # After phi they read the canonical hook set and the path directly.
     counts = _count_calls(

@@ -1,12 +1,20 @@
+import ast
 import gc
+import json
+import signal
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import score_lab.oracle as oracle_mod
 from score_lab import (
+    CountResult,
     InvalidInputError,
     Progression,
+    UnsupportedParametersError,
     constraints_for,
+    corner_rows,
     count_sc_d1,
     count_via_paths,
     default_md_bound,
@@ -21,6 +29,8 @@ from score_lab import (
     validate_core_function,
     verify_instance,
 )
+from score_lab.cli import main
+from score_lab.formulas import CORNER_FORMULAS
 
 
 def brute_force_scan(prog, n_max):
@@ -133,6 +143,25 @@ def test_partition_scan_matches_generate_and_filter(s, d, p, n_max):
     assert enumerate_by_partition_scan(prog, n_max) == brute_force_scan(prog, n_max)
 
 
+def test_partition_scan_cost_does_not_grow_with_n_max():
+    # Past 2 * (min modulus + len(parts)) - 1 a hook's first-row pad holds
+    # the smallest modulus, so a huge cap must end the scan as fast as the
+    # largest core size does.
+    def too_slow(signum, frame):
+        raise TimeoutError("the scan walked candidates past every clean one")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        for s, d, p in [(3, 2, 2), (5, 1, 2), (4, 3, 3), (1, 1, 2)]:
+            prog = Progression(s, d, p)
+            complete = enumerate_by_partition_scan(prog, pair_core_size_bound(s, s + d))
+            assert enumerate_by_partition_scan(prog, 10**12) == complete
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_dropping_the_top_hook_preserves_remaining_hook_values():
     # The geometric fact behind the scan's pruning: the partition of a
     # hook-set tail embeds in the full partition with its hook lengths
@@ -224,7 +253,7 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
         raise AssertionError("hook-set enumeration called the encoding")
 
     forbidden_names = {
-        abacus_mod: ("place_beads", "_place_beads", "state_md", "_deep_block"),
+        abacus_mod: ("place_beads", "_place_beads", "state_md", "_state_hooks"),
         bijection_mod: ("phi", "_phi", "phi_inverse"),
         mdcore_mod: ("_is_simultaneous_core", "_hook_mask"),
     }
@@ -244,3 +273,84 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
         (9,),
     ]
     assert len(enumerate_md_sets(Progression(21, 4, 4))) == 13694
+
+
+def _reads(module):
+    """Every name and attribute a module's source reads or imports."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_each_check_has_one_home():
+    # The column read-back lives in abacus._state_hooks and the d = 1 corner
+    # rows in oracle.corner_rows; a second copy must not creep back in.
+    import score_lab.bijection as bijection_mod
+    import score_lab.cli as cli_mod
+
+    assert not _reads(bijection_mod) & {"class_blocks", "class_depth", "_deep_block"}
+    assert not _reads(cli_mod) & {"CORNER_FORMULAS", "_corners", "_md_to_partition"}
+
+
+def _verify_corner_rows(monkeypatch):
+    """Rebind the rows verify_instance compares so that each call's rows are kept."""
+    compared = []
+
+    def keeping(*args, build=oracle_mod._corner_rows):
+        compared.append(build(*args))
+        return compared[-1]
+
+    monkeypatch.setattr(oracle_mod, "_corner_rows", keeping)
+    return compared
+
+
+@pytest.mark.parametrize("s", range(3, 10))
+def test_verify_checks_the_corner_row_past_the_top(s, monkeypatch):
+    prog = Progression(s, 1, 2)
+    past_top = corner_rows(prog, enumerate_md_sets(prog))[-1]["m"]
+    real = CORNER_FORMULAS[2]
+
+    def one_more_core(s, m):
+        return CountResult(1, "patched") if m == past_top else real(s, m)
+
+    assert verify_instance(s, 1, 2).corners == "pass"
+    monkeypatch.setitem(CORNER_FORMULAS, 2, one_more_core)
+    assert verify_instance(s, 1, 2).corners == "fail"
+
+
+def test_verify_checks_each_cores_last_step_and_flat_count(monkeypatch):
+    # Swapping the corner counts of the empty core (m = 0) and (1,) (m = 1)
+    # leaves every row agreeing, so only the per-core path check can fail.
+    real = oracle_mod._corners
+
+    def swapped(parts):
+        return {(): 1, (1,): 0}.get(tuple(parts), real(parts))
+
+    compared = _verify_corner_rows(monkeypatch)
+    monkeypatch.setattr(oracle_mod, "_corners", swapped)
+    report = verify_instance(9, 1, 2)
+    assert report.corners == "fail" and not report.passed
+    assert all(row["enumerated"] == row["formula"] for row in compared[0])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_corners_prints_the_rows_verify_compares_but_the_last(p, monkeypatch, capsys):
+    compared = _verify_corner_rows(monkeypatch)
+    for s in range(1, 16):
+        assert verify_instance(s, 1, p).corners == "pass"
+        assert main(["corners", "--s", str(s), "--p", str(p), "--format", "json"]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert printed == compared[-1][:-1]
+        assert len(printed) == max(s // 2, printed[-1]["m"]) + 1
+
+
+def test_corner_rows_refuses_a_progression_other_than_d_1():
+    with pytest.raises(UnsupportedParametersError, match="d=1 only, got d=2"):
+        corner_rows(Progression(5, 2, 2), [])
