@@ -23,13 +23,18 @@ summary
 
 (the topmost bead row when the column has positive-label beads,
 otherwise the topmost negative-label spacer row) is the quantity the
-lattice-path encoding in `score_lab.bijection` is built from.
+lattice-path encoding in `score_lab.bijection` is built from: the word
+of f's differences, with one convention step for odd d, is the path.
+This module builds that word for `phi`, and `validate_core_function`
+checks a summary by the path rules of `Progression.constraints`, so it
+keeps no structural rules of its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import (
     BeadStructureError,
@@ -38,6 +43,7 @@ from .errors import (
     check_progression_length,
 )
 from .mdcore import validate_md
+from .motzkin import _satisfies
 from .progression import Progression, _class_block
 
 __all__ = [
@@ -53,6 +59,8 @@ __all__ = [
     "render_abacus",
     "abacus_record",
 ]
+
+_LETTER = {1: "U", -1: "D", 0: "F"}  # a column-to-column difference -> its step
 
 
 def abacus_spec(s: int, d: int) -> Progression:
@@ -70,20 +78,31 @@ class AbacusState:
 
 def label(prog: Progression, i: int, j: int) -> int:
     """Odd label of position (i, j)."""
-    if not 0 <= j <= prog.max_column:
-        raise InvalidInputError(
-            f"column {j} out of range 0..{prog.max_column} for s={prog.s}, d={prog.d}"
-        )
+    _check_column(prog, j)
     return prog.a + prog.period * i + 2 * prog.d * j
 
 
 def boundary_row(prog: Progression, j: int) -> int:
     """First row of column j whose label is positive (see `Progression.boundary_rows`)."""
+    _check_column(prog, j)
+    return prog.boundary_rows[j]
+
+
+def _check_column(prog: Progression, j: int) -> None:
+    """Raise `InvalidInputError` unless j is a column of the grid."""
     if not 0 <= j <= prog.max_column:
         raise InvalidInputError(
             f"column {j} out of range 0..{prog.max_column} for s={prog.s}, d={prog.d}"
         )
-    return prog.boundary_rows[j]
+
+
+def _check_column_count(prog: Progression, values: Sequence[int]) -> None:
+    """Raise `InvalidInputError` unless there is one value per column of the grid."""
+    if len(values) != prog.columns:
+        raise InvalidInputError(
+            f"expected {prog.columns} values for s={prog.s}, d={prog.d}, "
+            f"got {len(values)}"
+        )
 
 
 def place_beads(prog: Progression, md: Iterable[int]) -> AbacusState:
@@ -162,11 +181,7 @@ def _abacus_function(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]
 
 def beads_from_function(prog: Progression, values: Sequence[int]) -> AbacusState:
     """Invert `abacus_function`: b(j) = f(j) - r(j) + 1."""
-    if len(values) != prog.columns:
-        raise InvalidInputError(
-            f"expected {prog.columns} values for s={prog.s}, d={prog.d}, "
-            f"got {len(values)}"
-        )
+    _check_column_count(prog, values)
     return AbacusState(prog, tuple(v - r + 1 for v, r in zip(values, prog.boundary_rows)))
 
 
@@ -198,74 +213,33 @@ def _state_hooks(prog: Progression, counts: Iterable[int]) -> tuple[tuple[int, .
 
 
 def validate_core_function(values: Sequence[int], prog: Progression) -> bool:
-    """Check every structural condition the summary f of a core satisfies.
+    """Check that f is the summary of a core: f(0) = 0 and f spells an admissible path.
 
-    Shared conditions: f(0) = 0 and consecutive values differ by at
-    most 1; when p >= 3, a unit rise into column j forces every value
-    in the preceding p-2 columns to sit at or above the pre-rise level
-    (this is what rules out ``UF^iU`` patterns downstream).  On top of
-    those, each parity case pins the final value and bounds values in
-    a window near each end of the grid:
-
-    * odd s, even d: f ends at -d/2; if p >= 3 the last (p-1)//2
-      columns before the end stay >= -d/2; if p >= 4 the early columns
-      1..(p-2)//2 stay <= 0.
-    * odd s, odd d: f ends at -(d-1)/2 or -(d+1)/2; if p >= 3 the last
-      p-2 columns before the end stay >= -(d+1)/2; early columns as in
-      the previous case.
-    * even s, odd d: same as odd/odd except the early-column window is
-      1..(p-1)//2, active already for p >= 3.
-
-    In the odd/odd and even/odd cases the width of the near-end window
-    is p-2 columns (k = 0..p-3), not p-1: the wider bound would need
-    the progression to reach one step past s+pd, and genuine cores do
-    violate it (diagonal hooks {23, 7, 5, 3, 1} with s=8, d=1, p=3 dip
-    to -2 one column further in); see the regression test.  Needs p >= 2.
+    The word of f's differences, with the convention step to -(d+1)/2
+    added for odd d (see `_path_word`), must pass `Progression.constraints`
+    at type (x, y), the rules `phi` and `phi_inverse` read; a jump of 2 or
+    more fails.  Needs p >= 2.
     """
-    s, d, p = prog.s, prog.d, prog.p
-    check_progression_length(p)
-    if len(values) != prog.columns:
-        raise InvalidInputError(
-            f"expected {prog.columns} values for s={prog.s}, d={prog.d}, "
-            f"got {len(values)}"
-        )
-    f = list(values)
-    top = prog.max_column
-
-    if f[0] != 0:
+    check_progression_length(prog.p)
+    _check_column_count(prog, values)
+    if values[0] != 0:
         return False
-    if any(abs(f[j] - f[j - 1]) > 1 for j in range(1, top + 1)):
+    try:
+        steps = _path_word(prog, values)
+    except KeyError:  # a jump of 2 or more
         return False
-    if p >= 3:
-        for j in range(1, top + 1):
-            if f[j] == f[j - 1] + 1:
-                lo = max(0, j - p + 1)
-                if any(f[k] < f[j - 1] for k in range(lo, j - 1)):
-                    return False
+    return _satisfies(steps, prog.constraints, prog.x, prog.y)
 
-    if s % 2 == 1 and d % 2 == 0:
-        if f[top] != -(d // 2):
-            return False
-        if p >= 3:
-            for k in range((p - 3) // 2 + 1):
-                if top - k - 1 >= 0 and f[top - k - 1] < -(d // 2):
-                    return False
-        if p >= 4:
-            for ell in range((p - 4) // 2 + 1):
-                if ell + 1 <= top and f[ell + 1] > 0:
-                    return False
-    else:
-        if f[top] not in (-((d - 1) // 2), -((d + 1) // 2)):
-            return False
-        if p >= 3:
-            for k in range(p - 2):
-                if top - k - 1 >= 0 and f[top - k - 1] < -((d + 1) // 2):
-                    return False
-        early_top = (p - 4) // 2 if s % 2 == 1 else (p - 3) // 2
-        for ell in range(early_top + 1):
-            if ell + 1 <= top and f[ell + 1] > 0:
-                return False
-    return True
+
+def _path_word(prog: Progression, f: Sequence[int]) -> str:
+    """The U/D/F word of f's consecutive differences, with odd d's convention step.
+
+    For odd d a last step from f's last column to -(d+1)/2 is added.  A
+    difference outside -1, 0, 1 raises `KeyError` with that difference.
+    """
+    if prog.d % 2 == 1:
+        f = [*f, prog.y]
+    return "".join(map(_LETTER.__getitem__, map(sub, f[1:], f)))
 
 
 def render_abacus(

@@ -12,7 +12,9 @@ avoiding the patterns listed by `score_lab.motzkin.constraints_for`,
 and the assignment is a bijection onto all such paths.  `phi` computes
 the path, `phi_inverse` reconstructs the diagonal hook set from a path,
 and both ends are validated so the correspondence is enforced rather
-than assumed.
+than assumed.  The f -> word step is `score_lab.abacus`'s, the one
+`validate_core_function` checks a summary through, so the path rules
+have one home.
 
 For d = 1 the encoding refines by the corner count m of the partition:
 paths of cores with even m end in D and carry floor(s/2) - m flats;
@@ -25,7 +27,7 @@ from collections.abc import Iterable
 from itertools import accumulate
 from operator import sub
 
-from .abacus import _abacus_function, _place_beads, _state_hooks
+from .abacus import _LETTER, _abacus_function, _path_word, _place_beads, _state_hooks
 from .errors import (
     InternalConsistencyError,
     InvalidPathError,
@@ -52,7 +54,6 @@ __all__ = [
     "mapping_record",
 ]
 
-_LETTER = {1: "U", -1: "D", 0: "F"}
 _HEIGHT = {letter: step for step, letter in _LETTER.items()}
 
 
@@ -89,11 +90,8 @@ def _phi(md: tuple[int, ...], prog: Progression) -> str:
         raise NotACoreError(
             f"{md} is not a self-conjugate {prog.moduli}-core hook set"
         )
-    f = list(_abacus_function(prog, _place_beads(prog, md)))
-    if prog.d % 2 == 1:
-        f.append(prog.y)  # the convention step to -(d+1)/2
     try:
-        steps = "".join(map(_LETTER.__getitem__, map(sub, f[1:], f)))
+        steps = _path_word(prog, _abacus_function(prog, _place_beads(prog, md)))
     except KeyError as exc:  # a jump of 2+ would mean the encoding is broken
         raise InternalConsistencyError(f"column summary jumps by {exc} for {md}")
     if not _satisfies(steps, prog.constraints, prog.x, prog.y):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import abacus as abacus_mod
 from . import bijection, formulas, mdcore, oracle
-from .errors import ScoreLabError, check_pair, check_progression_length
+from .errors import ScoreLabError, check_pair
 from .progression import Progression
 
 USAGE_ERROR = 64
@@ -258,7 +258,8 @@ def _cmd_enumerate(args) -> _Output:
     prog = Progression(args.s, args.d, args.p)
     if args.n_max is not None:
         partitions = oracle.enumerate_by_partition_scan(prog, args.n_max)
-        mds = [mdcore.partition_to_md(parts) for parts in partitions]
+        # the scan's partitions are canonical, so their hooks are read off unchecked
+        mds = [mdcore._partition_to_md(parts) for parts in partitions]
     else:
         mds = oracle.enumerate_md_sets(prog, args.bound)
     records = [mdcore.partition_record(md) for md in mds]
@@ -295,8 +296,7 @@ def _cmd_abacus(args) -> _Output:
 
 def _cmd_corners(args) -> _Output:
     s, p = args.s, args.p
-    prog = Progression(s, 1, p)  # p < 1 is refused here, p = 1 by the next line
-    check_progression_length(p)
+    prog = bijection.phi_context(s, 1, p)
     if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
     rows = oracle.corner_rows(prog, oracle.enumerate_md_sets(prog))[:-1]  # m = 0..top

@@ -26,8 +26,8 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .bijection import phi, phi_inverse
-from .errors import InvalidInputError, UnsupportedParametersError, check_progression_length
+from .bijection import phi, phi_context, phi_inverse
+from .errors import InvalidInputError, UnsupportedParametersError
 from .formulas import CORNER_FORMULAS, closed_forms
 from .mdcore import _corners, _md_to_partition
 from .motzkin import count_paths_dp, enumerate_paths
@@ -79,6 +79,15 @@ def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple
     nowhere and nothing is rolled back.  Completeness: any hook above the
     default bound would be a hook above the maximal (s, s+d)-core hook,
     which no core has.
+
+    The hook sets come out sorted with no sort.  The largest hook in
+    which two sets differ decides both their tuple order and their mask
+    order, so it is enough that masks come out ascending.  A node pushes
+    one branch per open candidate h, largest first, then emits its
+    chosen mask, the least of its subtree, before any branch runs.
+    Branch h holds h and no open candidate above it.  The stack pops the
+    branch of the smallest h first and finishes its subtree before the
+    next, so each subtree's sets come out below every larger branch's.
     """
     if bound is None:
         bound = default_md_bound(prog.s, prog.d)
@@ -136,7 +145,6 @@ def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple
             hooks.append(h)
             chosen ^= 1 << h
         results.append(tuple(hooks))
-    results.sort()
     return results
 
 
@@ -252,8 +260,7 @@ def verify_instance(
     and its result must match the hook-set enumerator partition for
     partition.
     """
-    check_progression_length(p)
-    prog = Progression(s, d, p)
+    prog = phi_context(s, d, p)
     mds = enumerate_md_sets(prog, bound)
     paths = enumerate_paths(prog.x, prog.y, prog.constraints)
     n_dp = count_paths_dp(prog.x, prog.y, prog.constraints)

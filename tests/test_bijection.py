@@ -243,12 +243,16 @@ def test_enumerate_and_map_validate_each_core_once(monkeypatch, capsys):
     counts = _count_calls(
         monkeypatch, ("validate_md", "md_to_partition", "corners", "last_step", "flat_count")
     )
-    for fmt in ("text", "json", "csv"):
-        assert main(["enumerate", "--s", "9", "--d", "1", "--p", "2", "--format", fmt]) == 0
     cores = len(enumerate_md_sets(Progression(9, 1, 2)))
-    assert len(capsys.readouterr().out.splitlines()) == 3 * cores + 1  # one CSV header
-    assert counts["validate_md"] <= 3 * cores
-    assert counts["md_to_partition"] == counts["corners"] == 0
+    # the hook-set search, then the partition scan, which reads hooks off its partitions
+    for route in ([], ["--n-max", str(pair_core_size_bound(9, 10))]):
+        counts["validate_md"] = 0
+        for fmt in ("text", "json", "csv"):
+            argv = ["enumerate", "--s", "9", "--d", "1", "--p", "2", *route, "--format", fmt]
+            assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3 * cores + 1  # one CSV header
+        assert counts["validate_md"] <= 3 * cores
+        assert counts["md_to_partition"] == counts["corners"] == 0
     for fmt in ("text", "json", "csv"):
         assert main(["map", "--md", "3,1", "--s", "5", "--d", "1", "--p", "2", "--format", fmt]) == 0
     assert counts["last_step"] == counts["flat_count"] == 0

@@ -244,6 +244,10 @@ def test_corners_refuses_an_m_outside_its_rows(capsys, monkeypatch):
     monkeypatch.setattr(cli.oracle, "enumerate_md_sets", forbidden)
     code, out, err = run(capsys, "corners", "--s", "5", "--p", "2", "--m", "-1")
     assert (code, out, err) == (64, "", "error: --m must be >= 0, got -1\n")
+    # corners needs p >= 2 and words every p below it as the path encoding does
+    for p in ("0", "1"):
+        code, out, err = run(capsys, "corners", "--s", "5", "--p", p)
+        assert (code, out, err) == (3, "", f"error: progression length p must be >= 2, got {p}\n")
 
 
 def test_enumerate_json_lines(capsys):

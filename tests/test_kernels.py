@@ -5,7 +5,9 @@
 private modular core test behind `phi` work on one int per hook set
 (bit h set for each hook h); `enumerate_md_sets` searches on its own
 chain and partner masks; `md_to_partition` walks down the Durfee rows
-once; and `enumerate_paths` joins height-pruned half words.  Each
+once; `enumerate_paths` joins height-pruned half words; and
+`validate_core_function` checks a summary by the path rules instead of
+the parity-case windows it once wrote out.  Each
 reference below is the straightforward loop over hooks, columns, rows
 or steps, kept verbatim: the kernels must give the same results, raise
 the same error types with the same messages, and list hook sets and
@@ -45,7 +47,9 @@ from score_lab import (
     place_beads,
     satisfies,
     state_md,
+    validate_core_function,
 )
+from score_lab.errors import check_progression_length
 from score_lab.mdcore import _coprime_pair_sums, _hook_mask, _is_simultaneous_core
 from score_lab.motzkin import EMPTY_CONSTRAINTS, _satisfies
 
@@ -279,6 +283,77 @@ def reference_enumerate_paths(x, y, constraints):
 
     grow(0)
     return out
+
+
+def reference_validate_core_function(values, prog):
+    """Check every structural condition the summary f of a core satisfies.
+
+    Shared conditions: f(0) = 0 and consecutive values differ by at
+    most 1; when p >= 3, a unit rise into column j forces every value
+    in the preceding p-2 columns to sit at or above the pre-rise level
+    (this is what rules out ``UF^iU`` patterns downstream).  On top of
+    those, each parity case pins the final value and bounds values in
+    a window near each end of the grid:
+
+    * odd s, even d: f ends at -d/2; if p >= 3 the last (p-1)//2
+      columns before the end stay >= -d/2; if p >= 4 the early columns
+      1..(p-2)//2 stay <= 0.
+    * odd s, odd d: f ends at -(d-1)/2 or -(d+1)/2; if p >= 3 the last
+      p-2 columns before the end stay >= -(d+1)/2; early columns as in
+      the previous case.
+    * even s, odd d: same as odd/odd except the early-column window is
+      1..(p-1)//2, active already for p >= 3.
+
+    In the odd/odd and even/odd cases the width of the near-end window
+    is p-2 columns (k = 0..p-3), not p-1: the wider bound would need
+    the progression to reach one step past s+pd, and genuine cores do
+    violate it (diagonal hooks {23, 7, 5, 3, 1} with s=8, d=1, p=3 dip
+    to -2 one column further in); see the regression test.  Needs p >= 2.
+    """
+    s, d, p = prog.s, prog.d, prog.p
+    check_progression_length(p)
+    if len(values) != prog.columns:
+        raise InvalidInputError(
+            f"expected {prog.columns} values for s={prog.s}, d={prog.d}, "
+            f"got {len(values)}"
+        )
+    f = list(values)
+    top = prog.max_column
+
+    if f[0] != 0:
+        return False
+    if any(abs(f[j] - f[j - 1]) > 1 for j in range(1, top + 1)):
+        return False
+    if p >= 3:
+        for j in range(1, top + 1):
+            if f[j] == f[j - 1] + 1:
+                lo = max(0, j - p + 1)
+                if any(f[k] < f[j - 1] for k in range(lo, j - 1)):
+                    return False
+
+    if s % 2 == 1 and d % 2 == 0:
+        if f[top] != -(d // 2):
+            return False
+        if p >= 3:
+            for k in range((p - 3) // 2 + 1):
+                if top - k - 1 >= 0 and f[top - k - 1] < -(d // 2):
+                    return False
+        if p >= 4:
+            for ell in range((p - 4) // 2 + 1):
+                if ell + 1 <= top and f[ell + 1] > 0:
+                    return False
+    else:
+        if f[top] not in (-((d - 1) // 2), -((d + 1) // 2)):
+            return False
+        if p >= 3:
+            for k in range(p - 2):
+                if top - k - 1 >= 0 and f[top - k - 1] < -((d + 1) // 2):
+                    return False
+        early_top = (p - 4) // 2 if s % 2 == 1 else (p - 3) // 2
+        for ell in range(early_top + 1):
+            if ell + 1 <= top and f[ell + 1] > 0:
+                return False
+    return True
 
 
 # --------------------------------------------------------------------- tests
@@ -541,3 +616,46 @@ def test_core_tests_with_huge_hooks_or_moduli_need_no_huge_mask():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _walks(prog, steps, starts=(0,)):
+    """Every integer walk over the grid's columns from each start, each step in ``steps``."""
+    for start in starts:
+        for deltas in itertools.product(steps, repeat=prog.max_column):
+            yield list(accumulate(deltas, initial=start))
+
+
+def test_validate_core_function_matches_the_parity_case_rules():
+    walks = accepted = 0
+    for s in range(1, 12):
+        for d in range(1, 5):
+            if gcd(s, d) != 1:
+                continue
+            for p in range(1, 7):
+                prog = Progression(s, d, p)
+                for columns in (prog.columns - 1, prog.columns + 1, prog.columns):
+                    f = [0] * columns
+                    expected = outcome(reference_validate_core_function, f, prog)
+                    assert outcome(validate_core_function, f, prog) == expected, (prog, f)
+                if p == 1:
+                    continue
+                for f in _walks(prog, (-1, 0, 1)):
+                    expected = reference_validate_core_function(f, prog)
+                    assert validate_core_function(f, prog) == expected, (prog, f)
+                    walks += 1
+                    accepted += expected
+    assert walks == 34_715
+    assert 0 < accepted < walks
+
+
+def test_validate_core_function_matches_the_parity_case_rules_on_jumps_and_bad_starts():
+    walks = accepted = 0
+    for s, d, p in ((5, 2, 3), (7, 3, 4), (8, 1, 3), (6, 5, 5)):
+        prog = Progression(s, d, p)
+        for f in _walks(prog, (-2, -1, 0, 1, 2), starts=(0, 1)):
+            expected = reference_validate_core_function(f, prog)
+            assert validate_core_function(f, prog) == expected, (prog, f)
+            walks += 1
+            accepted += expected
+    assert walks == 9_000
+    assert 0 < accepted < walks

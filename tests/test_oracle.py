@@ -275,9 +275,13 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
     assert len(enumerate_md_sets(Progression(21, 4, 4))) == 13694
 
 
-def _reads(module):
-    """Every name and attribute a module's source reads or imports."""
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+def _reads(source):
+    """Every name and attribute a module's source, or a syntax tree, reads or imports."""
+    tree = (
+        source
+        if isinstance(source, ast.AST)
+        else ast.parse(Path(source.__file__).read_text(encoding="utf-8"))
+    )
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -297,6 +301,27 @@ def test_each_check_has_one_home():
 
     assert not _reads(bijection_mod) & {"class_blocks", "class_depth", "_deep_block"}
     assert not _reads(cli_mod) & {"CORNER_FORMULAS", "_corners", "_md_to_partition"}
+
+    # The path rules live in constraints_for: the summary validator checks f
+    # through them with no parity cases of its own, and phi takes its word
+    # from the same f -> word step in abacus.
+    import score_lab.abacus as abacus_mod
+
+    validator = _function(abacus_mod, "validate_core_function")
+    assert {"constraints", "_satisfies", "_path_word"} <= _reads(validator)
+    assert not any(isinstance(node, ast.Mod) for node in ast.walk(validator))
+    phi_body = _function(bijection_mod, "_phi")
+    assert "_path_word" in _reads(phi_body)
+    assert not _reads(phi_body) & {"_LETTER", "join", "sub"}
+
+
+def _function(module, name):
+    """The syntax tree of the top-level function ``name`` in a module's source."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    (node,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return node
 
 
 def _verify_corner_rows(monkeypatch):
