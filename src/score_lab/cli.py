@@ -299,7 +299,9 @@ def _cmd_corners(args) -> _Output:
     prog = bijection.phi_context(s, 1, p)
     if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
-    rows = oracle.corner_rows(prog, oracle.enumerate_md_sets(prog))[:-1]  # m = 0..top
+    # The cores stream into the histogram, so memory stays flat in their count.
+    cores = oracle._iter_md_sets(prog, prog.md_bound)
+    rows = oracle.corner_rows(prog, cores)[:-1]  # m = 0..top
     if args.m is not None:
         if args.m >= len(rows):
             raise _UsageError(f"--m must be in 0..{len(rows) - 1} for s={s}, p={p}, got {args.m}")
@@ -351,6 +353,9 @@ def _cmd_verify(args) -> _Output:
     else:
         reports = [_verify_one(item) for item in grid]
 
+    for r in reports:
+        if r.error:  # stdout keeps the report's bytes; the failing core goes to stderr
+            print(f"error: s={r.s} d={r.d} p={r.p} {r.error}", file=sys.stderr)
     results = [report.as_json() for report in reports]
     failures = sum(1 for r in reports if not r.passed)
     tally = {

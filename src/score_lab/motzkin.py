@@ -20,6 +20,7 @@ agree exactly, and the test suite enforces that.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
@@ -148,19 +149,22 @@ def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]
     """
     if not (isinstance(x, int) and x >= 0):
         raise InvalidInputError(f"path length must be a nonnegative integer, got {x!r}")
+    return list(_iter_paths(x, y, constraints))
+
+
+def _iter_paths(x: int, y: int, constraints: PathConstraintSet) -> Iterator[str]:
+    """`enumerate_paths` one word at a time, for a nonnegative integer x."""
     if abs(y) > x:
-        return []
+        return
     half = x // 2
     rest = x - half
     rights: dict[int, list[str]] = {}
     for right, height in _half_words(rest, y - half, y + half):
         rights.setdefault(height, []).append(right)
-    return [
-        word
-        for left, height in _half_words(half, y - rest, y + rest)
-        for word in map(left.__add__, rights.get(y - height, ()))
-        if satisfies(word, constraints, x, y)
-    ]
+    for left, height in _half_words(half, y - rest, y + rest):
+        for word in map(left.__add__, rights.get(y - height, ())):
+            if satisfies(word, constraints, x, y):
+                yield word
 
 
 def _half_words(n: int, lo: int, hi: int) -> list[tuple[str, int]]:

@@ -17,20 +17,26 @@ Two independent enumerators back every identity in the package:
 `verify_instance` cross-checks, for one parameter triple, the two
 enumerations, both path-counting routes, the closed formulas, the
 round trip of the path encoding, and the d = 1 corner refinement, whose
-rows `corner_rows` builds for it and for the ``corners`` command.
+rows `corner_rows` builds for it and for the ``corners`` command.  It
+makes one pass over the streams of cores and of admissible paths and
+keeps no list of either, nor of phi's images.  Each core's round trip,
+both streams strictly ascending and each streamed path admissible,
+with as many cores and paths as the DP counts, already show that phi
+maps the cores one to one onto the admissible paths and that the path
+enumerator yields exactly those paths.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .bijection import phi, phi_context, phi_inverse
-from .errors import InvalidInputError, UnsupportedParametersError
+from .bijection import _phi, phi_context, phi_inverse
+from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError
 from .formulas import CORNER_FORMULAS, closed_forms
 from .mdcore import _corners, _md_to_partition
-from .motzkin import count_paths_dp, enumerate_paths
+from .motzkin import _iter_paths, count_paths_dp, satisfies
 from .progression import Progression, default_md_bound
 
 __all__ = [
@@ -42,6 +48,8 @@ __all__ = [
     "VerifyReport",
     "verify_instance",
 ]
+
+_UDF_ORDER = str.maketrans("UDF", "012")  # path words compare in U < D < F order
 
 
 def pair_core_size_bound(s: int, t: int) -> int:
@@ -89,10 +97,20 @@ def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple
     branch of the smallest h first and finishes its subtree before the
     next, so each subtree's sets come out below every larger branch's.
     """
+    return list(_iter_md_sets(prog, _md_bound(prog, bound)))
+
+
+def _md_bound(prog: Progression, bound: int | None) -> int:
+    """The candidate bound of `enumerate_md_sets`, checked before any search runs."""
     if bound is None:
-        bound = default_md_bound(prog.s, prog.d)
-    elif bound < 1:
+        return prog.md_bound
+    if bound < 1:
         raise InvalidInputError(f"bound must be >= 1, got {bound!r}")
+    return bound
+
+
+def _iter_md_sets(prog: Progression, bound: int) -> Iterator[tuple[int, ...]]:
+    """`enumerate_md_sets` one hook set at a time, for a checked ``bound``."""
     doubled = prog.doubled
     chain: dict[int, int] = {}  # kept candidate -> mask of its forced chain
     partners: dict[int, int] = {}  # kept candidate -> partners of its chain's hooks
@@ -131,7 +149,6 @@ def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple
         ruled_out[h] = clash
     leaves_open = {h: ~(chain[h] | ruled_out[h]) for h in chain}
 
-    results: list[tuple[int, ...]] = []
     stack = [(0, sum(map((1).__lshift__, chain)))]
     while stack:
         chosen, open_mask = stack.pop()
@@ -144,8 +161,7 @@ def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple
             h = chosen.bit_length() - 1
             hooks.append(h)
             chosen ^= 1 << h
-        results.append(tuple(hooks))
-    return results
+        yield tuple(hooks)
 
 
 def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int, ...]]:
@@ -197,7 +213,8 @@ def corner_rows(prog: Progression, mds: Iterable[tuple[int, ...]]) -> list[dict]
     """The corner refinement of a d = 1 progression's cores, one row per corner count.
 
     ``mds`` are the cores' canonical hook sets, as `enumerate_md_sets`
-    gives them.  Row m holds m, the number of cores with m corners and
+    gives them; they are read once, so a stream of them keeps memory
+    flat in the core count.  Row m holds m, the number of cores with m corners and
     the count of `CORNER_FORMULAS` for p (None when none is known), for
     m = 0..top + 1, where top is the larger of s // 2 and the most
     corners of any core: the last row checks that no core has more.
@@ -232,6 +249,7 @@ class VerifyReport:
     corners: str  # "pass" | "fail" | "n/a"
     passed: bool
     n_scan: int | None = None
+    error: str | None = None  # the first error a core's round trip raised, not in as_json
 
     def as_json(self) -> dict:
         record = {
@@ -256,51 +274,90 @@ def verify_instance(
 ) -> VerifyReport:
     """Run every cross-check for one instance and report the tallies.
 
+    One pass walks the cores as `_iter_md_sets` yields them and keeps
+    none, so memory does not grow with the core count.  Each core's path
+    comes from `_phi` and must lead back to that core through public
+    `phi_inverse`, which admits only paths that pass `satisfies` and
+    re-runs the core test.  A `ScoreLabError` on either side fails the
+    round trip, not the run, and the first one is kept, with its core,
+    as the report's ``error``.  The paths are counted as `_iter_paths`
+    yields them, and each must pass public `satisfies` itself.
+
+    The round trip passes when every core comes back, both streams are
+    strictly ascending (hook tuples, and words in U < D < F order), each
+    streamed path is admissible and there are as many cores as paths.
+    No image needs to be kept for that: the cores are distinct and each
+    comes back, so phi is injective on them and its n_md images are
+    n_md distinct admissible paths, while the path stream is n_path
+    distinct admissible paths.  When n_md = n_path = n_dp, as ``passed``
+    also asks, both are every admissible path, so the images are the
+    enumerated paths; when the counts differ, ``passed`` is False
+    whatever ``roundtrip`` says.
+
     When ``n_max`` is given, the partition-scan enumerator runs as well
     and its result must match the hook-set enumerator partition for
-    partition.
+    partition; only then are the cores' partitions kept.
     """
     prog = phi_context(s, d, p)
-    mds = enumerate_md_sets(prog, bound)
-    paths = enumerate_paths(prog.x, prog.y, prog.constraints)
-    n_dp = count_paths_dp(prog.x, prog.y, prog.constraints)
+    bound = _md_bound(prog, bound)
+    x, y, constraints = prog.x, prog.y, prog.constraints
+    n_dp = count_paths_dp(x, y, constraints)
+    n_path, roundtrip_ok = 0, True
+    for word in _iter_paths(x, y, constraints):
+        key = word.translate(_UDF_ORDER)
+        if n_path and not previous < key or not satisfies(word, constraints, x, y):
+            roundtrip_ok = False
+        n_path, previous = n_path + 1, key
 
     formulas = [result.value for result in closed_forms(s, d, p)]
     formulas_agree = len(set(formulas)) <= 1
     n_formula = formulas[0] if formulas else None
 
-    images = []
-    roundtrip_ok = True
-    for md in mds:
-        steps = phi(md, prog)
-        images.append(steps)
-        if phi_inverse(steps, prog) != md:
-            roundtrip_ok = False
-    if len(set(images)) != len(images) or set(images) != set(paths):
-        roundtrip_ok = False
-
-    # The hook sets come canonical from the enumeration and the paths from phi,
+    # The hook sets come canonical from the search and the paths from _phi,
     # so their partitions and step letters are read without re-validating.
+    corner_check = d == 1 and p in CORNER_FORMULAS
+    partitions: list[tuple[int, ...]] | None = None if n_max is None else []
+    histogram: Counter = Counter()
+    n_md, paths_ok, error = 0, True, None
+    for md in _iter_md_sets(prog, bound):
+        if n_md and not previous < md:
+            roundtrip_ok = False
+        n_md, previous = n_md + 1, md
+        try:
+            steps = _phi(md, prog)
+            if phi_inverse(steps, prog) != md:
+                roundtrip_ok = False
+        except ScoreLabError as exc:
+            steps, roundtrip_ok = None, False
+            error = error or f"core {md}: {exc}"
+        if corner_check or partitions is not None:
+            parts = _md_to_partition(md)
+        if partitions is not None:
+            partitions.append(parts)
+        if corner_check:
+            m = _corners(parts)
+            histogram[m] += 1
+            # an even m ends in D with s//2 - m flats, an odd m in F with one more
+            if steps is not None and not (
+                steps[-1:] == "DF"[m % 2] and steps.count("F") == s // 2 - m + m % 2
+            ):
+                paths_ok = False
+    roundtrip_ok = roundtrip_ok and n_md == n_path
+
     corner_status = "n/a"
-    if d == 1 and p in CORNER_FORMULAS:
-        counts = [_corners(_md_to_partition(md)) for md in mds]
-        # an even m ends in D with s//2 - m flats, an odd m in F with one more
-        paths_ok = all(
-            steps[-1:] == "DF"[m % 2] and steps.count("F") == s // 2 - m + m % 2
-            for m, steps in zip(counts, images)
-        )
-        rows = _corner_rows(s, p, Counter(counts))
+    if corner_check:
+        rows = _corner_rows(s, p, histogram)
         rows_ok = all(row["formula"] == row["enumerated"] for row in rows)
         corner_status = "pass" if paths_ok and rows_ok else "fail"
 
     n_scan = None
     scan_ok = True
-    if n_max is not None:
+    if partitions is not None:
         scanned = enumerate_by_partition_scan(prog, n_max)
         n_scan = len(scanned)
-        scan_ok = scanned == sorted(map(_md_to_partition, mds))
+        scan_ok = scanned == sorted(partitions)
 
-    counts = {len(mds), len(paths), n_dp}
+    counts = {n_md, n_path, n_dp}
     if n_formula is not None:
         counts.add(n_formula)
     passed = (
@@ -314,12 +371,13 @@ def verify_instance(
         s,
         d,
         p,
-        len(mds),
-        len(paths),
+        n_md,
+        n_path,
         n_dp,
         n_formula,
         "pass" if roundtrip_ok else "fail",
         corner_status,
         passed,
         n_scan,
+        error,
     )

@@ -218,15 +218,14 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
 
 
 def test_verify_instance_validates_each_core_once(monkeypatch):
-    # The d = 1 corner check and the scan comparison read the canonical
-    # hook sets and paths they are given; only phi validates its input.
+    # The round trip, the d = 1 corner check and the scan comparison read the
+    # canonical hook sets and paths the search and the trusted phi give them.
     counts = _count_calls(
         monkeypatch, ("validate_md", "md_to_partition", "corners", "last_step", "flat_count")
     )
     report = verify_instance(9, 1, 2, n_max=pair_core_size_bound(9, 10))
     assert report.passed and report.corners == "pass" and report.n_scan == report.n_md == 35
-    assert counts["validate_md"] <= report.n_md  # at most one per phi call
-    assert counts["md_to_partition"] == counts["corners"] == 0
+    assert counts["validate_md"] == counts["md_to_partition"] == counts["corners"] == 0
     assert counts["last_step"] == counts["flat_count"] == 0
 
 

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from score_lab import bijection, cli
+from score_lab import InternalConsistencyError, bijection, cli
 from score_lab.cli import main
 
 
@@ -242,6 +242,7 @@ def test_corners_refuses_an_m_outside_its_rows(capsys, monkeypatch):
         raise AssertionError("a negative --m is refused before enumerating")
 
     monkeypatch.setattr(cli.oracle, "enumerate_md_sets", forbidden)
+    monkeypatch.setattr(cli.oracle, "_iter_md_sets", forbidden)
     code, out, err = run(capsys, "corners", "--s", "5", "--p", "2", "--m", "-1")
     assert (code, out, err) == (64, "", "error: --m must be >= 0, got -1\n")
     # corners needs p >= 2 and words every p below it as the path encoding does
@@ -337,6 +338,30 @@ def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
     monkeypatch.setattr(cli.oracle, "verify_instance", lambda *args, **kwargs: failed)
     code, out, _ = run(capsys, "verify", "--s", "5", "--d", "1", "--p", "2")
     assert code == 1 and "roundtrip=fail" in out and "FAIL" in out
+
+
+def test_verify_reports_an_error_on_one_core_as_that_instances_failure(capsys, monkeypatch):
+    # An InternalConsistencyError from the path map on one core fails that
+    # instance's round trip (exit 1) and does not abort the grid (exit 3);
+    # the core and the message go to stderr, stdout keeps the reports' bytes.
+    real = cli.oracle._phi
+
+    def broken(md, prog):
+        if md == (1,):
+            raise InternalConsistencyError(f"column summary jumps by 2 for {md}")
+        return real(md, prog)
+
+    monkeypatch.setattr(cli.oracle, "_phi", broken)
+    code, out, err = run(capsys, "verify", "--s", "5", "--d", "1..2", "--p", "2")
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: s=5 d={d} p=2 core (1,): column summary jumps by 2 for (1,)" for d in (1, 2)
+    ]
+    assert out.splitlines() == [
+        "s=5 d=1 p=2 md=5 paths=5 dp=5 formula=5 roundtrip=fail corners=pass FAIL",
+        "s=5 d=2 p=2 md=6 paths=6 dp=6 formula=6 roundtrip=fail corners=n/a FAIL",
+        "verified 2 instances: 0 pass, 2 fail, 0 skipped",
+    ]
 
 
 def test_verify_json_lines(capsys):

@@ -2,6 +2,9 @@ import ast
 import gc
 import json
 import signal
+import tracemalloc
+from bisect import bisect
+from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -25,7 +28,9 @@ from score_lab import (
     md_is_simultaneous_core,
     md_to_partition,
     pair_core_size_bound,
+    path_type,
     phi_context,
+    satisfies,
     validate_core_function,
     verify_instance,
 )
@@ -197,6 +202,110 @@ def test_verify_catches_an_undersized_bound():
     report = verify_instance(5, 1, 2, bound=1)
     assert not report.passed
     assert report.n_md < report.n_path
+
+
+def _collide_two_cores(monkeypatch, prog):
+    """phi maps the second core to the path of the first."""
+    first, second = enumerate_md_sets(prog)[:2]
+    real = oracle_mod._phi
+    monkeypatch.setattr(
+        oracle_mod, "_phi", lambda md, prog: real(first if md == second else md, prog)
+    )
+
+
+def _first_banned_word(prog):
+    """The first word of type (x, y), in U < D < F order, that breaks a constraint."""
+    x, y, constraints = prog.x, prog.y, prog.constraints
+    return next(
+        word
+        for word in map("".join, product("UDF", repeat=x))
+        if path_type(word) == (x, y) and not satisfies(word, constraints, x, y)
+    )
+
+
+def _break_a_constraint(monkeypatch, prog):
+    """phi emits a banned word of the right type for the last core, past its own guard."""
+    import score_lab.bijection as bijection_mod
+
+    banned = _first_banned_word(prog)
+    target = oracle_mod._phi(enumerate_md_sets(prog)[-1], prog)
+    real = bijection_mod._path_word
+
+    def mutant(prog, f):
+        word = real(prog, f)
+        return banned if word == target else word
+
+    monkeypatch.setattr(bijection_mod, "_path_word", mutant)
+    monkeypatch.setattr(bijection_mod, "_satisfies", lambda *args: True)
+
+
+def _edit_stream(monkeypatch, name, edit):
+    """The stream oracle binds as ``name``, with ``edit`` applied to its items."""
+    real = getattr(oracle_mod, name)
+
+    def edited(*args):
+        items = list(real(*args))
+        edit(items)
+        return iter(items)
+
+    monkeypatch.setattr(oracle_mod, name, edited)
+
+
+def _substitute_a_banned_word(monkeypatch, prog):
+    """The path stream puts a banned word in place of the next word above it, still in order."""
+    banned = _first_banned_word(prog)
+    order = str.maketrans("UDF", "012")
+
+    def substitute(words):
+        keys = [word.translate(order) for word in words]
+        words[bisect(keys, banned.translate(order))] = banned
+
+    _edit_stream(monkeypatch, "_iter_paths", substitute)
+
+
+def _drop_one(items):
+    del items[3]
+
+
+def _repeat_one(items):
+    items[4] = items[3]
+
+
+MUTANTS = {
+    "phi-maps-two-cores-to-one-path": _collide_two_cores,
+    "phi-emits-a-banned-path": _break_a_constraint,
+    "path-stream-drops-a-word": lambda mp, prog: _edit_stream(mp, "_iter_paths", _drop_one),
+    "path-stream-repeats-a-word": lambda mp, prog: _edit_stream(mp, "_iter_paths", _repeat_one),
+    "path-stream-substitutes-a-banned-word": _substitute_a_banned_word,
+    "core-stream-repeats-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _repeat_one),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS.values(), ids=MUTANTS)
+def test_verify_fails_the_round_trip_of_each_mutant(mutant, monkeypatch):
+    # verify keeps no image, so each way phi could stop being a bijection onto
+    # the admissible paths must still fail the round trip, without a traceback.
+    # 32 cores at (9, 2, 3), where UU and a trailing U are banned.
+    assert verify_instance(9, 2, 3).passed
+    mutant(monkeypatch, phi_context(9, 2, 3))
+    report = verify_instance(9, 2, 3)
+    assert report.passed is False and report.roundtrip == "fail"
+    assert report.n_md == report.n_dp == 32
+
+
+def test_verify_instance_memory_is_flat_in_the_core_count():
+    # One streamed pass holds no list of cores, paths or images: the 1,273
+    # cores of (17, 2, 3) peak about as high as the 148 of (11, 4, 4), where
+    # holding them all put it near 8 times as high.
+    def peak(s, d, p):
+        tracemalloc.start()
+        try:
+            assert verify_instance(s, d, p).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(17, 2, 3) < 3 * peak(11, 4, 4)
 
 
 def test_verify_instance_leaves_no_reference_cycles():
