@@ -58,20 +58,16 @@ from .motzkin import (
     constraints_for,
     count_paths_dp,
     enumerate_paths,
-    flat_count,
-    last_step,
-    path_type,
     satisfies,
 )
 from .oracle import (
     VerifyReport,
     corner_rows,
-    default_md_bound,
     enumerate_by_partition_scan,
     enumerate_md_sets,
     pair_core_size_bound,
     verify_instance,
 )
-from .progression import Progression
+from .progression import Progression, default_md_bound
 
 __version__ = "0.1.0"

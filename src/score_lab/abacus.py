@@ -242,28 +242,21 @@ def _path_word(prog: Progression, f: Sequence[int]) -> str:
     return "".join(map(_LETTER.__getitem__, map(sub, f[1:], f)))
 
 
-def render_abacus(
-    state: AbacusState, row_range: tuple[int, int] | None = None
-) -> str:
+def render_abacus(state: AbacusState) -> str:
     """ASCII picture of the abacus: labels in a grid, beads in parentheses.
 
-    Columns run left to right, rows bottom to top.  The default row
-    window covers every bead with one row of margin and always includes
-    the sign boundary of each column.
+    Columns run left to right, rows bottom to top.  The rows shown cover
+    every bead with one row of margin and always include the sign
+    boundary of each column.
     """
     prog = state.prog
     boundaries = prog.boundary_rows
     marked = set()
     for j, (b, r) in enumerate(zip(state.beads, boundaries)):
         marked.update((i, j) for i in (range(r, r + b) if b > 0 else range(r + b, r)))
-    if row_range is None:
-        bead_rows = [i for i, _ in marked]
-        lo = min([*boundaries, *bead_rows]) - 1
-        hi = max([*boundaries, *(i + 1 for i in bead_rows)])
-    else:
-        lo, hi = row_range
-        if lo > hi:
-            raise InvalidInputError(f"empty row window {row_range}")
+    bead_rows = [i for i, _ in marked]
+    lo = min([*boundaries, *bead_rows]) - 1
+    hi = max([*boundaries, *(i + 1 for i in bead_rows)])
 
     def cell(i: int, j: int) -> str:
         text = str(label(prog, i, j))

@@ -17,6 +17,7 @@ import errno
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from math import gcd
@@ -25,7 +26,7 @@ from typing import NamedTuple
 from . import abacus as abacus_mod
 from . import bijection, formulas, mdcore, oracle
 from .errors import ScoreLabError, check_pair
-from .progression import Progression
+from .progression import Progression, default_md_bound
 
 USAGE_ERROR = 64
 _PARTITION_COLUMNS = ("size", "corners", "md", "parts")
@@ -48,13 +49,14 @@ class _Output(NamedTuple):
 
     ``records`` are the JSON lines, ``header`` and ``rows`` the CSV
     table (a dict row is read by the header) and ``text`` the text
-    lines.  Only `main` picks a format and writes.
+    lines.  Only `main` picks a format and writes, reading the one it
+    picks once, so the three may share one lazy stream.
     """
 
-    records: list
+    records: Iterable
     header: tuple[str, ...]
-    rows: list
-    text: list[str]
+    rows: Iterable
+    text: Iterable[str]
     code: int = 0
 
 
@@ -108,20 +110,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _lines(out: _Output, fmt: str) -> list[str]:
-    """The output lines of ``out`` in format ``fmt``."""
+def _lines(out: _Output, fmt: str) -> Iterator[str]:
+    """The output lines of ``out`` in format ``fmt``, one at a time."""
     if fmt == "json":
-        return [json.dumps(record, separators=(",", ":")) for record in out.records]
-    if fmt == "csv":
+        yield from (json.dumps(record, separators=(",", ":")) for record in out.records)
+    elif fmt == "csv":
         header = out.header
         rows = ([row[key] for key in header] if isinstance(row, dict) else row for row in out.rows)
-        return [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
-    return out.text
+        yield ",".join(header)
+        yield from (",".join(map(_csv_cell, row)) for row in rows)
+    else:
+        yield from out.text
 
 
 def _check_bound(bound: int | None, s: int, d: int) -> None:
-    """Refuse a hook bound that would cut the enumeration short."""
-    complete = oracle.default_md_bound(s, d)
+    """Refuse a hook bound that would cut the enumeration short; others change nothing."""
+    complete = default_md_bound(s, d)
     if bound is not None and bound < complete:
         raise _UsageError(
             f"--bound {bound} is below the completeness bound {complete} "
@@ -130,7 +134,7 @@ def _check_bound(bound: int | None, s: int, d: int) -> None:
 
 
 def _check_n_max(n_max: int | None, s: int, d: int) -> None:
-    """Refuse a scan size cap below the largest core, which the scan would miss."""
+    """Refuse a scan size cap below the largest core size; others change nothing."""
     largest = oracle.pair_core_size_bound(s, s + d)
     if n_max is not None and n_max < largest:
         raise _UsageError(
@@ -242,8 +246,8 @@ def _cmd_count(args) -> _Output:
     elif method == "dp":
         raise _Unavailable("no path model for a bare pair; use --p")
     if method in ("enumerate", "all"):
-        mds = oracle.enumerate_md_sets(Progression(s, d, p), args.bound)
-        results.append(formulas.CountResult(len(mds), "enumeration"))
+        cores = sum(1 for _ in oracle._iter_md_sets(Progression(s, d, p)))
+        results.append(formulas.CountResult(cores, "enumeration"))
     agree = len({r.value for r in results}) <= 1
     rows = records = [r.as_json() for r in results]
     text = [f"{row['method']}: {row['value']}" for row in rows]
@@ -259,11 +263,12 @@ def _cmd_enumerate(args) -> _Output:
     if args.n_max is not None:
         partitions = oracle.enumerate_by_partition_scan(prog, args.n_max)
         # the scan's partitions are canonical, so their hooks are read off unchecked
-        mds = [mdcore._partition_to_md(parts) for parts in partitions]
+        mds = map(mdcore._partition_to_md, partitions)
     else:
-        mds = oracle.enumerate_md_sets(prog, args.bound)
-    records = [mdcore.partition_record(md) for md in mds]
-    text = [f"md={_join(record['md'])} parts={_join(record['parts'])}" for record in records]
+        mds = oracle._iter_md_sets(prog)
+    # One stream: main reads it in the one format it prints, so no core is kept.
+    records = map(mdcore.partition_record, mds)
+    text = (f"md={_join(record['md'])} parts={_join(record['parts'])}" for record in records)
     return _Output(records, _PARTITION_COLUMNS, records, text)
 
 
@@ -300,7 +305,7 @@ def _cmd_corners(args) -> _Output:
     if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
     # The cores stream into the histogram, so memory stays flat in their count.
-    cores = oracle._iter_md_sets(prog, prog.md_bound)
+    cores = oracle._iter_md_sets(prog)
     rows = oracle.corner_rows(prog, cores)[:-1]  # m = 0..top
     if args.m is not None:
         if args.m >= len(rows):
@@ -316,9 +321,9 @@ def _cmd_corners(args) -> _Output:
     return _Output(rows, ("m", "enumerated", "formula"), rows, text, 0 if agree else 1)
 
 
-def _verify_one(item: tuple[int, int, int, int | None, int | None]) -> oracle.VerifyReport:
-    s, d, p, bound, n_max = item
-    return oracle.verify_instance(s, d, p, bound=bound, n_max=n_max)
+def _verify_one(item: tuple[int, int, int, bool]) -> oracle.VerifyReport:
+    s, d, p, scan = item
+    return oracle.verify_instance(s, d, p, scan=scan)
 
 
 def _cmd_verify(args) -> _Output:
@@ -343,7 +348,7 @@ def _cmd_verify(args) -> _Output:
                 else:
                     _check_bound(args.bound, s, d)
                     _check_n_max(args.n_max, s, d)
-                    grid.append((s, d, p, args.bound, args.n_max))
+                    grid.append((s, d, p, args.n_max is not None))
 
     # A pool starts all its workers at once, so it gets no more than the grid needs.
     workers = min(args.jobs, len(grid))
@@ -441,15 +446,15 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, _Unavailable, ScoreLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)  # a ScoreLabError is a domain error
-    text = "".join(line + "\n" for line in _lines(out, args.format))
+    lines = (line + "\n" for line in _lines(out, args.format))
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(lines)
         except OSError as exc:
             return _cannot_write(args.output, exc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return out.code
 
 

@@ -35,9 +35,6 @@ from .errors import (
 __all__ = [
     "PathConstraintSet",
     "constraints_for",
-    "path_type",
-    "flat_count",
-    "last_step",
     "satisfies",
     "enumerate_paths",
     "count_paths_dp",
@@ -94,36 +91,16 @@ def constraints_for(s: int, d: int, p: int) -> PathConstraintSet:
     return PathConstraintSet("even_odd", p - 3, (p - 3) // 2, p - 2)
 
 
-def _validate_steps(steps: str) -> str:
-    if not isinstance(steps, str) or not _ALPHABET.issuperset(steps):
-        raise InvalidPathError(f"steps must be a string over U/D/F, got {steps!r}")
-    return steps
-
-
-def path_type(steps: str) -> tuple[int, int]:
-    """Endpoint (x, y) of the path: length and final height."""
-    return _path_type(_validate_steps(steps))
-
-
 def _path_type(steps: str) -> tuple[int, int]:
+    """Endpoint (x, y) of the path: length and final height."""
     return len(steps), steps.count("U") - steps.count("D")
-
-
-def flat_count(steps: str) -> int:
-    """Number of F steps."""
-    _validate_steps(steps)
-    return steps.count("F")
-
-
-def last_step(steps: str) -> str | None:
-    """Final step letter, or None for the empty path."""
-    _validate_steps(steps)
-    return steps[-1] if steps else None
 
 
 def satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> bool:
     """True when the path has type (x, y) and avoids every forbidden pattern."""
-    return _satisfies(_validate_steps(steps), constraints, x, y)
+    if not isinstance(steps, str) or not _ALPHABET.issuperset(steps):
+        raise InvalidPathError(f"steps must be a string over U/D/F, got {steps!r}")
+    return _satisfies(steps, constraints, x, y)
 
 
 def _satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> bool:

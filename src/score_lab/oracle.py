@@ -14,6 +14,12 @@ Two independent enumerators back every identity in the package:
   through Young-diagram hook arithmetic.  It never uses the modular
   conditions, so the two enumerators share no core-testing logic.
 
+The caps of a complete search follow from the (s, t = s+d)-core theory:
+no core has a diagonal hook above st - s - t (`Progression.md_bound`,
+where `enumerate_md_sets` stops) and none is larger than
+(s^2 - 1)(t^2 - 1)/24 (`pair_core_size_bound`, the size to which
+`verify_instance` scans), so neither takes a cap.
+
 `verify_instance` cross-checks, for one parameter triple, the two
 enumerations, both path-counting routes, the closed formulas, the
 round trip of the path encoding, and the d = 1 corner refinement, whose
@@ -37,10 +43,9 @@ from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError
 from .formulas import CORNER_FORMULAS, closed_forms
 from .mdcore import _corners, _md_to_partition
 from .motzkin import _iter_paths, count_paths_dp, satisfies
-from .progression import Progression, default_md_bound
+from .progression import Progression
 
 __all__ = [
-    "default_md_bound",
     "pair_core_size_bound",
     "enumerate_md_sets",
     "enumerate_by_partition_scan",
@@ -57,11 +62,11 @@ def pair_core_size_bound(s: int, t: int) -> int:
     return (s * s - 1) * (t * t - 1) // 24
 
 
-def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_md_sets(prog: Progression) -> list[tuple[int, ...]]:
     """All core diagonal hook sets of the progression, lexicographically sorted.
 
-    ``bound`` caps the candidate diagonal hooks and defaults to
-    `default_md_bound`; p = 1 enumerates the cores of a plain pair.
+    The candidate hooks run up to `Progression.md_bound`, past which no
+    core has a hook; p = 1 enumerates the cores of a plain pair.
 
     Hook sets are ints, bit h set for each hook h.  Including a hook h
     pulls in its forced chain: h, then h - 2t for each modulus t with
@@ -73,7 +78,7 @@ def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple
     and the mask of its chain's partners, and drops every candidate whose
     chain holds a partner of its own (a hook of t mod 2t is its own
     partner).  A kept candidate's chain is itself a core, so no kept
-    candidate lies above the default bound; once s candidates in a row
+    candidate lies above `Progression.md_bound`; once s candidates in a row
     are dropped, every larger chain holds one of them and the pass stops.
     Two more passes give, for each kept h, the kept candidates that
     choosing h rules out: those whose chain holds a partner of a hook of
@@ -84,9 +89,9 @@ def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple
     Excluding the top open candidate clears its bit; including it ORs
     its chain into the chosen mask and ANDs the open mask with what it
     leaves open.  So every branch ends in a core, the search recurses
-    nowhere and nothing is rolled back.  Completeness: any hook above the
-    default bound would be a hook above the maximal (s, s+d)-core hook,
-    which no core has.
+    nowhere and nothing is rolled back.  Completeness: any hook above
+    `Progression.md_bound` would be a hook above the maximal
+    (s, s+d)-core hook, which no core has.
 
     The hook sets come out sorted with no sort.  The largest hook in
     which two sets differ decides both their tuple order and their mask
@@ -97,25 +102,16 @@ def enumerate_md_sets(prog: Progression, bound: int | None = None) -> list[tuple
     branch of the smallest h first and finishes its subtree before the
     next, so each subtree's sets come out below every larger branch's.
     """
-    return list(_iter_md_sets(prog, _md_bound(prog, bound)))
+    return list(_iter_md_sets(prog))
 
 
-def _md_bound(prog: Progression, bound: int | None) -> int:
-    """The candidate bound of `enumerate_md_sets`, checked before any search runs."""
-    if bound is None:
-        return prog.md_bound
-    if bound < 1:
-        raise InvalidInputError(f"bound must be >= 1, got {bound!r}")
-    return bound
-
-
-def _iter_md_sets(prog: Progression, bound: int) -> Iterator[tuple[int, ...]]:
-    """`enumerate_md_sets` one hook set at a time, for a checked ``bound``."""
+def _iter_md_sets(prog: Progression) -> Iterator[tuple[int, ...]]:
+    """`enumerate_md_sets` one hook set at a time."""
     doubled = prog.doubled
     chain: dict[int, int] = {}  # kept candidate -> mask of its forced chain
     partners: dict[int, int] = {}  # kept candidate -> partners of its chain's hooks
     dropped = 0  # candidates dropped since the last kept one
-    for h in range(1, bound + 1, 2):
+    for h in range(1, prog.md_bound + 1, 2):
         links, partner_mask = 1 << h, 0
         for m2 in doubled:
             if h < m2:
@@ -269,9 +265,7 @@ class VerifyReport:
         return record
 
 
-def verify_instance(
-    s: int, d: int, p: int, bound: int | None = None, n_max: int | None = None
-) -> VerifyReport:
+def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     """Run every cross-check for one instance and report the tallies.
 
     One pass walks the cores as `_iter_md_sets` yields them and keeps
@@ -294,12 +288,12 @@ def verify_instance(
     enumerated paths; when the counts differ, ``passed`` is False
     whatever ``roundtrip`` says.
 
-    When ``n_max`` is given, the partition-scan enumerator runs as well
-    and its result must match the hook-set enumerator partition for
-    partition; only then are the cores' partitions kept.
+    With ``scan``, the partition-scan enumerator runs as well, up to
+    `pair_core_size_bound`, and its result must match the hook-set
+    enumerator partition for partition; only then are the cores'
+    partitions kept.
     """
     prog = phi_context(s, d, p)
-    bound = _md_bound(prog, bound)
     x, y, constraints = prog.x, prog.y, prog.constraints
     n_dp = count_paths_dp(x, y, constraints)
     n_path, roundtrip_ok = 0, True
@@ -316,10 +310,10 @@ def verify_instance(
     # The hook sets come canonical from the search and the paths from _phi,
     # so their partitions and step letters are read without re-validating.
     corner_check = d == 1 and p in CORNER_FORMULAS
-    partitions: list[tuple[int, ...]] | None = None if n_max is None else []
+    partitions: list[tuple[int, ...]] | None = [] if scan else None
     histogram: Counter = Counter()
     n_md, paths_ok, error = 0, True, None
-    for md in _iter_md_sets(prog, bound):
+    for md in _iter_md_sets(prog):
         if n_md and not previous < md:
             roundtrip_ok = False
         n_md, previous = n_md + 1, md
@@ -353,7 +347,7 @@ def verify_instance(
     n_scan = None
     scan_ok = True
     if partitions is not None:
-        scanned = enumerate_by_partition_scan(prog, n_max)
+        scanned = enumerate_by_partition_scan(prog, pair_core_size_bound(s, s + d))
         n_scan = len(scanned)
         scan_ok = scanned == sorted(partitions)
 

@@ -5,8 +5,8 @@ s and d and a length p >= 1.  It is validated once, at construction,
 and derives everything the layers read from it, each value computed on
 first use and then kept:
 
-* the moduli, their doubles and the coprime pair sums, also as a hook
-  mask (core tests);
+* the moduli, their doubles and the hook mask of their coprime pair
+  sums (core tests);
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
   the first positive row of each column, the column and sign of each
   odd residue (`residue_slots`), and the gap-free blocks of each
@@ -53,11 +53,6 @@ class Progression:
         return tuple(2 * t for t in self.moduli)
 
     @cached_property
-    def pair_sums(self) -> frozenset[int]:
-        """Sums of coprime pairs of moduli: hooks no simultaneous core has."""
-        return _coprime_pair_sums(self.moduli)
-
-    @cached_property
     def x(self) -> int:
         """Path length floor(s/2) + ceil(d/2)."""
         return self.s // 2 + (self.d + 1) // 2
@@ -97,8 +92,8 @@ class Progression:
 
     @cached_property
     def pair_mask(self) -> int:
-        """`pair_sums` as a hook mask (bit h set for each sum h)."""
-        return _hook_mask(self.pair_sums)
+        """Sums of coprime pairs of moduli, hooks no simultaneous core has, as a hook mask."""
+        return _hook_mask(_coprime_pair_sums(self.moduli))
 
     @cached_property
     def md_bound(self) -> int:

@@ -175,7 +175,7 @@ def test_every_swept_core_passes_the_validator():
 
 def test_render_marks_beads_only():
     prog = abacus_spec(21, 4)
-    empty = render_abacus(place_beads(prog, ()), row_range=(0, 1))
+    empty = render_abacus(place_beads(prog, ()))
     assert "-21" in empty and "29" in empty
     assert "(" not in empty
 

@@ -16,7 +16,6 @@ from score_lab import (
     default_md_bound,
     enumerate_md_sets,
     enumerate_paths,
-    flat_count,
     is_core,
     md_to_partition,
     pair_core_size_bound,
@@ -101,8 +100,8 @@ def test_dropping_the_largest_hook_shifts_flats_by_zero_or_two(s, p):
     for md in enumerate_md_sets(prog):
         if len(md) < 2:
             continue
-        full = flat_count(phi(md, prog))
-        reduced = flat_count(phi(md[1:], prog))
+        full = phi(md, prog).count("F")
+        reduced = phi(md[1:], prog).count("F")
         if md[0] == md[1] + 2:
             assert full == reduced
         else:
@@ -195,7 +194,7 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
     mds = enumerate_md_sets(Progression(13, 2, 3))
     counts = _count_calls(monkeypatch, ("validate_md", "boundary_row", "constraints_for"))
     tables = (
-        "boundary_rows", "pair_sums", "pair_mask", "md_bound",
+        "boundary_rows", "pair_mask", "md_bound",
         "class_firsts", "residue_slots", "class_blocks",
     )
     builds = _count_builds(monkeypatch, tables)
@@ -220,18 +219,14 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
 def test_verify_instance_validates_each_core_once(monkeypatch):
     # The round trip, the d = 1 corner check and the scan comparison read the
     # canonical hook sets and paths the search and the trusted phi give them.
-    counts = _count_calls(
-        monkeypatch, ("validate_md", "md_to_partition", "corners", "last_step", "flat_count")
-    )
-    report = verify_instance(9, 1, 2, n_max=pair_core_size_bound(9, 10))
+    counts = _count_calls(monkeypatch, ("validate_md", "md_to_partition", "corners"))
+    report = verify_instance(9, 1, 2, scan=True)
     assert report.passed and report.corners == "pass" and report.n_scan == report.n_md == 35
-    assert counts["validate_md"] == counts["md_to_partition"] == counts["corners"] == 0
-    assert counts["last_step"] == counts["flat_count"] == 0
+    assert counts == {"validate_md": 0, "md_to_partition": 0, "corners": 0}
 
 
 def test_enumerate_and_map_validate_each_core_once(monkeypatch, capsys):
-    # The record builders check a hook set once, then call the trusted bodies;
-    # map reads phi's own path without re-checking its letters.
+    # The record builders check a hook set once, then call the trusted bodies.
     import score_lab.mdcore as mdcore_mod
     from score_lab.cli import main
 
@@ -239,9 +234,7 @@ def test_enumerate_and_map_validate_each_core_once(monkeypatch, capsys):
         raise AssertionError("a record builder re-validated a partition")
 
     monkeypatch.setattr(mdcore_mod, "validate_partition", forbidden)
-    counts = _count_calls(
-        monkeypatch, ("validate_md", "md_to_partition", "corners", "last_step", "flat_count")
-    )
+    counts = _count_calls(monkeypatch, ("validate_md", "md_to_partition", "corners"))
     cores = len(enumerate_md_sets(Progression(9, 1, 2)))
     # the hook-set search, then the partition scan, which reads hooks off its partitions
     for route in ([], ["--n-max", str(pair_core_size_bound(9, 10))]):
@@ -254,14 +247,12 @@ def test_enumerate_and_map_validate_each_core_once(monkeypatch, capsys):
         assert counts["md_to_partition"] == counts["corners"] == 0
     for fmt in ("text", "json", "csv"):
         assert main(["map", "--md", "3,1", "--s", "5", "--d", "1", "--p", "2", "--format", fmt]) == 0
-    assert counts["last_step"] == counts["flat_count"] == 0
+    assert counts["md_to_partition"] == counts["corners"] == 0
 
 
 def test_corner_statistics_and_mapping_record_validate_once(monkeypatch):
     # After phi they read the canonical hook set and the path directly.
-    counts = _count_calls(
-        monkeypatch, ("validate_md", "md_to_partition", "corners", "last_step", "flat_count")
-    )
+    counts = _count_calls(monkeypatch, ("validate_md", "md_to_partition", "corners"))
     prog = phi_context(9, 1, 2)
     mds = enumerate_md_sets(prog)
     for md in mds:
@@ -272,6 +263,4 @@ def test_corner_statistics_and_mapping_record_validate_once(monkeypatch):
         "validate_md": 2 * len(mds),
         "md_to_partition": 0,
         "corners": 0,
-        "last_step": 0,
-        "flat_count": 0,
     }

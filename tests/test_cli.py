@@ -533,3 +533,27 @@ def test_a_huge_hook_is_refused_in_memory_proportional_to_the_hook_count(capsys,
         tracemalloc.stop()
     assert (code, out, err) == (3, "", message)
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "command,flags", [("enumerate", ("--format", "json")), ("count", ("--method", "enumerate"))]
+)
+def test_enumerate_and_count_memory_is_flat_in_the_core_count(tmp_path, command, flags):
+    # The cores stream from the search to the writer, or into the count, and
+    # none is kept: the 5,200 cores of (24, 1, 8) peak about as high as the
+    # 156 of (7, 12, 2), where lists of them put enumerate's peak over 30
+    # times as high and count's 4 times.  The two searches keep about as
+    # many candidates (24 and 22), whose masks are the search's own set-up.
+    target = tmp_path / "out"
+
+    def peak(s, d, p):
+        argv = [command, "--s", str(s), "--d", str(d), "--p", str(p), *flags]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--output", str(target)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(3, 2, 2)  # the parser is built once per process, before either peak
+    assert peak(24, 1, 8) < 3 * peak(7, 12, 2)

@@ -11,9 +11,6 @@ from score_lab import (
     count_paths_dp,
     count_via_paths,
     enumerate_paths,
-    flat_count,
-    last_step,
-    path_type,
     satisfies,
 )
 from score_lab.motzkin import EMPTY_CONSTRAINTS
@@ -95,7 +92,7 @@ def test_satisfies_matches_the_literal_forbidden_words():
     all_words = ["".join(w) for n in range(9) for w in itertools.product("UDF", repeat=n)]
     for cset, words in sets.items():
         for word in all_words:
-            x, y = path_type(word)
+            x, y = len(word), word.count("U") - word.count("D")
             assert satisfies(word, cset, x, y) == literal_satisfies(word, words), (cset, word)
 
 
@@ -215,16 +212,6 @@ def test_unconstrained_count_is_trinomial():
     for x in range(0, 8):
         for y in range(-x, x + 1):
             assert len(enumerate_paths(x, y, EMPTY_CONSTRAINTS)) == free_path_count(x, y)
-
-
-def test_step_statistics():
-    assert flat_count("FDUFFUDDDDUF") == 4
-    assert last_step("FDUFFUDDDDUF") == "F"
-    assert flat_count("") == 0
-    assert last_step("") is None
-    assert flat_count("UD") == 0
-    assert last_step("UD") == "D"
-    assert path_type("FDUFFUDDDDUF") == (12, -2)
 
 
 def test_out_of_reach_type_counts_zero():

@@ -28,7 +28,6 @@ from score_lab import (
     md_is_simultaneous_core,
     md_to_partition,
     pair_core_size_bound,
-    path_type,
     phi_context,
     satisfies,
     validate_core_function,
@@ -64,8 +63,6 @@ def test_enumeration_validation():
         Progression(4, 2, 2)
     with pytest.raises(InvalidInputError):
         Progression(3, 2, 0)
-    with pytest.raises(InvalidInputError, match=r"^bound must be >= 1, got 0$"):
-        enumerate_md_sets(Progression(3, 2, 2), bound=0)
     assert Progression(3, 2, 1).moduli == (3, 5)
     assert Progression(3, 2, 3).moduli == (3, 5, 7, 9)
 
@@ -123,14 +120,6 @@ def test_enumeration_output_is_sound(s, d, p):
         parts = md_to_partition(md)
         for t in prog.moduli:
             assert is_core(parts, t)
-
-
-@pytest.mark.parametrize("s,d,p", [(5, 1, 2), (4, 3, 2), (7, 2, 3), (3, 4, 4)])
-def test_hook_bound_is_not_binding(s, d, p):
-    # Enumerating with a far larger candidate bound finds nothing new.
-    prog = Progression(s, d, p)
-    inflated = default_md_bound(s, d) + 4 * (s + p * d)
-    assert enumerate_md_sets(prog) == enumerate_md_sets(prog, inflated)
 
 
 def test_partition_scan_small():
@@ -196,14 +185,6 @@ def test_verify_instance_counts():
     assert report.n_md == 1 and report.passed
 
 
-def test_verify_catches_an_undersized_bound():
-    # Capping the hook candidates below the true maximum loses cores,
-    # so the tallies disagree and the instance must fail.
-    report = verify_instance(5, 1, 2, bound=1)
-    assert not report.passed
-    assert report.n_md < report.n_path
-
-
 def _collide_two_cores(monkeypatch, prog):
     """phi maps the second core to the path of the first."""
     first, second = enumerate_md_sets(prog)[:2]
@@ -219,7 +200,7 @@ def _first_banned_word(prog):
     return next(
         word
         for word in map("".join, product("UDF", repeat=x))
-        if path_type(word) == (x, y) and not satisfies(word, constraints, x, y)
+        if word.count("U") - word.count("D") == y and not satisfies(word, constraints, x, y)
     )
 
 
@@ -278,19 +259,21 @@ MUTANTS = {
     "path-stream-repeats-a-word": lambda mp, prog: _edit_stream(mp, "_iter_paths", _repeat_one),
     "path-stream-substitutes-a-banned-word": _substitute_a_banned_word,
     "core-stream-repeats-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _repeat_one),
+    "core-stream-drops-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _drop_one),
 }
 
 
-@pytest.mark.parametrize("mutant", MUTANTS.values(), ids=MUTANTS)
-def test_verify_fails_the_round_trip_of_each_mutant(mutant, monkeypatch):
+@pytest.mark.parametrize("name", MUTANTS)
+def test_verify_fails_the_round_trip_of_each_mutant(name, monkeypatch):
     # verify keeps no image, so each way phi could stop being a bijection onto
     # the admissible paths must still fail the round trip, without a traceback.
     # 32 cores at (9, 2, 3), where UU and a trailing U are banned.
     assert verify_instance(9, 2, 3).passed
-    mutant(monkeypatch, phi_context(9, 2, 3))
+    MUTANTS[name](monkeypatch, phi_context(9, 2, 3))
     report = verify_instance(9, 2, 3)
     assert report.passed is False and report.roundtrip == "fail"
-    assert report.n_md == report.n_dp == 32
+    assert report.n_dp == 32
+    assert report.n_md == (31 if name == "core-stream-drops-a-core" else 32)
 
 
 def test_verify_instance_memory_is_flat_in_the_core_count():
@@ -315,7 +298,7 @@ def test_verify_instance_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        verify_instance(7, 2, 3, n_max=pair_core_size_bound(7, 9))
+        verify_instance(7, 2, 3, scan=True)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -327,7 +310,7 @@ def test_verify_report_json_layout():
         "s", "d", "p", "n_md", "n_path", "n_dp", "n_formula",
         "roundtrip", "corners", "pass",
     ]
-    record = verify_instance(3, 2, 2, n_max=10).as_json()
+    record = verify_instance(3, 2, 2, scan=True).as_json()
     assert record["n_scan"] == 2 and record["pass"] is True
 
 
