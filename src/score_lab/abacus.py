@@ -25,16 +25,19 @@ summary
 otherwise the topmost negative-label spacer row) is the quantity the
 lattice-path encoding in `score_lab.bijection` is built from: the word
 of f's differences, with one convention step for odd d, is the path.
-This module builds that word for `phi`, and `validate_core_function`
-checks a summary by the path rules of `Progression.constraints`, so it
-keeps no structural rules of its own.
+This module builds that word for `phi`, reads a hook-set mask back off
+the bead counts (`_beads_mask`, for `state_md`, `phi_inverse` and
+`verify_instance`), and `validate_core_function` checks a summary by
+the path rules of `Progression.constraints`, so it keeps no structural
+rules of its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import sub
+from itertools import repeat
+from operator import getitem, sub
 
 from .errors import (
     BeadStructureError,
@@ -42,7 +45,7 @@ from .errors import (
     UnplaceableHookError,
     check_progression_length,
 )
-from .mdcore import validate_md
+from .mdcore import _mask_hooks, validate_md
 from .motzkin import _satisfies
 from .progression import Progression, _class_block
 
@@ -187,29 +190,22 @@ def beads_from_function(prog: Progression, values: Sequence[int]) -> AbacusState
 
 def state_md(state: AbacusState) -> tuple[int, ...]:
     """Diagonal hooks read back off the beads, largest first."""
-    return _state_hooks(state.prog, state.beads)[0]
+    return _mask_hooks(_beads_mask(state.prog, state.beads))
 
 
-def _state_hooks(prog: Progression, counts: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    """The hooks of one signed bead count per column, largest first, and their mask.
+def _beads_mask(prog: Progression, counts: Iterable[int]) -> int:
+    """The hook-set mask of one signed bead count per column: the read-back.
 
     A column with b beads holds the |b| smallest hooks of one class, its
-    block, read from `Progression.class_blocks`; a count past every
-    core's builds its block for the call.
+    block, whose mask `Progression.class_blocks` holds; a count past
+    every core's has its blocks built for the call.  The columns'
+    classes are disjoint, so the blocks' masks add up to the set's.
     """
-    depth = prog.class_depth
-    hooks: list[int] = []
-    mask = 0
-    for j, (b, blocks) in enumerate(zip(counts, prog.class_blocks)):
-        block_hooks, block = (
-            blocks[b]
-            if -depth <= b <= depth
-            else _class_block(prog.period, prog.class_firsts[j][b < 0], abs(b))
-        )
-        hooks += block_hooks
-        mask |= block
-    hooks.sort(reverse=True)
-    return tuple(hooks), mask
+    counts = tuple(counts)
+    try:
+        return sum(map(getitem, prog.class_blocks, counts))
+    except KeyError:
+        return sum(map(_class_block, repeat(prog.period), prog.class_firsts, counts))
 
 
 def validate_core_function(values: Sequence[int], prog: Progression) -> bool:

@@ -12,9 +12,15 @@ avoiding the patterns listed by `score_lab.motzkin.constraints_for`,
 and the assignment is a bijection onto all such paths.  `phi` computes
 the path, `phi_inverse` reconstructs the diagonal hook set from a path,
 and both ends are validated so the correspondence is enforced rather
-than assumed.  The f -> word step is `score_lab.abacus`'s, the one
-`validate_core_function` checks a summary through, so the path rules
-have one home.
+than assumed: `phi` runs the core test on its input and checks the path
+it builds against the constraint set, and `phi_inverse` checks its
+input path the same way and runs the core test on the hook set it
+reads back.  The read-back itself, path heights to bead counts to the
+hook-set mask, is one unchecked body (`_path_mask` over the abacus's
+`_beads_mask`), which `score_lab.oracle.verify_instance` calls on
+`phi`'s word, so a core's round trip runs each check once.  The
+f -> word step is `score_lab.abacus`'s, the one `validate_core_function`
+checks a summary through, so the path rules have one home.
 
 For d = 1 the encoding refines by the corner count m of the partition:
 paths of cores with even m end in D and carry floor(s/2) - m flats;
@@ -27,7 +33,7 @@ from collections.abc import Iterable
 from itertools import accumulate
 from operator import sub
 
-from .abacus import _LETTER, _abacus_function, _path_word, _place_beads, _state_hooks
+from .abacus import _LETTER, _abacus_function, _beads_mask, _path_word, _place_beads
 from .errors import (
     InternalConsistencyError,
     InvalidPathError,
@@ -40,6 +46,7 @@ from .mdcore import (
     _corners,
     _hook_mask,
     _is_simultaneous_core,
+    _mask_hooks,
     _md_to_partition,
     validate_md,
 )
@@ -115,16 +122,25 @@ def phi_inverse(steps: str, prog: Progression) -> tuple[int, ...]:
             f"path {steps!r} is not an admissible type ({prog.x}, {prog.y}) path "
             f"for s={prog.s}, d={prog.d}, p={prog.p}"
         )
-    # Column j holds f(j) - r(j) + 1 beads: the heights start from 1 to add
-    # the 1.  zip stops at the last column, so the convention step of an odd
-    # d is never read.
-    heights = accumulate(map(_HEIGHT.__getitem__, steps), initial=1)
-    md, mask = _state_hooks(prog, map(sub, heights, prog.boundary_rows))
+    mask = _path_mask(steps, prog)
     if not _is_simultaneous_core(mask, prog.doubled, prog.pair_mask):
         raise InternalConsistencyError(
-            f"path {steps} reconstructed a non-core hook set {md}"
+            f"path {steps} reconstructed a non-core hook set {_mask_hooks(mask)}"
         )
-    return md
+    return _mask_hooks(mask)
+
+
+def _path_mask(steps: str, prog: Progression) -> int:
+    """The hook-set mask the abacus reads back off a word over U/D/F, unchecked.
+
+    Column j holds f(j) - r(j) + 1 beads: the heights start from 1 to
+    add the 1.  zip stops at the last column, so the convention step of
+    an odd d is never read.  Distinct words of one type (x, y) give
+    distinct masks: the heights give the bead counts, and the counts
+    the blocks, one for one.
+    """
+    heights = accumulate(map(_HEIGHT.__getitem__, steps), initial=1)
+    return _beads_mask(prog, map(sub, heights, prog.boundary_rows))
 
 
 def corner_statistics(md: Iterable[int], prog: Progression) -> tuple[int, str, int]:

@@ -221,6 +221,16 @@ def _hook_mask(hooks: Iterable[int]) -> int:
     return sum(map((1).__lshift__, hooks))
 
 
+def _mask_hooks(mask: int) -> tuple[int, ...]:
+    """The canonical hook set of a `_hook_mask`: its set bits, largest first."""
+    hooks = []
+    while mask:
+        h = mask.bit_length() - 1
+        hooks.append(h)
+        mask ^= 1 << h
+    return tuple(hooks)
+
+
 def _is_simultaneous_core(mask: int, doubled: Sequence[int], pair_mask: int) -> bool:
     """`md_is_simultaneous_core` on the `_hook_mask` of a canonical hook set.
 

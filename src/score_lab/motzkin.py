@@ -58,16 +58,34 @@ class PathConstraintSet:
     prefix_top: int
     suffix_top: int
 
-    @cached_property
-    def pattern(self) -> re.Pattern | None:
-        """One expression matching every banned pattern, or None when none is banned."""
+    def _shapes(self) -> tuple[str, str, str]:
+        """The prefix, factor and suffix alternatives, each "" when that shape bans nothing."""
         shapes = (
             (self.prefix_top, r"\AF{{0,{}}}U"),
             (self.factor_top, "UF{{0,{}}}U"),
             (self.suffix_top, r"UF{{0,{}}}\Z"),
         )
-        alternatives = [shape.format(top) for top, shape in shapes if top >= 0]
-        return re.compile("|".join(alternatives)) if alternatives else None
+        return tuple(shape.format(top) if top >= 0 else "" for top, shape in shapes)
+
+    @cached_property
+    def pattern(self) -> re.Pattern:
+        """One expression matching every banned pattern, and nothing when none is banned."""
+        return _alternation(self._shapes())
+
+    @cached_property
+    def left_pattern(self) -> re.Pattern:
+        """The banned prefixes and factors: a match in a word's first part is one in the word."""
+        return _alternation(self._shapes()[:2])
+
+    @cached_property
+    def right_pattern(self) -> re.Pattern:
+        """The banned factors and suffixes: a match in a word's last part is one in the word."""
+        return _alternation(self._shapes()[1:])
+
+
+def _alternation(alternatives: tuple[str, ...]) -> re.Pattern:
+    """The expression matching any of the non-empty alternatives; ``(?!)`` matches nothing."""
+    return re.compile("|".join(filter(None, alternatives)) or "(?!)")
 
 
 EMPTY_CONSTRAINTS = PathConstraintSet("unconstrained", -1, -1, -1)
@@ -105,24 +123,25 @@ def satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> boo
 
 def _satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> bool:
     """`satisfies` for a string already known to be over U/D/F."""
-    if _path_type(steps) != (x, y):
-        return False
-    pattern = constraints.pattern
-    return pattern is None or pattern.search(steps) is None
+    return _path_type(steps) == (x, y) and constraints.pattern.search(steps) is None
 
 
 def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]:
     """All admissible paths of type (x, y), in U < D < F lexicographic order.
 
-    Generates every type-(x, y) word and filters it through `satisfies`,
-    so the result is a constraint-logic-free oracle for `count_paths_dp`.
-    A word is a left half of x // 2 steps followed by a right half whose
-    net height brings it to y.  Each half is grown one step at a time in
-    U, D, F order, keeping only the prefixes whose height can still end
-    where a word of type (x, y) needs that half to end (see
-    `_half_words`); the right halves are grouped by net height, and each
-    left half, in order, is joined to its group, so the words come out
-    in lexicographic order.
+    Joins a left half of x // 2 steps to a right half whose net height
+    brings it to y, and filters each joined word through `satisfies`,
+    so the result is a regex-filtered oracle for `count_paths_dp` that
+    shares no automaton logic with it.  Each half is grown one step at
+    a time in U, D, F order, keeping only the prefixes whose height can
+    still end where a word of type (x, y) needs that half to end (see
+    `_half_words`).  A left half that already holds a banned prefix or
+    factor (`PathConstraintSet.left_pattern`) and a right half that
+    already holds a banned factor or suffix (``right_pattern``) are
+    dropped before any join, since every word they join into holds it
+    too.  The right halves are grouped by net height, and each left
+    half, in order, is joined to its group, so the words come out in
+    lexicographic order.
     """
     if not (isinstance(x, int) and x >= 0):
         raise InvalidInputError(f"path length must be a nonnegative integer, got {x!r}")
@@ -136,9 +155,14 @@ def _iter_paths(x: int, y: int, constraints: PathConstraintSet) -> Iterator[str]
     half = x // 2
     rest = x - half
     rights: dict[int, list[str]] = {}
+    banned = constraints.right_pattern.search
     for right, height in _half_words(rest, y - half, y + half):
-        rights.setdefault(height, []).append(right)
+        if not banned(right):
+            rights.setdefault(height, []).append(right)
+    banned = constraints.left_pattern.search
     for left, height in _half_words(half, y - rest, y + rest):
+        if banned(left):
+            continue
         for word in map(left.__add__, rights.get(y - height, ())):
             if satisfies(word, constraints, x, y):
                 yield word

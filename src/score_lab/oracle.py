@@ -29,7 +29,10 @@ keeps no list of either, nor of phi's images.  Each core's round trip,
 both streams strictly ascending and each streamed path admissible,
 with as many cores and paths as the DP counts, already show that phi
 maps the cores one to one onto the admissible paths and that the path
-enumerator yields exactly those paths.
+enumerator yields exactly those paths.  Each fact is checked once per
+core: `_phi` runs the core test and the admissibility check, and the
+round trip is one read-back of the path compared with the core's
+hook-set mask.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .bijection import _phi, phi_context, phi_inverse
+from .bijection import _path_mask, _phi, phi_context
 from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError
 from .formulas import CORNER_FORMULAS, closed_forms
-from .mdcore import _corners, _md_to_partition
+from .mdcore import _corners, _hook_mask, _mask_hooks, _md_to_partition
 from .motzkin import _iter_paths, count_paths_dp, satisfies
 from .progression import Progression
 
@@ -152,12 +155,7 @@ def _iter_md_sets(prog: Progression) -> Iterator[tuple[int, ...]]:
             h = open_mask.bit_length() - 1
             open_mask ^= 1 << h
             stack.append((chosen | chain[h], open_mask & leaves_open[h]))
-        hooks = []
-        while chosen:
-            h = chosen.bit_length() - 1
-            hooks.append(h)
-            chosen ^= 1 << h
-        yield tuple(hooks)
+        yield _mask_hooks(chosen)
 
 
 def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int, ...]]:
@@ -245,7 +243,7 @@ class VerifyReport:
     corners: str  # "pass" | "fail" | "n/a"
     passed: bool
     n_scan: int | None = None
-    error: str | None = None  # the first error a core's round trip raised, not in as_json
+    error: str | None = None  # the first core whose round trip failed, and how; not in as_json
 
     def as_json(self) -> dict:
         record = {
@@ -270,12 +268,19 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
 
     One pass walks the cores as `_iter_md_sets` yields them and keeps
     none, so memory does not grow with the core count.  Each core's path
-    comes from `_phi` and must lead back to that core through public
-    `phi_inverse`, which admits only paths that pass `satisfies` and
-    re-runs the core test.  A `ScoreLabError` on either side fails the
-    round trip, not the run, and the first one is kept, with its core,
-    as the report's ``error``.  The paths are counted as `_iter_paths`
-    yields them, and each must pass public `satisfies` itself.
+    comes from `_phi`, which runs the core test on the core and checks
+    the path against the constraint set.  The path is read back once,
+    through the body public `phi_inverse` shares (`_path_mask`), and
+    must give the core's hook-set mask.  Neither the admissibility
+    check nor the core test is run again on the way back: the path has
+    passed the first, a mask equal to the core's has passed the second,
+    and distinct words of one type read back to distinct masks, so a
+    banned word could not come back as a core.  A `ScoreLabError`
+    fails the round trip, not the run; the first failing core is kept
+    as the report's ``error``, with the message raised or, when it came
+    back as another hook set, that set.  The paths are counted as
+    `_iter_paths` yields them, and each must pass public `satisfies`
+    itself.
 
     The round trip passes when every core comes back, both streams are
     strictly ascending (hook tuples, and words in U < D < F order), each
@@ -319,11 +324,14 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
         n_md, previous = n_md + 1, md
         try:
             steps = _phi(md, prog)
-            if phi_inverse(steps, prog) != md:
-                roundtrip_ok = False
         except ScoreLabError as exc:
             steps, roundtrip_ok = None, False
             error = error or f"core {md}: {exc}"
+        else:
+            back = _path_mask(steps, prog)
+            if back != _hook_mask(md):
+                roundtrip_ok = False
+                error = error or f"core {md}: came back as {_mask_hooks(back)}"
         if corner_check or partitions is not None:
             parts = _md_to_partition(md)
         if partitions is not None:

@@ -147,22 +147,16 @@ class Progression:
         return slots
 
     @cached_property
-    def class_blocks(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    def class_blocks(self) -> tuple[dict[int, int], ...]:
         """Per column, the block of every signed bead count b with |b| <= `class_depth`.
 
-        ``class_blocks[j][b]`` is (the block's hooks, ascending, and their
-        hook mask); a negative b indexes from the end, as Python does.
+        ``class_blocks[j][b]`` is the hook mask of column j's block of b
+        beads; a deeper count has no entry.
         """
-        period, depth = self.period, self.class_depth
+        period, counts = self.period, range(-self.class_depth, self.class_depth + 1)
         return tuple(
-            tuple(
-                _class_block(period, first, n)
-                for first, n in (
-                    *((pos_first, n) for n in range(depth + 1)),
-                    *((neg_first, n) for n in range(depth, 0, -1)),
-                )
-            )
-            for pos_first, neg_first in self.class_firsts
+            {b: _class_block(period, firsts, b) for b in counts}
+            for firsts in self.class_firsts
         )
 
     @cached_property
@@ -183,13 +177,14 @@ def default_md_bound(s: int, d: int) -> int:
     return max(1, s * t - s - t)
 
 
-def _class_block(period: int, first: int, n: int) -> tuple[tuple[int, ...], int]:
-    """The gap-free block of n beads on the class whose smallest hook is ``first``.
+def _class_block(period: int, firsts: tuple[int, int], b: int) -> int:
+    """The hook mask of the gap-free block of b signed beads on a column.
 
-    Its hooks are first + period * k for k < n, ascending, and its hook
-    mask is ``_class_runs(period, n) << first``.
+    ``firsts`` are the smallest hooks of the column's positive and
+    negative class (`Progression.class_firsts`); the block's hooks are
+    first + period * k for k < |b|, with first the one of b's sign.
     """
-    return tuple(range(first, first + period * n, period)), _class_runs(period, n) << first
+    return _class_runs(period, abs(b)) << firsts[b < 0]
 
 
 def _class_runs(period: int, depth: int) -> int:

@@ -22,6 +22,8 @@ from score_lab import (
     phi,
     phi_context,
     phi_inverse,
+    place_beads,
+    state_md,
     verify_instance,
 )
 from score_lab.bijection import mapping_record
@@ -152,6 +154,37 @@ def test_phi_inverse_rechecks_the_rebuilt_hook_set(monkeypatch):
     monkeypatch.setattr(bijection_mod, "_is_simultaneous_core", lambda *args: False)
     with pytest.raises(InternalConsistencyError):
         phi_inverse("FDUFFUDDDDUF", prog)
+
+
+def test_phi_inverse_refuses_a_non_core_read_back(monkeypatch):
+    # Only the public phi_inverse re-runs the core test on what it reads back.
+    import score_lab.bijection as bijection_mod
+
+    prog = phi_context(21, 4, 4)
+    monkeypatch.setattr(bijection_mod, "_beads_mask", lambda prog, counts: 1 << 21)
+    with pytest.raises(InternalConsistencyError, match=r"non-core hook set \(21,\)"):
+        phi_inverse("FDUFFUDDDDUF", prog)
+
+
+def test_state_md_phi_inverse_and_verify_share_one_read_back(monkeypatch):
+    import score_lab.abacus as abacus_mod
+    import score_lab.bijection as bijection_mod
+
+    calls = []
+    real = abacus_mod._beads_mask
+
+    def counting(prog, counts):
+        calls.append(prog)
+        return real(prog, counts)
+
+    for module in (abacus_mod, bijection_mod):  # the body and the one module importing it
+        monkeypatch.setattr(module, "_beads_mask", counting)
+    prog = phi_context(21, 4, 4)
+    assert state_md(place_beads(prog, LAMBDA)) == LAMBDA
+    assert phi_inverse("FDUFFUDDDDUF", prog) == LAMBDA
+    assert len(calls) == 2
+    assert verify_instance(3, 2, 2).passed  # two cores, one read-back each
+    assert len(calls) == 4
 
 
 def _count_calls(monkeypatch, names):

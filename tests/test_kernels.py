@@ -5,7 +5,8 @@
 private modular core test behind `phi` work on one int per hook set
 (bit h set for each hook h); `enumerate_md_sets` searches on its own
 chain and partner masks; `md_to_partition` walks down the Durfee rows
-once; `enumerate_paths` joins height-pruned half words; and
+once; `enumerate_paths` joins height-pruned half words, less those
+that already hold a banned word; and
 `validate_core_function` checks a summary by the path rules instead of
 the parity-case windows it once wrote out.  Each
 reference below is the straightforward loop over hooks, columns, rows
@@ -14,12 +15,15 @@ the same error types with the same messages, and list hook sets and
 paths in the same order.
 """
 
+import functools
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
 from math import gcd
 from operator import sub
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,9 +53,10 @@ from score_lab import (
     state_md,
     validate_core_function,
 )
+from score_lab.bijection import _path_mask
 from score_lab.errors import check_progression_length
 from score_lab.mdcore import _coprime_pair_sums, _hook_mask, _is_simultaneous_core
-from score_lab.motzkin import EMPTY_CONSTRAINTS, _satisfies
+from score_lab.motzkin import EMPTY_CONSTRAINTS, PathConstraintSet, _satisfies
 
 from conftest import sc_partitions_up_to
 
@@ -496,6 +501,26 @@ def test_every_path_of_its_type_fits_the_cached_blocks():
                 assert -prog.class_depth <= lowest - r + 1 <= highest - r + 1 <= prog.class_depth
 
 
+def test_distinct_words_of_one_type_read_back_to_distinct_masks():
+    # verify compares a core's mask with its path's read-back and runs no
+    # admissibility or core test on the read-back: a banned word of the type
+    # cannot read back to a core's mask, since the core's own word does.
+    # The column whose two classes coincide (residue s + d) is column 0,
+    # where f(0) = 0, or the last column of an even d, where f ends at y.
+    words = 0
+    for s in range(1, 14):
+        for d in range(1, 7):
+            if gcd(s, d) != 1:
+                continue
+            prog = phi_context(s, d, 2)
+            coincide = [j for j, (pos, neg) in enumerate(prog.class_firsts) if pos == neg]
+            assert coincide == ([0] if s % 2 == 0 else [prog.max_column] if d % 2 == 0 else [])
+            paths = enumerate_paths(prog.x, prog.y, EMPTY_CONSTRAINTS)
+            assert len({_path_mask(steps, prog) for steps in paths}) == len(paths), prog
+            words += len(paths)
+    assert words > 10_000
+
+
 # Each has a path whose bead counts reach past depth 1, and all but
 # (9, 2, 2) have paths that break a constraint.
 @pytest.mark.parametrize("s,d,p", [(4, 3, 3), (5, 3, 4), (5, 1, 2), (4, 1, 3), (9, 2, 2), (8, 3, 3)])
@@ -533,22 +558,101 @@ CONSTRAINT_SETS = sorted(
 )
 
 
+@functools.cache
+def _reference_words(x, y):
+    """Every type-(x, y) word in the recursive generator's order.
+
+    The generator grows the same words whatever the constraint set and
+    filters each through `satisfies`, so filtering these gives its
+    result for any set.
+    """
+    return reference_enumerate_paths(x, y, EMPTY_CONSTRAINTS)
+
+
+def _spy_on_half_patterns(monkeypatch):
+    """Keep each half word the generator drops, with the side whose pattern dropped it."""
+    dropped = set()
+    for side in ("left", "right"):
+        build = vars(PathConstraintSet)[f"{side}_pattern"].func
+
+        def spying(constraints, side=side, build=build):
+            search = build(constraints).search
+
+            def spy(half):
+                found = search(half)
+                if found:
+                    dropped.add((side, half))
+                return found
+
+            return SimpleNamespace(search=spy)
+
+        monkeypatch.setattr(PathConstraintSet, f"{side}_pattern", property(spying))
+    return dropped
+
+
 @pytest.mark.parametrize("constraints", CONSTRAINT_SETS, ids=repr)
-def test_enumerate_paths_matches_the_recursive_generator(constraints):
-    for x in range(9):
-        for y in range(-x - 1, x + 2):
-            expected = reference_enumerate_paths(x, y, constraints)
+def test_enumerate_paths_matches_the_recursive_generator(constraints, monkeypatch):
+    # Up to x = 8 every end height; x = 9..11, with halves of up to 6 steps,
+    # at y = -3, the end height of the encoding's types for d = 5 and 6.
+    dropped = _spy_on_half_patterns(monkeypatch)
+    for x in range(12):
+        for y in range(-x - 1, x + 2) if x < 9 else (-3,):
+            expected = [w for w in _reference_words(x, y) if satisfies(w, constraints, x, y)]
             assert enumerate_paths(x, y, constraints) == expected, (x, y)
+    # Each banned word of each shape drops half words on each side where it
+    # fits whole, in halves of up to 5 (left) and 6 (right) steps: a prefix
+    # F^jU in a left half, a factor UF^iU in either, a suffix UF^k in a right.
+    shapes = {  # each shape's top, its banned words, their U steps, and the sides
+        "prefix": (constraints.prefix_top, r"\AF{{{}}}U", 1, ("left",)),
+        "factor": (constraints.factor_top, "UF{{{}}}U", 2, ("left", "right")),
+        "suffix": (constraints.suffix_top, r"UF{{{}}}\Z", 1, ("right",)),
+    }
+    room = {"left": 5, "right": 6}
+    expected = {
+        (side, shape, flats)
+        for shape, (top, _, ups, sides) in shapes.items()
+        for side in sides
+        for flats in range(top + 1)
+        if flats + ups <= room[side]
+    }
+    fired = {
+        (side, shape, flats)
+        for side, half in dropped
+        for shape, (top, banned, _, sides) in shapes.items()
+        if side in sides
+        for flats in range(top + 1)
+        if re.search(banned.format(flats), half)
+    }
+    assert fired == expected
 
 
 def test_enumerate_paths_generates_every_word_in_order():
-    # The words generated do not depend on the constraint set, which only
-    # filters them; with no constraints every generated word is listed.
+    # With no constraints no half word is dropped and no word filtered out,
+    # so every word of the type is listed.
     assert len(CONSTRAINT_SETS) == 24
     for x in range(11):
         for y in range(-x - 1, x + 2):
             expected = reference_enumerate_paths(x, y, EMPTY_CONSTRAINTS)
             assert enumerate_paths(x, y, EMPTY_CONSTRAINTS) == expected, (x, y)
+
+
+def test_enumerate_paths_joins_few_banned_words(monkeypatch):
+    # A work count, not a timing: the halves that already hold a banned
+    # word are dropped before the join, so at (21, 4, 4) about 1.1 joined
+    # words go through satisfies per admissible one; joining every pair of
+    # halves would take 58,278.
+    import score_lab.motzkin as motzkin_mod
+
+    calls = Counter()
+
+    def counting(*args, real=motzkin_mod.satisfies):
+        calls["satisfies"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(motzkin_mod, "satisfies", counting)
+    prog = phi_context(21, 4, 4)
+    assert len(enumerate_paths(prog.x, prog.y, prog.constraints)) == 13_694
+    assert calls["satisfies"] <= 16_000
 
 
 def test_enumerate_paths_prunes_on_height():

@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+import re
 import signal
 import tracemalloc
 from bisect import bisect
@@ -14,6 +15,7 @@ import score_lab.oracle as oracle_mod
 from score_lab import (
     CountResult,
     InvalidInputError,
+    PathConstraintSet,
     Progression,
     UnsupportedParametersError,
     constraints_for,
@@ -244,6 +246,34 @@ def _substitute_a_banned_word(monkeypatch, prog):
     _edit_stream(monkeypatch, "_iter_paths", substitute)
 
 
+def _drop_a_block(monkeypatch, prog):
+    """The shared read-back leaves out the block of the first column with beads."""
+    import score_lab.abacus as abacus_mod
+    import score_lab.bijection as bijection_mod
+
+    real = abacus_mod._beads_mask
+
+    def mutant(prog, counts):
+        counts = list(counts)
+        first = next((j for j, b in enumerate(counts) if b), None)
+        if first is not None:
+            counts[first] = 0
+        return real(prog, counts)
+
+    for module in (abacus_mod, bijection_mod):
+        monkeypatch.setattr(module, "_beads_mask", mutant)
+
+
+def _unanchor_the_right_half_suffix(monkeypatch, prog):
+    """The right-half pattern bans UF^k anywhere in the half, not only at its end."""
+    build = vars(PathConstraintSet)["right_pattern"].func
+    monkeypatch.setattr(
+        PathConstraintSet,
+        "right_pattern",
+        property(lambda self: re.compile(build(self).pattern.replace(r"\Z", ""))),
+    )
+
+
 def _drop_one(items):
     del items[3]
 
@@ -260,6 +290,8 @@ MUTANTS = {
     "path-stream-substitutes-a-banned-word": _substitute_a_banned_word,
     "core-stream-repeats-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _repeat_one),
     "core-stream-drops-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _drop_one),
+    "read-back-drops-a-block": _drop_a_block,
+    "right-half-suffix-loses-its-anchor": _unanchor_the_right_half_suffix,
 }
 
 
@@ -274,6 +306,22 @@ def test_verify_fails_the_round_trip_of_each_mutant(name, monkeypatch):
     assert report.passed is False and report.roundtrip == "fail"
     assert report.n_dp == 32
     assert report.n_md == (31 if name == "core-stream-drops-a-core" else 32)
+
+
+def test_verify_names_the_core_that_comes_back_as_another(monkeypatch, capsys):
+    # No exception is raised, yet the report and stderr name the first
+    # core whose path reads back to a different hook set.
+    prog = phi_context(9, 2, 3)
+    first, second = enumerate_md_sets(prog)[:2]
+    _collide_two_cores(monkeypatch, prog)
+    assert verify_instance(9, 2, 3).error == f"core {second}: came back as {first}"
+    assert main(["verify", "--s", "9", "--d", "2", "--p", "3"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == (
+        "s=9 d=2 p=3 md=32 paths=32 dp=32 formula=32 roundtrip=fail corners=n/a FAIL\n"
+        "verified 1 instances: 0 pass, 1 fail, 0 skipped\n"
+    )
+    assert printed.err == f"error: s=9 d=2 p=3 core {second}: came back as {first}\n"
 
 
 def test_verify_instance_memory_is_flat_in_the_core_count():
@@ -345,8 +393,8 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
         raise AssertionError("hook-set enumeration called the encoding")
 
     forbidden_names = {
-        abacus_mod: ("place_beads", "_place_beads", "state_md", "_state_hooks"),
-        bijection_mod: ("phi", "_phi", "phi_inverse"),
+        abacus_mod: ("place_beads", "_place_beads", "state_md", "_beads_mask"),
+        bijection_mod: ("phi", "_phi", "phi_inverse", "_path_mask"),
         mdcore_mod: ("_is_simultaneous_core", "_hook_mask"),
     }
     for module, names in forbidden_names.items():
@@ -386,7 +434,7 @@ def _reads(source):
 
 
 def test_each_check_has_one_home():
-    # The column read-back lives in abacus._state_hooks and the d = 1 corner
+    # The column read-back lives in abacus._beads_mask and the d = 1 corner
     # rows in oracle.corner_rows; a second copy must not creep back in.
     import score_lab.bijection as bijection_mod
     import score_lab.cli as cli_mod
