@@ -6,7 +6,6 @@ and independent brute-force verification.
 """
 
 from .abacus import (
-    AbacusState,
     abacus_function,
     abacus_spec,
     beads_from_function,

@@ -35,7 +35,6 @@ rules of its own.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from operator import getitem, sub
 
@@ -50,7 +49,6 @@ from .motzkin import _satisfies
 from .progression import Progression, _class_block
 
 __all__ = [
-    "AbacusState",
     "abacus_spec",
     "label",
     "boundary_row",
@@ -69,14 +67,6 @@ _LETTER = {1: "U", -1: "D", 0: "F"}  # a column-to-column difference -> its step
 def abacus_spec(s: int, d: int) -> Progression:
     """The grid for coprime positive s, d: the plain pair ``Progression(s, d, 1)``."""
     return Progression(s, d, 1)
-
-
-@dataclass(frozen=True)
-class AbacusState:
-    """A progression plus the signed bead count b(j) on each column of its grid."""
-
-    prog: Progression
-    beads: tuple[int, ...]
 
 
 def label(prog: Progression, i: int, j: int) -> int:
@@ -108,15 +98,15 @@ def _check_column_count(prog: Progression, values: Sequence[int]) -> None:
         )
 
 
-def place_beads(prog: Progression, md: Iterable[int]) -> AbacusState:
-    """Place one bead per diagonal hook and compress to signed counts.
+def place_beads(prog: Progression, md: Iterable[int]) -> tuple[int, ...]:
+    """Place one bead per diagonal hook and compress to signed counts b(j).
 
     Raises `UnplaceableHookError` when a hook is congruent to s+d
     modulo 2(s+d) (no position carries it), and `BeadStructureError`
     when the beads do not form the boundary-hugging blocks of a
     simultaneous core.
     """
-    return AbacusState(prog, _place_beads(prog, validate_md(md)))
+    return _place_beads(prog, validate_md(md))
 
 
 def _place_beads(prog: Progression, md: tuple[int, ...]) -> tuple[int, ...]:
@@ -172,25 +162,21 @@ def _structure_error(
     return BeadStructureError(f"column {j} has a gap in its {side} bead block: {rows}")
 
 
-def abacus_function(state: AbacusState) -> tuple[int, ...]:
-    """Per-column summary f(j) = r(j) - 1 + b(j)."""
-    return _abacus_function(state.prog, state.beads)
-
-
-def _abacus_function(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
-    """`abacus_function` for one signed bead count per column."""
+def abacus_function(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
+    """Per-column summary f(j) = r(j) - 1 + b(j) of one signed bead count per column."""
     return tuple(r - 1 + b for r, b in zip(prog.boundary_rows, beads))
 
 
-def beads_from_function(prog: Progression, values: Sequence[int]) -> AbacusState:
+def beads_from_function(prog: Progression, values: Sequence[int]) -> tuple[int, ...]:
     """Invert `abacus_function`: b(j) = f(j) - r(j) + 1."""
     _check_column_count(prog, values)
-    return AbacusState(prog, tuple(v - r + 1 for v, r in zip(values, prog.boundary_rows)))
+    return tuple(v - r + 1 for v, r in zip(values, prog.boundary_rows))
 
 
-def state_md(state: AbacusState) -> tuple[int, ...]:
-    """Diagonal hooks read back off the beads, largest first."""
-    return _mask_hooks(_beads_mask(state.prog, state.beads))
+def state_md(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
+    """Diagonal hooks read back off one signed bead count per column, largest first."""
+    _check_column_count(prog, beads)
+    return _mask_hooks(_beads_mask(prog, beads))
 
 
 def _beads_mask(prog: Progression, counts: Iterable[int]) -> int:
@@ -238,17 +224,16 @@ def _path_word(prog: Progression, f: Sequence[int]) -> str:
     return "".join(map(_LETTER.__getitem__, map(sub, f[1:], f)))
 
 
-def render_abacus(state: AbacusState) -> str:
+def render_abacus(prog: Progression, beads: Sequence[int]) -> str:
     """ASCII picture of the abacus: labels in a grid, beads in parentheses.
 
     Columns run left to right, rows bottom to top.  The rows shown cover
     every bead with one row of margin and always include the sign
     boundary of each column.
     """
-    prog = state.prog
     boundaries = prog.boundary_rows
     marked = set()
-    for j, (b, r) in enumerate(zip(state.beads, boundaries)):
+    for j, (b, r) in enumerate(zip(beads, boundaries)):
         marked.update((i, j) for i in (range(r, r + b) if b > 0 else range(r + b, r)))
     bead_rows = [i for i, _ in marked]
     lo = min([*boundaries, *bead_rows]) - 1
@@ -282,16 +267,15 @@ def render_abacus(state: AbacusState) -> str:
     return "\n".join(lines)
 
 
-def abacus_record(state: AbacusState) -> dict:
+def abacus_record(prog: Progression, beads: Sequence[int]) -> dict:
     """JSON-ready record: (s, d, a) plus per-column (j, r, b, f)."""
-    prog = state.prog
-    f = abacus_function(state)
+    f = abacus_function(prog, beads)
     return {
         "s": prog.s,
         "d": prog.d,
         "a": prog.a,
         "columns": [
             {"j": j, "r": r, "b": b, "f": f[j]}
-            for j, (r, b) in enumerate(zip(prog.boundary_rows, state.beads))
+            for j, (r, b) in enumerate(zip(prog.boundary_rows, beads))
         ],
     }

@@ -33,7 +33,7 @@ from collections.abc import Iterable
 from itertools import accumulate
 from operator import sub
 
-from .abacus import _LETTER, _abacus_function, _beads_mask, _path_word, _place_beads
+from .abacus import _LETTER, _beads_mask, _path_word, _place_beads, abacus_function
 from .errors import (
     InternalConsistencyError,
     InvalidPathError,
@@ -98,7 +98,7 @@ def _phi(md: tuple[int, ...], prog: Progression) -> str:
             f"{md} is not a self-conjugate {prog.moduli}-core hook set"
         )
     try:
-        steps = _path_word(prog, _abacus_function(prog, _place_beads(prog, md)))
+        steps = _path_word(prog, abacus_function(prog, _place_beads(prog, md)))
     except KeyError as exc:  # a jump of 2+ would mean the encoding is broken
         raise InternalConsistencyError(f"column summary jumps by {exc} for {md}")
     if not _satisfies(steps, prog.constraints, prog.x, prog.y):

@@ -292,10 +292,10 @@ def _cmd_unmap(args) -> _Output:
 
 def _cmd_abacus(args) -> _Output:
     prog = Progression(args.s, args.d, 1)
-    state = abacus_mod.place_beads(prog, _parse_md(args.md))
-    record = abacus_mod.abacus_record(state)
+    beads = abacus_mod.place_beads(prog, _parse_md(args.md))
+    record = abacus_mod.abacus_record(prog, beads)
     return _Output(
-        [record], ("j", "r", "b", "f"), record["columns"], [abacus_mod.render_abacus(state)]
+        [record], ("j", "r", "b", "f"), record["columns"], [abacus_mod.render_abacus(prog, beads)]
     )
 
 
@@ -319,11 +319,6 @@ def _cmd_corners(args) -> _Output:
     agree = all(row["formula"] in (None, row["enumerated"]) for row in rows)
     text.append("AGREE" if agree else "DISAGREE")
     return _Output(rows, ("m", "enumerated", "formula"), rows, text, 0 if agree else 1)
-
-
-def _verify_one(item: tuple[int, int, int, bool]) -> oracle.VerifyReport:
-    s, d, p, scan = item
-    return oracle.verify_instance(s, d, p, scan=scan)
 
 
 def _cmd_verify(args) -> _Output:
@@ -354,9 +349,9 @@ def _cmd_verify(args) -> _Output:
     workers = min(args.jobs, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_one, grid))
+            reports = list(pool.map(oracle.verify_instance, *zip(*grid)))
     else:
-        reports = [_verify_one(item) for item in grid]
+        reports = [oracle.verify_instance(*item) for item in grid]
 
     for r in reports:
         if r.error:  # stdout keeps the report's bytes; the failing core goes to stderr

@@ -293,10 +293,14 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     enumerated paths; when the counts differ, ``passed`` is False
     whatever ``roundtrip`` says.
 
-    With ``scan``, the partition-scan enumerator runs as well, up to
-    `pair_core_size_bound`, and its result must match the hook-set
-    enumerator partition for partition; only then are the cores'
-    partitions kept.
+    With ``scan``, the partition-scan enumerator runs first, up to
+    `pair_core_size_bound`, and each core's partition must be the scan's
+    entry at the core's index, with as many entries as cores.  Its list
+    is the only one verify holds.  The hook sets come in the order of
+    their partitions: row i of a self-conjugate partition with diagonal
+    hooks h_1 > ... > h_D is (h_i - 1)/2 + i for i <= D and at most D
+    below, so the first hook in which two sets differ, or the one set's
+    lack of a hook, decides their partitions' order too.
     """
     prog = phi_context(s, d, p)
     x, y, constraints = prog.x, prog.y, prog.constraints
@@ -315,9 +319,9 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     # The hook sets come canonical from the search and the paths from _phi,
     # so their partitions and step letters are read without re-validating.
     corner_check = d == 1 and p in CORNER_FORMULAS
-    partitions: list[tuple[int, ...]] | None = [] if scan else None
+    scanned = enumerate_by_partition_scan(prog, pair_core_size_bound(s, s + d)) if scan else None
     histogram: Counter = Counter()
-    n_md, paths_ok, error = 0, True, None
+    n_md, paths_ok, scan_ok, error = 0, True, True, None
     for md in _iter_md_sets(prog):
         if n_md and not previous < md:
             roundtrip_ok = False
@@ -332,10 +336,10 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
             if back != _hook_mask(md):
                 roundtrip_ok = False
                 error = error or f"core {md}: came back as {_mask_hooks(back)}"
-        if corner_check or partitions is not None:
+        if corner_check or scanned is not None:
             parts = _md_to_partition(md)
-        if partitions is not None:
-            partitions.append(parts)
+        if scanned is not None and (n_md > len(scanned) or scanned[n_md - 1] != parts):
+            scan_ok = False
         if corner_check:
             m = _corners(parts)
             histogram[m] += 1
@@ -352,12 +356,8 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
         rows_ok = all(row["formula"] == row["enumerated"] for row in rows)
         corner_status = "pass" if paths_ok and rows_ok else "fail"
 
-    n_scan = None
-    scan_ok = True
-    if partitions is not None:
-        scanned = enumerate_by_partition_scan(prog, pair_core_size_bound(s, s + d))
-        n_scan = len(scanned)
-        scan_ok = scanned == sorted(partitions)
+    n_scan = None if scanned is None else len(scanned)
+    scan_ok = scan_ok and n_scan in (None, n_md)
 
     counts = {n_md, n_path, n_dp}
     if n_formula is not None:

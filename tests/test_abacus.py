@@ -78,16 +78,16 @@ def test_every_eligible_odd_value_has_one_slot(s, d):
 
 
 def test_place_beads_matches_the_three_reference_diagrams():
-    assert place_beads(abacus_spec(21, 4), EXAMPLE_MD_OE).beads == (
+    assert place_beads(abacus_spec(21, 4), EXAMPLE_MD_OE) == (
         0, 0, -1, 1, 1, 1, 2, 1, 0, 0, -1, 0, 0,
     )
-    assert place_beads(abacus_spec(23, 3), EXAMPLE_MD_OO).beads == (
+    assert place_beads(abacus_spec(23, 3), EXAMPLE_MD_OO) == (
         0, 0, -1, 0, 1, 1, 2, 1, 0, -1, -2, -1, -1,
     )
-    assert place_beads(abacus_spec(22, 3), EXAMPLE_MD_EO).beads == (
+    assert place_beads(abacus_spec(22, 3), EXAMPLE_MD_EO) == (
         0, 0, -1, 0, 0, 1, 2, 1, 0, -1, -2, -1, -1,
     )
-    assert place_beads(abacus_spec(21, 4), ()).beads == (0,) * 13
+    assert place_beads(abacus_spec(21, 4), ()) == (0,) * 13
 
 
 def test_place_beads_error_modes():
@@ -104,10 +104,11 @@ def test_place_beads_error_modes():
 
 
 def test_summary_matches_worked_examples():
-    assert abacus_function(place_beads(abacus_spec(21, 4), EXAMPLE_MD_OE)) == EXAMPLE_F
-    assert abacus_function(place_beads(abacus_spec(23, 3), EXAMPLE_MD_OO)) == EXAMPLE_F
-    assert abacus_function(place_beads(abacus_spec(22, 3), EXAMPLE_MD_EO)) == EXAMPLE_F
-    assert abacus_function(place_beads(abacus_spec(21, 4), ())) == (
+    for s, d, md in ((21, 4, EXAMPLE_MD_OE), (23, 3, EXAMPLE_MD_OO), (22, 3, EXAMPLE_MD_EO)):
+        prog = abacus_spec(s, d)
+        assert abacus_function(prog, place_beads(prog, md)) == EXAMPLE_F
+    prog = abacus_spec(21, 4)
+    assert abacus_function(prog, place_beads(prog, ())) == (
         0, 0, 0, -1, -1, -1, -1, -1, -1, -2, -2, -2, -2,
     )
 
@@ -121,11 +122,13 @@ def test_summary_roundtrip_through_beads():
         (3, 2, ()),
     ):
         prog = abacus_spec(s, d)
-        state = place_beads(prog, md)
-        assert beads_from_function(prog, abacus_function(state)) == state
-        assert state_md(state) == md
+        beads = place_beads(prog, md)
+        assert beads_from_function(prog, abacus_function(prog, beads)) == beads
+        assert state_md(prog, beads) == md
     with pytest.raises(InvalidInputError):
         beads_from_function(abacus_spec(3, 2), (0, 0))
+    with pytest.raises(InvalidInputError):
+        state_md(abacus_spec(3, 2), (1,))
 
 
 def test_validator_worked_examples():
@@ -141,7 +144,7 @@ def test_validator_accepts_the_wide_window_core():
     # inside the end window; only the narrow near-end bound is sound.
     prog = Progression(8, 1, 3)
     md = (23, 7, 5, 3, 1)
-    f = abacus_function(place_beads(prog, md))
+    f = abacus_function(prog, place_beads(prog, md))
     assert f == (0, -1, -2, -1, -1)
     assert validate_core_function(f, prog)
 
@@ -169,25 +172,27 @@ def test_every_swept_core_passes_the_validator():
     for (s, d, p) in ((5, 1, 2), (8, 3, 4), (9, 2, 5), (12, 1, 3), (7, 4, 2)):
         prog = Progression(s, d, p)
         for md in enumerate_md_sets(prog):
-            f = abacus_function(place_beads(prog, md))
+            f = abacus_function(prog, place_beads(prog, md))
             assert validate_core_function(f, prog), (s, d, p, md)
 
 
 def test_render_marks_beads_only():
     prog = abacus_spec(21, 4)
-    empty = render_abacus(place_beads(prog, ()))
+    empty = render_abacus(prog, place_beads(prog, ()))
     assert "-21" in empty and "29" in empty
     assert "(" not in empty
 
-    marked = render_abacus(place_beads(prog, EXAMPLE_MD_OE))
+    marked = render_abacus(prog, place_beads(prog, EXAMPLE_MD_OE))
     assert "(27)" in marked and "(77)" in marked and "(-41)" in marked
     assert "(-21)" not in marked
 
-    eo = render_abacus(place_beads(abacus_spec(22, 3), EXAMPLE_MD_EO))
+    prog = abacus_spec(22, 3)
+    eo = render_abacus(prog, place_beads(prog, EXAMPLE_MD_EO))
     assert "(-3)" in eo
 
 
 def test_record_layout():
-    record = abacus_record(place_beads(abacus_spec(3, 2), (1,)))
+    prog = abacus_spec(3, 2)
+    record = abacus_record(prog, place_beads(prog, (1,)))
     assert record["s"] == 3 and record["d"] == 2 and record["a"] == -3
     assert record["columns"][1] == {"j": 1, "r": 0, "b": 1, "f": 0}

@@ -39,7 +39,7 @@ def test_criterion_1_worked_examples():
     started = time.perf_counter()
     prog = abacus_spec(21, 4)
     md = (77, 41, 35, 27, 19, 11, 5, 3)
-    assert abacus_function(place_beads(prog, md)) == (
+    assert abacus_function(prog, place_beads(prog, md)) == (
         0, 0, -1, 0, 0, 0, 1, 0, -1, -2, -3, -2, -2,
     )
     assert phi(md, phi_context(21, 4, 4)) == "FDUFFUDDDDUF"
@@ -144,7 +144,7 @@ def test_criterion_7_dual_oracle():
         n_max = pair_core_size_bound(s, s + d)
         prog = Progression(s, d, p)
         scanned = enumerate_by_partition_scan(prog, n_max)
-        direct = sorted(md_to_partition(md) for md in enumerate_md_sets(prog))
+        direct = [md_to_partition(md) for md in enumerate_md_sets(prog)]
         assert scanned == direct, (s, d, p)
         checked += 1
     elapsed = time.perf_counter() - started

@@ -180,11 +180,21 @@ def test_state_md_phi_inverse_and_verify_share_one_read_back(monkeypatch):
     for module in (abacus_mod, bijection_mod):  # the body and the one module importing it
         monkeypatch.setattr(module, "_beads_mask", counting)
     prog = phi_context(21, 4, 4)
-    assert state_md(place_beads(prog, LAMBDA)) == LAMBDA
+    assert state_md(prog, place_beads(prog, LAMBDA)) == LAMBDA
     assert phi_inverse("FDUFFUDDDDUF", prog) == LAMBDA
     assert len(calls) == 2
     assert verify_instance(3, 2, 2).passed  # two cores, one read-back each
     assert len(calls) == 4
+
+
+def test_one_summary_body_serves_phi_and_verify(monkeypatch):
+    # One f = r - 1 + b body: phi calls the public name, once per core.
+    counts = _count_calls(monkeypatch, ("abacus_function",))
+    prog = phi_context(21, 4, 4)
+    assert phi(LAMBDA, prog) == "FDUFFUDDDDUF"
+    assert counts["abacus_function"] == 1
+    assert verify_instance(3, 2, 2).passed  # two cores, one summary each
+    assert counts["abacus_function"] == 3
 
 
 def _count_calls(monkeypatch, names):

@@ -407,8 +407,8 @@ def test_verify_jobs_are_capped_by_the_grid_size(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
     serial = run(capsys, "verify", "--s", "1..3", "--d", "1", "--p", "2")

@@ -28,7 +28,6 @@ from types import SimpleNamespace
 import pytest
 
 from score_lab import (
-    AbacusState,
     BeadStructureError,
     InternalConsistencyError,
     InvalidInputError,
@@ -396,11 +395,11 @@ def test_placement_and_phi_match_the_per_hook_loops(s, d, p):
     prog = phi_context(s, d, p)
     placed = cores = 0
     for md in _hook_sets(prog):
-        beads = outcome(lambda: place_beads(prog, md).beads)
+        beads = outcome(place_beads, prog, md)
         assert beads == outcome(reference_place_beads, prog, md), md
         if beads[0] == "ok":
             placed += 1
-            back = state_md(AbacusState(prog, beads[1]))
+            back = state_md(prog, beads[1])
             assert back == reference_state_md(prog, beads[1]) == md
         steps = outcome(phi, md, prog)
         assert steps == outcome(reference_phi, md, prog), md
@@ -417,7 +416,7 @@ def test_state_md_and_phi_inverse_match_the_per_column_loops(s, d, p):
     # Counts past the cached blocks' depth build their blocks for the call.
     reach = prog.class_depth + 1
     for beads in itertools.product(range(-reach, reach + 1), repeat=prog.columns):
-        assert state_md(AbacusState(prog, beads)) == reference_state_md(prog, beads)
+        assert state_md(prog, beads) == reference_state_md(prog, beads)
     for steps in enumerate_paths(prog.x, prog.y, EMPTY_CONSTRAINTS):
         assert outcome(phi_inverse, steps, prog) == outcome(reference_phi_inverse, steps, prog)
 
@@ -682,11 +681,11 @@ def test_placement_of_deep_and_huge_hooks_matches_the_per_hook_loop(s, d, p):
     deep_blocks = 0
     for md in sets:
         md = tuple(sorted(set(md), reverse=True))
-        beads = outcome(lambda: place_beads(prog, md).beads)
+        beads = outcome(place_beads, prog, md)
         assert beads == outcome(reference_place_beads, prog, md), md
         if beads[0] == "ok":
             deep_blocks += max(map(abs, beads[1])) == deep
-            assert state_md(AbacusState(prog, beads[1])) == reference_state_md(prog, beads[1]) == md
+            assert state_md(prog, beads[1]) == reference_state_md(prog, beads[1]) == md
         assert outcome(phi, md, prog) == outcome(reference_phi, md, prog), md
     assert deep_blocks >= prog.columns  # the deep blocks themselves are placed
     huge = [md for md in sets if max(md) > 10**12]

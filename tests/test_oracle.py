@@ -308,6 +308,51 @@ def test_verify_fails_the_round_trip_of_each_mutant(name, monkeypatch):
     assert report.n_md == (31 if name == "core-stream-drops-a-core" else 32)
 
 
+def _drop_the_last(items):
+    del items[-1]
+
+
+def _repeat_the_last(items):
+    items.append(items[-1])
+
+
+def _swap_two(items):
+    items[3], items[4] = items[4], items[3]
+
+
+def _grow_a_part(items):
+    items[3] = (items[3][0] + 1, *items[3][1:])
+
+
+SCAN_MUTANTS = {
+    "scan-drops-a-partition": _drop_the_last,
+    "scan-repeats-a-partition": _repeat_the_last,
+    "scan-swaps-two-neighbours": _swap_two,
+    "scan-grows-a-part": _grow_a_part,
+}
+
+
+@pytest.mark.parametrize("name", SCAN_MUTANTS)
+def test_verify_fails_the_scan_check_of_each_mutant(name, monkeypatch):
+    # verify compares each core's partition with the scan's entry at its
+    # index, holding no list of its own, so a scan list that is short, long,
+    # out of order or wrong in one entry must fail the instance, not raise.
+    assert verify_instance(9, 2, 3, scan=True).passed
+    real = oracle_mod.enumerate_by_partition_scan
+    mutated = []
+
+    def mutant(prog, n_max):
+        items = real(prog, n_max)
+        SCAN_MUTANTS[name](items)
+        mutated.append(items)
+        return items
+
+    monkeypatch.setattr(oracle_mod, "enumerate_by_partition_scan", mutant)
+    report = verify_instance(9, 2, 3, scan=True)
+    assert report.passed is False and report.roundtrip == "pass"
+    assert report.n_md == 32 and report.n_scan == len(mutated[0])
+
+
 def test_verify_names_the_core_that_comes_back_as_another(monkeypatch, capsys):
     # No exception is raised, yet the report and stderr name the first
     # core whose path reads back to a different hook set.
