@@ -45,7 +45,7 @@ from .errors import (
     check_progression_length,
 )
 from .mdcore import _mask_hooks, validate_md
-from .motzkin import _satisfies
+from .motzkin import _RISES, _satisfies
 from .progression import Progression, _class_block
 
 __all__ = [
@@ -61,7 +61,7 @@ __all__ = [
     "abacus_record",
 ]
 
-_LETTER = {1: "U", -1: "D", 0: "F"}  # a column-to-column difference -> its step
+_LETTER = {rise: letter for letter, rise in _RISES}  # a column-to-column difference -> its step
 
 
 def abacus_spec(s: int, d: int) -> Progression:
@@ -231,6 +231,7 @@ def render_abacus(prog: Progression, beads: Sequence[int]) -> str:
     every bead with one row of margin and always include the sign
     boundary of each column.
     """
+    _check_column_count(prog, beads)
     boundaries = prog.boundary_rows
     marked = set()
     for j, (b, r) in enumerate(zip(beads, boundaries)):
@@ -269,6 +270,7 @@ def render_abacus(prog: Progression, beads: Sequence[int]) -> str:
 
 def abacus_record(prog: Progression, beads: Sequence[int]) -> dict:
     """JSON-ready record: (s, d, a) plus per-column (j, r, b, f)."""
+    _check_column_count(prog, beads)
     f = abacus_function(prog, beads)
     return {
         "s": prog.s,

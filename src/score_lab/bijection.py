@@ -33,7 +33,7 @@ from collections.abc import Iterable
 from itertools import accumulate
 from operator import sub
 
-from .abacus import _LETTER, _beads_mask, _path_word, _place_beads, abacus_function
+from .abacus import _beads_mask, _path_word, _place_beads, abacus_function
 from .errors import (
     InternalConsistencyError,
     InvalidPathError,
@@ -50,7 +50,7 @@ from .mdcore import (
     _md_to_partition,
     validate_md,
 )
-from .motzkin import _satisfies, satisfies
+from .motzkin import _RISES, _satisfies, satisfies
 from .progression import Progression
 
 __all__ = [
@@ -61,7 +61,7 @@ __all__ = [
     "mapping_record",
 ]
 
-_HEIGHT = {letter: step for step, letter in _LETTER.items()}
+_HEIGHT = dict(_RISES)
 
 
 def phi_context(s: int, d: int, p: int) -> Progression:

@@ -354,7 +354,7 @@ def _cmd_verify(args) -> _Output:
         reports = [oracle.verify_instance(*item) for item in grid]
 
     for r in reports:
-        if r.error:  # stdout keeps the report's bytes; the failing core goes to stderr
+        if r.error:  # stdout keeps the report's bytes; the first counterexample goes to stderr
             print(f"error: s={r.s} d={r.d} p={r.p} {r.error}", file=sys.stderr)
     results = [report.as_json() for report in reports]
     failures = sum(1 for r in reports if not r.passed)

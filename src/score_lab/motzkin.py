@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _RISES = (("U", 1), ("D", -1), ("F", 0))  # the steps in U < D < F order, with their rise
-_ALPHABET = frozenset("UDF")
+_ALPHABET = frozenset(letter for letter, _ in _RISES)
 
 
 @dataclass(frozen=True)

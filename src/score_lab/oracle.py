@@ -29,10 +29,8 @@ keeps no list of either, nor of phi's images.  Each core's round trip,
 both streams strictly ascending and each streamed path admissible,
 with as many cores and paths as the DP counts, already show that phi
 maps the cores one to one onto the admissible paths and that the path
-enumerator yields exactly those paths.  Each fact is checked once per
-core: `_phi` runs the core test and the admissibility check, and the
-round trip is one read-back of the path compared with the core's
-hook-set mask.
+enumerator yields exactly those paths.  A failed check names its first
+counterexample.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .bijection import _path_mask, _phi, phi_context
 from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError
 from .formulas import CORNER_FORMULAS, closed_forms
 from .mdcore import _corners, _hook_mask, _mask_hooks, _md_to_partition
-from .motzkin import _iter_paths, count_paths_dp, satisfies
+from .motzkin import _RISES, _iter_paths, count_paths_dp, satisfies
 from .progression import Progression
 
 __all__ = [
@@ -57,7 +55,8 @@ __all__ = [
     "verify_instance",
 ]
 
-_UDF_ORDER = str.maketrans("UDF", "012")  # path words compare in U < D < F order
+# path words compare in U < D < F order
+_UDF_ORDER = str.maketrans({letter: str(rank) for rank, (letter, _) in enumerate(_RISES)})
 
 
 def pair_core_size_bound(s: int, t: int) -> int:
@@ -243,7 +242,7 @@ class VerifyReport:
     corners: str  # "pass" | "fail" | "n/a"
     passed: bool
     n_scan: int | None = None
-    error: str | None = None  # the first core whose round trip failed, and how; not in as_json
+    error: str | None = None  # the first failed check's first counterexample; not in as_json
 
     def as_json(self) -> dict:
         record = {
@@ -275,11 +274,8 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     check nor the core test is run again on the way back: the path has
     passed the first, a mask equal to the core's has passed the second,
     and distinct words of one type read back to distinct masks, so a
-    banned word could not come back as a core.  A `ScoreLabError`
-    fails the round trip, not the run; the first failing core is kept
-    as the report's ``error``, with the message raised or, when it came
-    back as another hook set, that set.  The paths are counted as
-    `_iter_paths` yields them, and each must pass public `satisfies`
+    banned word could not come back as a core.  The paths are counted
+    as `_iter_paths` yields them, and each must pass public `satisfies`
     itself.
 
     The round trip passes when every core comes back, both streams are
@@ -290,8 +286,7 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     n_md distinct admissible paths, while the path stream is n_path
     distinct admissible paths.  When n_md = n_path = n_dp, as ``passed``
     also asks, both are every admissible path, so the images are the
-    enumerated paths; when the counts differ, ``passed`` is False
-    whatever ``roundtrip`` says.
+    enumerated paths.
 
     With ``scan``, the partition-scan enumerator runs first, up to
     `pair_core_size_bound`, and each core's partition must be the scan's
@@ -301,85 +296,82 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     hooks h_1 > ... > h_D is (h_i - 1)/2 + i for i <= D and at most D
     below, so the first hook in which two sets differ, or the one set's
     lack of a hook, decides their partitions' order too.
+
+    A failing check ("roundtrip", "corners", "scan" or "counts") keeps
+    its first counterexample, and the report's ``error`` is the first
+    one found.  A `ScoreLabError` on one core fails the round trip, not
+    the run.
     """
     prog = phi_context(s, d, p)
     x, y, constraints = prog.x, prog.y, prog.constraints
     n_dp = count_paths_dp(x, y, constraints)
-    n_path, roundtrip_ok = 0, True
+    failed: dict[str, str] = {}  # each failed check -> its first counterexample
+    n_path = 0
     for word in _iter_paths(x, y, constraints):
         key = word.translate(_UDF_ORDER)
-        if n_path and not previous < key or not satisfies(word, constraints, x, y):
-            roundtrip_ok = False
+        if n_path and not previous < key:
+            failed.setdefault("roundtrip", f"path {word} is out of U < D < F order")
+        if not satisfies(word, constraints, x, y):
+            failed.setdefault("roundtrip", f"path {word} is not admissible")
         n_path, previous = n_path + 1, key
 
-    formulas = [result.value for result in closed_forms(s, d, p)]
-    formulas_agree = len(set(formulas)) <= 1
-    n_formula = formulas[0] if formulas else None
+    formulas = closed_forms(s, d, p)
+    n_formula = formulas[0].value if formulas else None
 
     # The hook sets come canonical from the search and the paths from _phi,
     # so their partitions and step letters are read without re-validating.
     corner_check = d == 1 and p in CORNER_FORMULAS
     scanned = enumerate_by_partition_scan(prog, pair_core_size_bound(s, s + d)) if scan else None
     histogram: Counter = Counter()
-    n_md, paths_ok, scan_ok, error = 0, True, True, None
+    n_md = 0
     for md in _iter_md_sets(prog):
         if n_md and not previous < md:
-            roundtrip_ok = False
+            failed.setdefault("roundtrip", f"core {md} is out of order")
         n_md, previous = n_md + 1, md
         try:
             steps = _phi(md, prog)
         except ScoreLabError as exc:
-            steps, roundtrip_ok = None, False
-            error = error or f"core {md}: {exc}"
+            steps = None
+            failed.setdefault("roundtrip", f"core {md}: {exc}")
         else:
             back = _path_mask(steps, prog)
             if back != _hook_mask(md):
-                roundtrip_ok = False
-                error = error or f"core {md}: came back as {_mask_hooks(back)}"
+                failed.setdefault("roundtrip", f"core {md}: came back as {_mask_hooks(back)}")
         if corner_check or scanned is not None:
             parts = _md_to_partition(md)
-        if scanned is not None and (n_md > len(scanned) or scanned[n_md - 1] != parts):
-            scan_ok = False
+        if scanned is not None:
+            if n_md > len(scanned):
+                failed.setdefault("scan", f"core {md} is past the scan's {len(scanned)} entries")
+            elif scanned[n_md - 1] != parts:
+                entry = f"scan entry {n_md - 1} is {scanned[n_md - 1]}"
+                failed.setdefault("scan", f"core {md} has partition {parts}, but {entry}")
         if corner_check:
             m = _corners(parts)
             histogram[m] += 1
             # an even m ends in D with s//2 - m flats, an odd m in F with one more
-            if steps is not None and not (
-                steps[-1:] == "DF"[m % 2] and steps.count("F") == s // 2 - m + m % 2
-            ):
-                paths_ok = False
-    roundtrip_ok = roundtrip_ok and n_md == n_path
-
-    corner_status = "n/a"
-    if corner_check:
-        rows = _corner_rows(s, p, histogram)
-        rows_ok = all(row["formula"] == row["enumerated"] for row in rows)
-        corner_status = "pass" if paths_ok and rows_ok else "fail"
-
+            last, flats = "DF"[m % 2], s // 2 - m + m % 2
+            if steps is not None and not (steps[-1:] == last and steps.count("F") == flats):
+                wrong = f"its path {steps} does not end in {last} with {flats} flats"
+                failed.setdefault("corners", f"core {md} has {m} corners, but {wrong}")
+    if n_md != n_path:
+        failed.setdefault("roundtrip", f"{n_md} cores but {n_path} paths")
+    rows = _corner_rows(s, p, histogram) if corner_check else []
+    for row in rows:
+        if row["formula"] != row["enumerated"]:
+            wrong = "corner row m={m}: {enumerated} cores, formula {formula}".format(**row)
+            failed.setdefault("corners", wrong)
+            break
     n_scan = None if scanned is None else len(scanned)
-    scan_ok = scan_ok and n_scan in (None, n_md)
+    if n_scan not in (None, n_md):
+        failed.setdefault("scan", f"{n_md} cores but {n_scan} scan entries")
+    if len({n_md, n_path, n_dp, *(result.value for result in formulas)}) > 1:
+        counts = f"md={n_md} paths={n_path} dp={n_dp}"
+        counts += "".join(f" {result.method}={result.value}" for result in formulas)
+        failed.setdefault("counts", f"counts differ: {counts}")
 
-    counts = {n_md, n_path, n_dp}
-    if n_formula is not None:
-        counts.add(n_formula)
-    passed = (
-        len(counts) == 1
-        and formulas_agree
-        and roundtrip_ok
-        and corner_status != "fail"
-        and scan_ok
-    )
+    roundtrip = "fail" if "roundtrip" in failed else "pass"
+    corners = "n/a" if not corner_check else "fail" if "corners" in failed else "pass"
+    error = next(iter(failed.values()), None)
     return VerifyReport(
-        s,
-        d,
-        p,
-        n_md,
-        n_path,
-        n_dp,
-        n_formula,
-        "pass" if roundtrip_ok else "fail",
-        corner_status,
-        passed,
-        n_scan,
-        error,
+        s, d, p, n_md, n_path, n_dp, n_formula, roundtrip, corners, not failed, n_scan, error
     )

@@ -196,3 +196,12 @@ def test_record_layout():
     record = abacus_record(prog, place_beads(prog, (1,)))
     assert record["s"] == 3 and record["d"] == 2 and record["a"] == -3
     assert record["columns"][1] == {"j": 1, "r": 0, "b": 1, "f": 0}
+
+
+@pytest.mark.parametrize("beads", [(1,), (0, 1), (0, 1, 0, 0)])
+def test_record_and_render_refuse_a_bead_tuple_of_the_wrong_length(beads):
+    # (3, 2) has 3 columns; a shorter or longer tuple must not be zipped short.
+    prog = Progression(3, 2, 1)
+    for show in (abacus_record, render_abacus):
+        with pytest.raises(InvalidInputError, match=f"expected 3 values .* got {len(beads)}"):
+            show(prog, beads)

@@ -5,6 +5,7 @@ import re
 import signal
 import tracemalloc
 from bisect import bisect
+from dataclasses import replace
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -304,6 +305,7 @@ def test_verify_fails_the_round_trip_of_each_mutant(name, monkeypatch):
     MUTANTS[name](monkeypatch, phi_context(9, 2, 3))
     report = verify_instance(9, 2, 3)
     assert report.passed is False and report.roundtrip == "fail"
+    assert isinstance(report.error, str) and report.error
     assert report.n_dp == 32
     assert report.n_md == (31 if name == "core-stream-drops-a-core" else 32)
 
@@ -332,12 +334,8 @@ SCAN_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("name", SCAN_MUTANTS)
-def test_verify_fails_the_scan_check_of_each_mutant(name, monkeypatch):
-    # verify compares each core's partition with the scan's entry at its
-    # index, holding no list of its own, so a scan list that is short, long,
-    # out of order or wrong in one entry must fail the instance, not raise.
-    assert verify_instance(9, 2, 3, scan=True).passed
+def _mutate_the_scan(monkeypatch, name):
+    """The scan list verify reads, with a scan mutant applied; returns the lists it gave."""
     real = oracle_mod.enumerate_by_partition_scan
     mutated = []
 
@@ -348,9 +346,48 @@ def test_verify_fails_the_scan_check_of_each_mutant(name, monkeypatch):
         return items
 
     monkeypatch.setattr(oracle_mod, "enumerate_by_partition_scan", mutant)
+    return mutated
+
+
+@pytest.mark.parametrize("name", SCAN_MUTANTS)
+def test_verify_fails_the_scan_check_of_each_mutant(name, monkeypatch):
+    # verify compares each core's partition with the scan's entry at its
+    # index, holding no list of its own, so a scan list that is short, long,
+    # out of order or wrong in one entry must fail the instance, not raise.
+    assert verify_instance(9, 2, 3, scan=True).passed
+    mutated = _mutate_the_scan(monkeypatch, name)
     report = verify_instance(9, 2, 3, scan=True)
     assert report.passed is False and report.roundtrip == "pass"
+    assert isinstance(report.error, str) and report.error
     assert report.n_md == 32 and report.n_scan == len(mutated[0])
+
+
+def test_verify_prints_one_error_line_for_a_failed_scan(monkeypatch, capsys):
+    # The first scan entry that differs goes to stderr as one line; stdout
+    # holds the same bytes as for the same report with no error to name.
+    args = ["verify", "--s", "9", "--d", "2", "--p", "3", "--n-max", "500", "--format", "json"]
+    _mutate_the_scan(monkeypatch, "scan-swaps-two-neighbours")
+    assert main(args) == 1
+    printed = capsys.readouterr()
+    assert printed.err == (
+        "error: s=9 d=2 p=3 core (3, 1) has partition (2, 2), but scan entry 3 is (3, 1, 1)\n"
+    )
+    real = oracle_mod.verify_instance
+    monkeypatch.setattr(
+        oracle_mod, "verify_instance", lambda *args: replace(real(*args), error=None)
+    )
+    assert main(args) == 1
+    assert capsys.readouterr() == (printed.out, "")
+    assert json.loads(printed.out.splitlines()[0])["pass"] is False
+
+
+def test_verify_names_the_counts_that_differ(monkeypatch):
+    # Every core round-trips, so only the count check can fail the instance.
+    real = oracle_mod.count_paths_dp
+    monkeypatch.setattr(oracle_mod, "count_paths_dp", lambda *args: real(*args) + 1)
+    report = verify_instance(9, 1, 2)
+    assert report.passed is False and report.roundtrip == "pass" and report.corners == "pass"
+    assert report.error == "counts differ: md=35 paths=35 dp=36 formula-p2=35 formula-d1=35"
 
 
 def test_verify_names_the_core_that_comes_back_as_another(monkeypatch, capsys):
@@ -532,7 +569,9 @@ def test_verify_checks_the_corner_row_past_the_top(s, monkeypatch):
 
     assert verify_instance(s, 1, 2).corners == "pass"
     monkeypatch.setitem(CORNER_FORMULAS, 2, one_more_core)
-    assert verify_instance(s, 1, 2).corners == "fail"
+    report = verify_instance(s, 1, 2)
+    assert report.corners == "fail"
+    assert report.error == f"corner row m={past_top}: 0 cores, formula 1"
 
 
 def test_verify_checks_each_cores_last_step_and_flat_count(monkeypatch):
@@ -547,6 +586,7 @@ def test_verify_checks_each_cores_last_step_and_flat_count(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_corners", swapped)
     report = verify_instance(9, 1, 2)
     assert report.corners == "fail" and not report.passed
+    assert report.error is not None and report.error.startswith("core () has 1 corners")
     assert all(row["enumerated"] == row["formula"] for row in compared[0])
 
 
