@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import repeat
-from operator import getitem, sub
+from operator import add, getitem, sub
 
 from .errors import (
     BeadStructureError,
@@ -164,7 +164,7 @@ def _structure_error(
 
 def abacus_function(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
     """Per-column summary f(j) = r(j) - 1 + b(j) of one signed bead count per column."""
-    return tuple(r - 1 + b for r, b in zip(prog.boundary_rows, beads))
+    return tuple(map(add, prog.empty_tops, beads))
 
 
 def beads_from_function(prog: Progression, values: Sequence[int]) -> tuple[int, ...]:

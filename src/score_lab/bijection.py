@@ -18,7 +18,9 @@ input path the same way and runs the core test on the hook set it
 reads back.  The read-back itself, path heights to bead counts to the
 hook-set mask, is one unchecked body (`_path_mask` over the abacus's
 `_beads_mask`), which `score_lab.oracle.verify_instance` calls on
-`phi`'s word, so a core's round trip runs each check once.  The
+`phi`'s word, so a core's round trip runs each check once.  `phi`'s
+body takes the core as a hook-set mask, the form the oracle's search
+yields, so verify compares the read-back with the core as one int.  The
 f -> word step is `score_lab.abacus`'s, the one `validate_core_function`
 checks a summary through, so the path rules have one home.
 
@@ -81,22 +83,31 @@ def phi(md: Iterable[int], prog: Progression) -> str:
     Raises `NotACoreError` unless ``md`` is a self-conjugate
     (s, s+d, ..., s+pd)-core hook set.
     """
-    return _phi(validate_md(md), prog)
+    return _phi(_core_mask(validate_md(md), prog), prog)
 
 
-def _phi(md: tuple[int, ...], prog: Progression) -> str:
-    """`phi` on a canonical hook set.
+def _core_mask(md: tuple[int, ...], prog: Progression) -> int:
+    """The `_hook_mask` of a canonical hook set that may be a core of ``prog``.
 
     A hook past `Progression.md_bound` is refused before any mask is
     built: no core has one, and the mask would take a bit per odd number
     below it.
     """
-    if (md and md[0] > prog.md_bound) or not _is_simultaneous_core(
-        _hook_mask(md), prog.doubled, prog.pair_mask
-    ):
-        raise NotACoreError(
-            f"{md} is not a self-conjugate {prog.moduli}-core hook set"
-        )
+    if md and md[0] > prog.md_bound:
+        raise _not_a_core(md, prog)
+    return _hook_mask(md)
+
+
+def _not_a_core(md: tuple[int, ...], prog: Progression) -> NotACoreError:
+    """The error for a canonical hook set that is no core of ``prog``."""
+    return NotACoreError(f"{md} is not a self-conjugate {prog.moduli}-core hook set")
+
+
+def _phi(mask: int, prog: Progression) -> str:
+    """`phi` on the `_hook_mask` of a canonical hook set."""
+    md = _mask_hooks(mask)
+    if not _is_simultaneous_core(mask, prog.doubled, prog.pair_mask):
+        raise _not_a_core(md, prog)
     try:
         steps = _path_word(prog, abacus_function(prog, _place_beads(prog, md)))
     except KeyError as exc:  # a jump of 2+ would mean the encoding is broken
@@ -155,14 +166,14 @@ def corner_statistics(md: Iterable[int], prog: Progression) -> tuple[int, str, i
             f"corner statistics are defined for d=1 only, got d={prog.d}"
         )
     md = validate_md(md)
-    steps = _phi(md, prog)
+    steps = _phi(_core_mask(md, prog), prog)
     return _corners(_md_to_partition(md)), steps[-1:] or "-", steps.count("F")
 
 
 def mapping_record(md: Iterable[int], prog: Progression) -> dict:
     """JSON-ready record of one core-to-path assignment."""
     md = validate_md(md)
-    steps = _phi(md, prog)
+    steps = _phi(_core_mask(md, prog), prog)
     record = {
         "md": list(md),
         "s": prog.s,

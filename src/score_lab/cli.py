@@ -265,7 +265,7 @@ def _cmd_enumerate(args) -> _Output:
         # the scan's partitions are canonical, so their hooks are read off unchecked
         mds = map(mdcore._partition_to_md, partitions)
     else:
-        mds = oracle._iter_md_sets(prog)
+        mds = map(mdcore._mask_hooks, oracle._iter_md_sets(prog))
     # One stream: main reads it in the one format it prints, so no core is kept.
     records = map(mdcore.partition_record, mds)
     text = (f"md={_join(record['md'])} parts={_join(record['parts'])}" for record in records)
@@ -305,7 +305,7 @@ def _cmd_corners(args) -> _Output:
     if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
     # The cores stream into the histogram, so memory stays flat in their count.
-    cores = oracle._iter_md_sets(prog)
+    cores = map(mdcore._mask_hooks, oracle._iter_md_sets(prog))
     rows = oracle.corner_rows(prog, cores)[:-1]  # m = 0..top
     if args.m is not None:
         if args.m >= len(rows):

@@ -130,9 +130,10 @@ def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]
     """All admissible paths of type (x, y), in U < D < F lexicographic order.
 
     Joins a left half of x // 2 steps to a right half whose net height
-    brings it to y, and filters each joined word through `satisfies`,
-    so the result is a regex-filtered oracle for `count_paths_dp` that
-    shares no automaton logic with it.  Each half is grown one step at
+    brings it to y, and filters each joined word through the body of
+    `satisfies` (the halves are words over U/D/F already), so the result
+    is a regex-filtered oracle for `count_paths_dp` that shares no
+    automaton logic with it.  Each half is grown one step at
     a time in U, D, F order, keeping only the prefixes whose height can
     still end where a word of type (x, y) needs that half to end (see
     `_half_words`).  A left half that already holds a banned prefix or
@@ -143,13 +144,20 @@ def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]
     half, in order, is joined to its group, so the words come out in
     lexicographic order.
     """
-    if not (isinstance(x, int) and x >= 0):
-        raise InvalidInputError(f"path length must be a nonnegative integer, got {x!r}")
+    _check_type(x, y)
     return list(_iter_paths(x, y, constraints))
 
 
+def _check_type(x: int, y: int) -> None:
+    """Raise `InvalidInputError` unless (x, y) is a path type: integers with x >= 0."""
+    if not (isinstance(x, int) and x >= 0):
+        raise InvalidInputError(f"path length must be a nonnegative integer, got {x!r}")
+    if not isinstance(y, int):
+        raise InvalidInputError(f"final height must be an integer, got {y!r}")
+
+
 def _iter_paths(x: int, y: int, constraints: PathConstraintSet) -> Iterator[str]:
-    """`enumerate_paths` one word at a time, for a nonnegative integer x."""
+    """`enumerate_paths` one word at a time, for a path type (x, y)."""
     if abs(y) > x:
         return
     half = x // 2
@@ -164,7 +172,7 @@ def _iter_paths(x: int, y: int, constraints: PathConstraintSet) -> Iterator[str]
         if banned(left):
             continue
         for word in map(left.__add__, rights.get(y - height, ())):
-            if satisfies(word, constraints, x, y):
+            if _satisfies(word, constraints, x, y):
                 yield word
 
 
@@ -203,8 +211,7 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
     shifts every state down one into ``idle``, and F moves each run to
     run + 1 (capped) at the same height.
     """
-    if not (isinstance(x, int) and x >= 0):
-        raise InvalidInputError(f"path length must be a nonnegative integer, got {x!r}")
+    _check_type(x, y)
     if abs(y) > x:
         return 0
     factor_top, suffix_top = constraints.factor_top, constraints.suffix_top

@@ -4,9 +4,10 @@ Two independent enumerators back every identity in the package:
 
 * `enumerate_md_sets` searches diagonal hook sets directly, pruning
   with the modular core conditions (pair sums and downward closure).
-  It holds each hook set as one int and builds its own masks: for each
-  candidate hook, the chain of hooks it forces and the partners
-  2t - (v mod 2t) that no hook v of that chain may meet.  It never
+  It holds each hook set as one int, which `verify_instance` takes as
+  it is, and builds its own masks: for each candidate hook, the chain
+  of hooks it forces and the partners 2t - (v mod 2t) that no hook v
+  of that chain may meet.  It never
   touches the abacus, the path encoding or the hook-set core test
   behind `phi` and `phi_inverse`, so that test cross-checks it.
 * `enumerate_by_partition_scan` searches partitions by growing the
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from .bijection import _path_mask, _phi, phi_context
 from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError
 from .formulas import CORNER_FORMULAS, closed_forms
-from .mdcore import _corners, _hook_mask, _mask_hooks, _md_to_partition
+from .mdcore import _corners, _mask_hooks, _md_to_partition
 from .motzkin import _RISES, _iter_paths, count_paths_dp, satisfies
 from .progression import Progression
 
@@ -104,11 +105,11 @@ def enumerate_md_sets(prog: Progression) -> list[tuple[int, ...]]:
     branch of the smallest h first and finishes its subtree before the
     next, so each subtree's sets come out below every larger branch's.
     """
-    return list(_iter_md_sets(prog))
+    return list(map(_mask_hooks, _iter_md_sets(prog)))
 
 
-def _iter_md_sets(prog: Progression) -> Iterator[tuple[int, ...]]:
-    """`enumerate_md_sets` one hook set at a time."""
+def _iter_md_sets(prog: Progression) -> Iterator[int]:
+    """`enumerate_md_sets` one hook set at a time, as the search's own mask."""
     doubled = prog.doubled
     chain: dict[int, int] = {}  # kept candidate -> mask of its forced chain
     partners: dict[int, int] = {}  # kept candidate -> partners of its chain's hooks
@@ -154,7 +155,7 @@ def _iter_md_sets(prog: Progression) -> Iterator[tuple[int, ...]]:
             h = open_mask.bit_length() - 1
             open_mask ^= 1 << h
             stack.append((chosen | chain[h], open_mask & leaves_open[h]))
-        yield _mask_hooks(chosen)
+        yield chosen
 
 
 def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int, ...]]:
@@ -265,28 +266,29 @@ class VerifyReport:
 def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     """Run every cross-check for one instance and report the tallies.
 
-    One pass walks the cores as `_iter_md_sets` yields them and keeps
-    none, so memory does not grow with the core count.  Each core's path
-    comes from `_phi`, which runs the core test on the core and checks
-    the path against the constraint set.  The path is read back once,
-    through the body public `phi_inverse` shares (`_path_mask`), and
-    must give the core's hook-set mask.  Neither the admissibility
-    check nor the core test is run again on the way back: the path has
-    passed the first, a mask equal to the core's has passed the second,
-    and distinct words of one type read back to distinct masks, so a
-    banned word could not come back as a core.  The paths are counted
-    as `_iter_paths` yields them, and each must pass public `satisfies`
-    itself.
+    One pass walks the cores as `_iter_md_sets` yields them, as hook-set
+    masks, and keeps none, so memory does not grow with the core count.
+    Each core's path comes from `_phi`, which runs the core test on the
+    mask and checks the path against the constraint set.  The path is
+    read back once, through the body public `phi_inverse` shares
+    (`_path_mask`), and must give the core's mask back.  Neither the
+    admissibility check nor the core test is run again on the way back:
+    the path has passed the first, a mask equal to the core's has passed
+    the second, and distinct words of one type read back to distinct
+    masks, so a banned word could not come back as a core.  A core's
+    hook tuple is built only for the d = 1 corner check, the scan and
+    failure messages.  The paths are counted as `_iter_paths` yields
+    them, and each must pass public `satisfies` itself.
 
     The round trip passes when every core comes back, both streams are
-    strictly ascending (hook tuples, and words in U < D < F order), each
-    streamed path is admissible and there are as many cores as paths.
-    No image needs to be kept for that: the cores are distinct and each
-    comes back, so phi is injective on them and its n_md images are
-    n_md distinct admissible paths, while the path stream is n_path
-    distinct admissible paths.  When n_md = n_path = n_dp, as ``passed``
-    also asks, both are every admissible path, so the images are the
-    enumerated paths.
+    strictly ascending (masks, which order as their hook tuples do, and
+    words in U < D < F order), each streamed path is admissible and
+    there are as many cores as paths.  No image needs to be kept for
+    that: the cores are distinct and each comes back, so phi is
+    injective on them and its n_md images are n_md distinct admissible
+    paths, while the path stream is n_path distinct admissible paths.
+    When n_md = n_path = n_dp, as ``passed`` also asks, both are every
+    admissible path, so the images are the enumerated paths.
 
     With ``scan``, the partition-scan enumerator runs first, up to
     `pair_core_size_bound`, and each core's partition must be the scan's
@@ -324,20 +326,22 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     scanned = enumerate_by_partition_scan(prog, pair_core_size_bound(s, s + d)) if scan else None
     histogram: Counter = Counter()
     n_md = 0
-    for md in _iter_md_sets(prog):
-        if n_md and not previous < md:
-            failed.setdefault("roundtrip", f"core {md} is out of order")
-        n_md, previous = n_md + 1, md
+    for mask in _iter_md_sets(prog):
+        if n_md and not previous < mask:
+            failed.setdefault("roundtrip", f"core {_mask_hooks(mask)} is out of order")
+        n_md, previous = n_md + 1, mask
         try:
-            steps = _phi(md, prog)
+            steps = _phi(mask, prog)
         except ScoreLabError as exc:
             steps = None
-            failed.setdefault("roundtrip", f"core {md}: {exc}")
+            failed.setdefault("roundtrip", f"core {_mask_hooks(mask)}: {exc}")
         else:
             back = _path_mask(steps, prog)
-            if back != _hook_mask(md):
-                failed.setdefault("roundtrip", f"core {md}: came back as {_mask_hooks(back)}")
+            if back != mask:
+                wrong = f"came back as {_mask_hooks(back)}"
+                failed.setdefault("roundtrip", f"core {_mask_hooks(mask)}: {wrong}")
         if corner_check or scanned is not None:
+            md = _mask_hooks(mask)
             parts = _md_to_partition(md)
         if scanned is not None:
             if n_md > len(scanned):

@@ -8,9 +8,9 @@ first use and then kept:
 * the moduli, their doubles and the hook mask of their coprime pair
   sums (core tests);
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
-  the first positive row of each column, the column and sign of each
-  odd residue (`residue_slots`), and the gap-free blocks of each
-  column's two residue classes (`class_blocks`);
+  the first positive row of each column and the row below it, the
+  column and sign of each odd residue (`residue_slots`), and the
+  gap-free blocks of each column's two residue classes (`class_blocks`);
 * the completeness bound `md_bound` on the diagonal hooks of a core;
 * the path type (x, y) and the constraint set of the path encoding.
 
@@ -89,6 +89,11 @@ class Progression:
         return tuple(
             (-self.a - 2 * self.d * j) // self.period + 1 for j in range(self.columns)
         )
+
+    @cached_property
+    def empty_tops(self) -> tuple[int, ...]:
+        """r(j) - 1 for every column j: the summary f(j) of a column with no beads."""
+        return tuple(r - 1 for r in self.boundary_rows)
 
     @cached_property
     def pair_mask(self) -> int:

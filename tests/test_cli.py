@@ -346,10 +346,11 @@ def test_verify_reports_an_error_on_one_core_as_that_instances_failure(capsys, m
     # the core and the message go to stderr, stdout keeps the reports' bytes.
     real = cli.oracle._phi
 
-    def broken(md, prog):
+    def broken(mask, prog):
+        md = cli.mdcore._mask_hooks(mask)
         if md == (1,):
             raise InternalConsistencyError(f"column summary jumps by 2 for {md}")
-        return real(md, prog)
+        return real(mask, prog)
 
     monkeypatch.setattr(cli.oracle, "_phi", broken)
     code, out, err = run(capsys, "verify", "--s", "5", "--d", "1..2", "--p", "2")

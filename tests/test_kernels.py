@@ -36,7 +36,9 @@ from score_lab import (
     Progression,
     ScoreLabError,
     UnplaceableHookError,
+    UnsupportedParametersError,
     constraints_for,
+    corner_statistics,
     default_md_bound,
     enumerate_md_sets,
     enumerate_paths,
@@ -52,7 +54,7 @@ from score_lab import (
     state_md,
     validate_core_function,
 )
-from score_lab.bijection import _path_mask
+from score_lab.bijection import _path_mask, mapping_record
 from score_lab.errors import check_progression_length
 from score_lab.mdcore import _coprime_pair_sums, _hook_mask, _is_simultaneous_core
 from score_lab.motzkin import EMPTY_CONSTRAINTS, PathConstraintSet, _satisfies
@@ -693,6 +695,10 @@ def test_placement_of_deep_and_huge_hooks_matches_the_per_hook_loop(s, d, p):
     try:
         for md in huge:
             outcome(place_beads, prog, md)
+            # these reach a hook-set mask, so the huge hook must be refused first
+            for function in (phi, corner_statistics, mapping_record):
+                refused = outcome(function, md, prog)[0]
+                assert refused in (NotACoreError, UnsupportedParametersError)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

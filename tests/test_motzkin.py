@@ -135,6 +135,17 @@ def test_enumerate_paths_small():
         enumerate_paths(-1, 0, EMPTY_CONSTRAINTS)
 
 
+@pytest.mark.parametrize(
+    "route,y",
+    [(count_paths_dp, 0.0), (count_paths_dp, "a"), (enumerate_paths, 0.5)],
+)
+def test_path_routes_refuse_a_final_height_that_is_no_integer(route, y):
+    # No path type has such a height: each route says so, rather than
+    # failing inside its arithmetic or listing no path.
+    with pytest.raises(InvalidInputError, match=f"final height must be an integer, got {y!r}"):
+        route(3, y, constraints_for(3, 2, 2))
+
+
 def test_enumeration_is_ordered_and_clean():
     order = {"U": 0, "D": 1, "F": 2}
     for y in (-2, 0, 1):

@@ -6,7 +6,7 @@ import signal
 import tracemalloc
 from bisect import bisect
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 from math import gcd
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from score_lab import (
 )
 from score_lab.cli import main
 from score_lab.formulas import CORNER_FORMULAS
+from score_lab.mdcore import _mask_hooks
 
 
 def brute_force_scan(prog, n_max):
@@ -190,10 +191,10 @@ def test_verify_instance_counts():
 
 def _collide_two_cores(monkeypatch, prog):
     """phi maps the second core to the path of the first."""
-    first, second = enumerate_md_sets(prog)[:2]
+    first, second = islice(oracle_mod._iter_md_sets(prog), 2)
     real = oracle_mod._phi
     monkeypatch.setattr(
-        oracle_mod, "_phi", lambda md, prog: real(first if md == second else md, prog)
+        oracle_mod, "_phi", lambda mask, prog: real(first if mask == second else mask, prog)
     )
 
 
@@ -212,7 +213,7 @@ def _break_a_constraint(monkeypatch, prog):
     import score_lab.bijection as bijection_mod
 
     banned = _first_banned_word(prog)
-    target = oracle_mod._phi(enumerate_md_sets(prog)[-1], prog)
+    target = oracle_mod._phi(max(oracle_mod._iter_md_sets(prog)), prog)  # the last core
     real = bijection_mod._path_word
 
     def mutant(prog, f):
@@ -283,6 +284,10 @@ def _repeat_one(items):
     items[4] = items[3]
 
 
+def _swap_two(items):
+    items[3], items[4] = items[4], items[3]
+
+
 MUTANTS = {
     "phi-maps-two-cores-to-one-path": _collide_two_cores,
     "phi-emits-a-banned-path": _break_a_constraint,
@@ -291,6 +296,7 @@ MUTANTS = {
     "path-stream-substitutes-a-banned-word": _substitute_a_banned_word,
     "core-stream-repeats-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _repeat_one),
     "core-stream-drops-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _drop_one),
+    "core-stream-swaps-two-cores": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _swap_two),
     "read-back-drops-a-block": _drop_a_block,
     "right-half-suffix-loses-its-anchor": _unanchor_the_right_half_suffix,
 }
@@ -310,16 +316,34 @@ def test_verify_fails_the_round_trip_of_each_mutant(name, monkeypatch):
     assert report.n_md == (31 if name == "core-stream-drops-a-core" else 32)
 
 
+def test_verify_names_the_first_core_out_of_order(monkeypatch):
+    # Every core of a swapped stream still round-trips and the counts agree,
+    # so only the order check on the cores' masks can fail the instance.
+    mds = enumerate_md_sets(phi_context(9, 2, 3))
+    MUTANTS["core-stream-swaps-two-cores"](monkeypatch, phi_context(9, 2, 3))
+    assert verify_instance(9, 2, 3).error == f"core {mds[3]} is out of order"
+
+
+@pytest.mark.parametrize("p", range(2, 6))
+def test_core_masks_ascend_in_hook_tuple_order(p):
+    # verify checks the core stream's order by comparing masks, so mask
+    # order must be the lexicographic order of the hook tuples.
+    for s in range(1, 16):
+        for d in range(1, 5):
+            if gcd(s, d) != 1:
+                continue
+            masks = list(oracle_mod._iter_md_sets(Progression(s, d, p)))
+            assert all(a < b for a, b in zip(masks, masks[1:])), (s, d, p)
+            mds = list(map(_mask_hooks, masks))
+            assert mds == sorted(mds), (s, d, p)
+
+
 def _drop_the_last(items):
     del items[-1]
 
 
 def _repeat_the_last(items):
     items.append(items[-1])
-
-
-def _swap_two(items):
-    items[3], items[4] = items[4], items[3]
 
 
 def _grow_a_part(items):
