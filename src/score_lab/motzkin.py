@@ -14,12 +14,18 @@ parities of s and d and on the progression length p.
 Counting is available through two independent routes: exhaustive
 generation (`enumerate_paths`) and a dynamic program over a small
 automaton tracking the suffix shape (`count_paths_dp`).  They must
-agree exactly, and the test suite enforces that.
+agree exactly, and the test suite enforces that.  The automaton's
+U-run states (a U, then m flats) form a delay line: after t steps run m
+holds the rise vector of step t - m.  So the DP keeps the last few
+cumulative rise vectors C_t, and each sum over runs it needs is C read
+at a lag: idle + C_{t-factor_top-1} may rise, and idle + C_{x-suffix_top-1}
+at height y, plus F^x, is the count.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -118,6 +124,7 @@ def satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> boo
     """True when the path has type (x, y) and avoids every forbidden pattern."""
     if not isinstance(steps, str) or not _ALPHABET.issuperset(steps):
         raise InvalidPathError(f"steps must be a string over U/D/F, got {steps!r}")
+    _check_type(x, y)
     return _satisfies(steps, constraints, x, y)
 
 
@@ -198,36 +205,44 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
     """Number of admissible paths of type (x, y), by automaton DP.
 
     The automaton state records just enough of the recent past to spot
-    the forbidden shapes: an all-flat prefix of t steps (``pre``, t,
-    saturating), or a most recent non-flat step U followed by m flats
-    (``u``, m, saturating), or anything ending in D (``idle``).  Counts
-    are exact big integers.
+    the forbidden shapes: an all-flat prefix (``pre``), a most recent
+    non-flat step U followed by m flats (``u``, m), or anything ending
+    in D (``idle``).  Counts are exact big integers in lists indexed
+    by height, over the window of heights that are reachable and can
+    still reach y.  The all-flat prefix is a single word at height 0,
+    so ``pre`` is the count 1.
 
-    Each layer keeps one list of counts per state, indexed by height
-    over the window of heights that are reachable and can still reach
-    y.  The all-flat prefix is a single word at height 0, so ``pre`` is
-    the count 1 with run t = the step index.  A step is a few whole-list
-    moves: U shifts the states that may rise up one into ``u`` run 0, D
-    shifts every state down one into ``idle``, and F moves each run to
-    run + 1 (capped) at the same height.
+    The ``u`` states form a delay line: F moves run m to run m + 1 at
+    the same height, so after t steps run m holds just the rise vector
+    of step t - m, the words whose last U was that step.  With C_t the
+    sum of the rise vectors of steps 1..t, every sum a step needs is C
+    read at a lag: the states that may rise (``idle`` and the runs past
+    ``factor_top``) sum to idle + C_{t-factor_top-1}, and all states to
+    idle + C_t.  A step is then four list adds whatever the bans: U
+    shifts the may-rise sum up one into the rise vector, D shifts every
+    state down one into ``idle``, F keeps ``idle`` in place, and C gains
+    the rise.  The count is idle + C_{x-suffix_top-1} at height y, the
+    words whose final U-run clears the suffix bans, plus 1 for F^x.
+    Only the C vectors a later read reaches are kept: the last
+    max(factor_top, suffix_top) + 2, and never more than x + 1.
     """
     _check_type(x, y)
     if abs(y) > x:
         return 0
-    factor_top, suffix_top = constraints.factor_top, constraints.suffix_top
-    # No U in a path of length x is followed by x flats, so x run states suffice.
-    ucap = min(max(factor_top, suffix_top) + 1, x)
+    rise_lag, end_lag = constraints.factor_top + 1, constraints.suffix_top + 1
+    # (lo, C_t) per step t.  No read reaches back x steps, and clamping to x
+    # keeps maxlen a C ssize_t however long the bans.
+    history = deque(maxlen=min(max(rise_lag, end_lag), x) + 1)
 
     lo = 0  # the lowest height of the window
-    ups = [[0]] * (ucap + 1)  # ups[m]: a U then m flats (m = ucap: at least ucap)
-    idle = [0]
+    idle = cumul = [0]
     for pos in range(x):
         remaining = x - pos - 1
         new_lo = max(-pos - 1, y - remaining)
         width = min(pos + 1, y + remaining) - new_lo + 1
         shift = new_lo - lo
-        may_rise = list(map(sum, zip(idle, *ups[factor_top + 1 :])))
-        every = list(map(sum, zip(may_rise, *ups[: factor_top + 1])))
+        may_rise = list(map(add, idle, _lagged(history, rise_lag, lo, len(idle))))
+        every = list(map(add, idle, cumul))
         new_idle = list(
             map(add, _window(every, shift + 1, width), _window(idle, shift, width))
         )
@@ -237,18 +252,25 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
             new_idle[-1 - new_lo] += 1
         if pos > constraints.prefix_top and new_lo <= 1 < new_lo + width:
             rose[1 - new_lo] += 1
-        if ucap:
-            saturated = list(map(add, ups[ucap - 1], ups[ucap]))
-            ups = [rose] + [_window(v, shift, width) for v in ups[: ucap - 1]]
-            ups.append(_window(saturated, shift, width))
-        else:
-            ups = [list(map(add, rose, _window(ups[0], shift, width)))]
+        cumul = list(map(add, _window(cumul, shift, width), rose))
+        history.append((new_lo, cumul))
         idle = new_idle
         lo = new_lo
 
-    # The last window is the single height y; a final U-run must clear the suffix bans.
-    total = idle[0] + sum(v[0] for v in ups[suffix_top + 1 :])
-    return total + (y == 0)  # F^x itself
+    # The last window is the single height y.
+    return idle[0] + _lagged(history, end_lag, lo, 1)[0] + (y == 0)
+
+
+def _lagged(history: deque, lag: int, lo: int, width: int) -> list[int]:
+    """C_{t-lag} over the window of width heights from lo, where history[-1] holds C_t.
+
+    C of step 0 or before is the zero vector, and so is any C the
+    history no longer holds (no read reaches that far back).
+    """
+    if lag >= len(history):
+        return [0] * width
+    old_lo, cumul = history[-1 - lag]
+    return _window(cumul, lo - old_lo, width)
 
 
 def _window(counts: list[int], start: int, width: int) -> list[int]:

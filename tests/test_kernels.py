@@ -6,13 +6,14 @@ private modular core test behind `phi` work on one int per hook set
 (bit h set for each hook h); `enumerate_md_sets` searches on its own
 chain and partner masks; `md_to_partition` walks down the Durfee rows
 once; `enumerate_paths` joins height-pruned half words, less those
-that already hold a banned word; and
+that already hold a banned word;
 `validate_core_function` checks a summary by the path rules instead of
-the parity-case windows it once wrote out.  Each
-reference below is the straightforward loop over hooks, columns, rows
-or steps, kept verbatim: the kernels must give the same results, raise
-the same error types with the same messages, and list hook sets and
-paths in the same order.
+the parity-case windows it once wrote out; and `count_paths_dp` reads
+one cumulative rise vector at a lag instead of keeping a state per
+U-run.  Each reference below is the straightforward loop over hooks,
+columns, rows, steps or letters, kept verbatim: the kernels must give
+the same results, raise the same error types with the same messages,
+and list hook sets and paths in the same order.
 """
 
 import functools
@@ -39,6 +40,7 @@ from score_lab import (
     UnsupportedParametersError,
     constraints_for,
     corner_statistics,
+    count_paths_dp,
     default_md_bound,
     enumerate_md_sets,
     enumerate_paths,
@@ -287,6 +289,36 @@ def reference_enumerate_paths(x, y, constraints):
 
     grow(0)
     return out
+
+
+def reference_count_paths_dp(x_max, constraints):
+    """Admissible word counts by end height, for each length 0..x_max.
+
+    A plain dict DP over (height, automaton state), one letter at a
+    time.  The state is ("pre", j) after j flats and nothing else,
+    ("u", m) after a U and m flats, and ("idle", 0) once the last
+    non-flat step was a D; no run is capped.  A U may follow a state
+    whose run is past its ban (``prefix_top`` or ``factor_top``), and a
+    word may end in a U-run only past ``suffix_top``.
+    """
+    rise_after = {"pre": constraints.prefix_top, "u": constraints.factor_top, "idle": -1}
+    layer = {(0, "pre", 0): 1}
+    ends = []
+    for _ in range(x_max + 1):
+        end = Counter()
+        for (height, kind, run), count in layer.items():
+            if kind != "u" or run > constraints.suffix_top:
+                end[height] += count
+        ends.append(end)
+        grown = {}
+        for (height, kind, run), count in layer.items():
+            moves = [(height - 1, "idle", 0), (height, kind, run + (kind != "idle"))]
+            if run > rise_after[kind]:
+                moves.append((height + 1, "u", 0))
+            for state in moves:
+                grown[state] = grown.get(state, 0) + count
+        layer = grown
+    return ends
 
 
 def reference_validate_core_function(values, prog):
@@ -664,6 +696,41 @@ def test_enumerate_paths_prunes_on_height():
     for y in (-20, -19, 19, 20):
         expected = reference_enumerate_paths(20, y, EMPTY_CONSTRAINTS)
         assert enumerate_paths(20, y, EMPTY_CONSTRAINTS) == expected, y
+
+
+def _dp_sets():
+    """The empty set, each parity case at p = 2..8, and bans longer than any path below.
+
+    The DP reads only the three tops, so a set with the tops of one
+    before it is left out (6 of the 25).
+    """
+    by_tops = {}
+    for name, constraints in [("empty", EMPTY_CONSTRAINTS)] + [
+        (f"{s},{d},{p}", constraints_for(s, d, p))
+        for s, d in [(3, 2), (3, 5), (2, 5)]
+        for p in [*range(2, 9), 90]
+    ]:
+        tops = (constraints.factor_top, constraints.prefix_top, constraints.suffix_top)
+        by_tops.setdefault(tops, (name, constraints))
+    return dict(by_tops.values())
+
+
+DP_SETS = _dp_sets()
+
+
+@pytest.mark.parametrize("name", DP_SETS)
+def test_count_paths_dp_matches_the_letter_by_letter_dp(name):
+    # Every length to 40, far past enumeration's reach.  At each length the
+    # four heights at either end, where the window clips the all-flat
+    # prefix's steps to -1 and 1, and the heights -1 and 0 (the all-flat
+    # word's) between them: every height at every length would take about
+    # 10 s.
+    constraints = DP_SETS[name]
+    ends = reference_count_paths_dp(40, constraints)
+    for x, counts in enumerate(ends):
+        for y in {-x - 1, -x, -x + 1, -x + 2, -1, 0, x - 2, x - 1, x, x + 1}:
+            if abs(y) <= x + 1:
+                assert count_paths_dp(x, y, constraints) == counts[y], (x, y)
 
 
 @pytest.mark.parametrize("s,d,p", INSTANCES)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from math import comb, gcd
 
@@ -146,6 +147,22 @@ def test_path_routes_refuse_a_final_height_that_is_no_integer(route, y):
         route(3, y, constraints_for(3, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "x,y,message",
+    [
+        (2, -1.0, "final height must be an integer, got -1.0"),
+        (2.0, -1, "path length must be a nonnegative integer, got 2.0"),
+        (2, "a", "final height must be an integer, got 'a'"),
+        (-2, -1, "path length must be a nonnegative integer, got -2"),
+    ],
+)
+def test_satisfies_refuses_what_is_no_path_type(x, y, message):
+    # "FD" has type (2, -1) and avoids every ban of (3, 2, 2), so a type that
+    # merely compares equal to it must not pass, nor one that is no type at all.
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        satisfies("FD", constraints_for(3, 2, 2), x, y)
+
+
 def test_enumeration_is_ordered_and_clean():
     order = {"U": 0, "D": 1, "F": 2}
     for y in (-2, 0, 1):
@@ -182,8 +199,8 @@ def test_dp_matches_enumeration_longer_spot_check():
 
 
 # Long prefix and suffix bans (prefix_top 1, suffix_top 1, 3 and 5) and no
-# bans at all: the all-flat prefix runs to the end of short paths, and
-# U-runs saturate at their cap before the path ends.
+# bans at all: the all-flat prefix runs to the end of short paths, and the
+# DP's lagged reads reach back past the first step.
 EDGE_SETS = {
     "7,2,6": constraints_for(7, 2, 6),
     "8,3,5": constraints_for(8, 3, 5),
@@ -203,7 +220,7 @@ def test_dp_matches_enumeration_at_the_edges_of_its_state_space(name):
 @pytest.mark.parametrize("s,d", [(3, 2), (3, 5), (2, 5)])  # one per parity case
 def test_dp_matches_enumeration_when_the_bans_outgrow_the_path(s, d):
     # No U in a path of length x is followed by x flats, so the DP keeps at
-    # most x U-run states however long the bans grow with p.
+    # most x cumulative rise vectors however long the bans grow with p.
     for x in range(10):
         for p in sorted({*range(2, x + 3), 2 * x, 3 * x, 4 * x} - {0, 1}):
             cset = constraints_for(s, d, p)
@@ -212,8 +229,12 @@ def test_dp_matches_enumeration_when_the_bans_outgrow_the_path(s, d):
 
 
 def test_dp_run_states_stop_growing_past_the_path_length():
-    # x = 101 for (201, 2): from p = 200 on every ban is longer than the path.
+    # x = 101 for (201, 2): from p = 200 on every ban is longer than the path,
+    # so the count stops changing, and the DP must size nothing by p (10**30
+    # is past the longest deque a machine word can size).
     assert count_via_paths(201, 2, 6400) == count_via_paths(201, 2, 200)
+    assert count_via_paths(201, 2, 10**6) == count_via_paths(201, 2, 200)
+    assert count_via_paths(201, 2, 10**30) == count_via_paths(201, 2, 200)
 
 
 def test_unconstrained_count_is_trinomial():
