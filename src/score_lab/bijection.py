@@ -20,7 +20,8 @@ hook-set mask, is one unchecked body (`_path_mask` over the abacus's
 `_beads_mask`), which `score_lab.oracle.verify_instance` calls on
 `phi`'s word, so a core's round trip runs each check once.  `phi`'s
 body takes the core as a hook-set mask, the form the oracle's search
-yields, so verify compares the read-back with the core as one int.  The
+yields, so verify compares the read-back with the core as one int, and
+as the hook tuple its caller already holds, so none is built twice.  The
 f -> word step is `score_lab.abacus`'s, the one `validate_core_function`
 checks a summary through, so the path rules have one home.
 
@@ -83,7 +84,8 @@ def phi(md: Iterable[int], prog: Progression) -> str:
     Raises `NotACoreError` unless ``md`` is a self-conjugate
     (s, s+d, ..., s+pd)-core hook set.
     """
-    return _phi(_core_mask(validate_md(md), prog), prog)
+    md = validate_md(md)
+    return _phi(_core_mask(md, prog), md, prog)
 
 
 def _core_mask(md: tuple[int, ...], prog: Progression) -> int:
@@ -103,9 +105,8 @@ def _not_a_core(md: tuple[int, ...], prog: Progression) -> NotACoreError:
     return NotACoreError(f"{md} is not a self-conjugate {prog.moduli}-core hook set")
 
 
-def _phi(mask: int, prog: Progression) -> str:
-    """`phi` on the `_hook_mask` of a canonical hook set."""
-    md = _mask_hooks(mask)
+def _phi(mask: int, md: tuple[int, ...], prog: Progression) -> str:
+    """`phi` on a canonical hook set ``md`` and its `_hook_mask`, which the caller holds."""
     if not _is_simultaneous_core(mask, prog.doubled, prog.pair_mask):
         raise _not_a_core(md, prog)
     try:
@@ -166,14 +167,14 @@ def corner_statistics(md: Iterable[int], prog: Progression) -> tuple[int, str, i
             f"corner statistics are defined for d=1 only, got d={prog.d}"
         )
     md = validate_md(md)
-    steps = _phi(_core_mask(md, prog), prog)
+    steps = _phi(_core_mask(md, prog), md, prog)
     return _corners(_md_to_partition(md)), steps[-1:] or "-", steps.count("F")
 
 
 def mapping_record(md: Iterable[int], prog: Progression) -> dict:
     """JSON-ready record of one core-to-path assignment."""
     md = validate_md(md)
-    steps = _phi(_core_mask(md, prog), prog)
+    steps = _phi(_core_mask(md, prog), md, prog)
     record = {
         "md": list(md),
         "s": prog.s,

@@ -12,8 +12,13 @@ Two independent enumerators back every identity in the package:
   behind `phi` and `phi_inverse`, so that test cross-checks it.
 * `enumerate_by_partition_scan` searches partitions by growing the
   diagonal hook chain from the smallest hook upward and filters purely
-  through Young-diagram hook arithmetic.  It never uses the modular
-  conditions, so the two enumerators share no core-testing logic.
+  through Young-diagram hook arithmetic.  Each node carries one mask of
+  the first-row widths a next hook may not take: width w is banned when
+  w plus some row's offset (its length less its index) is a modulus, or
+  2w - 1 is.  A child keeps its parent's rows' offsets and adds those of
+  its new first row and its pad rows, so its mask is the parent's with
+  shifted copies of the moduli's mask ORed in.  It never uses the
+  modular conditions, so the two enumerators share no core-testing logic.
 
 The caps of a complete search follow from the (s, t = s+d)-core theory:
 no core has a diagonal hook above st - s - t (`Progression.md_bound`,
@@ -39,6 +44,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 from .bijection import _path_mask, _phi, phi_context
 from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError
@@ -171,34 +178,52 @@ def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int
     plus column length, with no modular shortcuts, keeping this scan
     independent of `enumerate_md_sets`.
 
+    With the first row w = (c + 1)/2 boxes long, its hook over row j is
+    w + g_j, where g_j = (length of row j) - j is the row's offset, and
+    its corner hook is c = 2w - 1.  So each node carries one int, the
+    mask of its banned first-row widths: bit w is set when w + g = t
+    for a row offset g and a modulus t (w = t - g), or 2w - 1 = t.  The
+    node's open widths are its range of widths less that mask.  A child
+    grown by width w keeps its old rows' offsets (each row moves one
+    step down and gains one box); its new first row has offset w - 1,
+    and its pad rows r = n + 2 .. w of length 1 (n the old row count)
+    have offsets 1 - r.  So the child's mask is the parent's, OR the
+    moduli's mask shifted down by w - 1, OR that mask shifted up by each
+    of n + 1 .. w - 1.  The mask is over widths, not hooks.
+
     Complete for cores of size <= n_max because dropping the largest
     diagonal hook of a core yields a smaller core (its diagram embeds
     in the old one with hook lengths intact).
     """
     if not (isinstance(n_max, int) and n_max >= 0):
         raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    moduli = set(prog.moduli)
+    moduli = prog.moduli
     min_modulus = min(moduli)
+    modulus_mask = sum(map((1).__lshift__, moduli))
+    # pads[k]: the widths k pad rows ban, before the shift to the first of them
+    shifted = (modulus_mask << k for k in range(min_modulus - 1))
+    pads = list(accumulate(shifted, or_, initial=0))
+    corner_bans = sum(1 << (t + 1) // 2 for t in moduli if t % 2)
     results: list[tuple[int, ...]] = [()]
-    stack = [((), 1, 0)]  # a core's parts, the least hook it may take next, its size
+    stack = [((), corner_bans, 0)]  # a core's parts, its banned widths, its size
     while stack:
-        parts, lowest, size = stack.pop()
-        # Prepending hook c: the new first row has (c+1)//2 boxes, old row i
-        # becomes row i+1 with one extra box, and the new first column pads the
-        # bottom with single-box rows.  First-row hooks: h(1,1) = c; above the
-        # old rows h(1,j) = (c+1)//2 + offsets[j-2] with offsets[i] =
-        # parts[i] - (i+1); over the pad the hooks run straight down from
-        # (c+1)//2 - len(parts) - 1 to 1, so the pad is clean exactly when
-        # c <= 2 * (min_modulus + len(parts)) - 1, where the candidates end.
-        offsets = [q - i for i, q in enumerate(parts, start=1)]
-        highest = min(n_max - size, 2 * (min_modulus + len(parts)) - 1)
-        for c in range(lowest, highest + 1, 2):
-            width = (c + 1) // 2
-            if c in moduli or any(width + g in moduli for g in offsets):
-                continue
-            grown = (width, *[q + 1 for q in parts], *[1] * (width - len(parts) - 1))
+        parts, banned, size = stack.pop()
+        # A core of n rows has a first row of n boxes, so the next is at
+        # least n + 1 wide; its hook 2w - 1 must fit in n_max - size, and its
+        # hooks over the pad, w - n - 1 down to 1, are clean exactly when
+        # w <= min_modulus + n.
+        n = len(parts)
+        last = min((n_max - size + 1) // 2, min_modulus + n)
+        open_widths = ((2 << last) - (2 << n)) & ~banned if last > n else 0
+        shifted_rows = [q + 1 for q in parts]
+        while open_widths:
+            low = open_widths & -open_widths
+            open_widths ^= low
+            w = low.bit_length() - 1
+            grown = (w, *shifted_rows, *(1,) * (w - n - 1))
             results.append(grown)
-            stack.append((grown, c + 2, size + c))
+            grown_bans = banned | modulus_mask >> (w - 1) | pads[w - 1 - n] << (n + 1)
+            stack.append((grown, grown_bans, size + 2 * w - 1))
     results.sort()
     return results
 
@@ -275,9 +300,10 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     admissibility check nor the core test is run again on the way back:
     the path has passed the first, a mask equal to the core's has passed
     the second, and distinct words of one type read back to distinct
-    masks, so a banned word could not come back as a core.  A core's
-    hook tuple is built only for the d = 1 corner check, the scan and
-    failure messages.  The paths are counted as `_iter_paths` yields
+    masks, so a banned word could not come back as a core.  Each core's
+    hook tuple is built once, and `_phi` (which places the beads from
+    it), the d = 1 corner check, the scan and failure messages all read
+    that one tuple.  The paths are counted as `_iter_paths` yields
     them, and each must pass public `satisfies` itself.
 
     The round trip passes when every core comes back, both streams are
@@ -327,21 +353,20 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     histogram: Counter = Counter()
     n_md = 0
     for mask in _iter_md_sets(prog):
+        md = _mask_hooks(mask)
         if n_md and not previous < mask:
-            failed.setdefault("roundtrip", f"core {_mask_hooks(mask)} is out of order")
+            failed.setdefault("roundtrip", f"core {md} is out of order")
         n_md, previous = n_md + 1, mask
         try:
-            steps = _phi(mask, prog)
+            steps = _phi(mask, md, prog)
         except ScoreLabError as exc:
             steps = None
-            failed.setdefault("roundtrip", f"core {_mask_hooks(mask)}: {exc}")
+            failed.setdefault("roundtrip", f"core {md}: {exc}")
         else:
             back = _path_mask(steps, prog)
             if back != mask:
-                wrong = f"came back as {_mask_hooks(back)}"
-                failed.setdefault("roundtrip", f"core {_mask_hooks(mask)}: {wrong}")
+                failed.setdefault("roundtrip", f"core {md}: came back as {_mask_hooks(back)}")
         if corner_check or scanned is not None:
-            md = _mask_hooks(mask)
             parts = _md_to_partition(md)
         if scanned is not None:
             if n_md > len(scanned):

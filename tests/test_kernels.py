@@ -8,10 +8,13 @@ chain and partner masks; `md_to_partition` walks down the Durfee rows
 once; `enumerate_paths` joins height-pruned half words, less those
 that already hold a banned word;
 `validate_core_function` checks a summary by the path rules instead of
-the parity-case windows it once wrote out; and `count_paths_dp` reads
+the parity-case windows it once wrote out; `count_paths_dp` reads
 one cumulative rise vector at a lag instead of keeping a state per
-U-run.  Each reference below is the straightforward loop over hooks,
-columns, rows, steps or letters, kept verbatim: the kernels must give
+U-run; and `enumerate_by_partition_scan` walks the open bits of one
+mask of banned first-row widths per node instead of testing every
+candidate hook against every row.  Each reference below is the
+straightforward loop over hooks, columns, rows, candidates, steps or
+letters, kept verbatim: the kernels must give
 the same results, raise the same error types with the same messages,
 and list hook sets and paths in the same order.
 """
@@ -42,12 +45,14 @@ from score_lab import (
     corner_statistics,
     count_paths_dp,
     default_md_bound,
+    enumerate_by_partition_scan,
     enumerate_md_sets,
     enumerate_paths,
     is_core,
     md_is_core,
     md_is_simultaneous_core,
     md_to_partition,
+    pair_core_size_bound,
     phi,
     phi_context,
     phi_inverse,
@@ -321,6 +326,33 @@ def reference_count_paths_dp(x_max, constraints):
     return ends
 
 
+def reference_partition_scan(prog, n_max):
+    moduli = set(prog.moduli)
+    min_modulus = min(moduli)
+    results = [()]
+    stack = [((), 1, 0)]  # a core's parts, the least hook it may take next, its size
+    while stack:
+        parts, lowest, size = stack.pop()
+        # Prepending hook c: the new first row has (c+1)//2 boxes, old row i
+        # becomes row i+1 with one extra box, and the new first column pads the
+        # bottom with single-box rows.  First-row hooks: h(1,1) = c; above the
+        # old rows h(1,j) = (c+1)//2 + offsets[j-2] with offsets[i] =
+        # parts[i] - (i+1); over the pad the hooks run straight down from
+        # (c+1)//2 - len(parts) - 1 to 1, so the pad is clean exactly when
+        # c <= 2 * (min_modulus + len(parts)) - 1, where the candidates end.
+        offsets = [q - i for i, q in enumerate(parts, start=1)]
+        highest = min(n_max - size, 2 * (min_modulus + len(parts)) - 1)
+        for c in range(lowest, highest + 1, 2):
+            width = (c + 1) // 2
+            if c in moduli or any(width + g in moduli for g in offsets):
+                continue
+            grown = (width, *[q + 1 for q in parts], *[1] * (width - len(parts) - 1))
+            results.append(grown)
+            stack.append((grown, c + 2, size + c))
+    results.sort()
+    return results
+
+
 def reference_validate_core_function(values, prog):
     """Check every structural condition the summary f of a core satisfies.
 
@@ -519,6 +551,27 @@ def test_md_to_partition_matches_the_durfee_row_loop():
         assert md_to_partition(md) == reference_md_to_partition(md), md
 
 
+def test_partition_scan_matches_the_per_candidate_loop():
+    # Every coprime (s, d) with s <= 13 and d <= 4 at p = 1..6, below,
+    # at and far past the largest core size, and two larger complete scans.
+    scans = 0
+    for s in range(1, 14):
+        for d in range(1, 5):
+            if gcd(s, d) != 1:
+                continue
+            for p in range(1, 7):
+                prog = Progression(s, d, p)
+                for n_max in (0, 1, 7, 30, pair_core_size_bound(s, s + d), 10**12):
+                    expected = reference_partition_scan(prog, n_max)
+                    assert enumerate_by_partition_scan(prog, n_max) == expected, (prog, n_max)
+                    scans += 1
+    assert scans == 1_296
+    for s, d, p in [(19, 1, 2), (17, 3, 3)]:
+        prog = Progression(s, d, p)
+        n_max = pair_core_size_bound(s, s + d)
+        assert enumerate_by_partition_scan(prog, n_max) == reference_partition_scan(prog, n_max)
+
+
 def test_every_path_of_its_type_fits_the_cached_blocks():
     # A type-(x, y) path stays between max(-j, y - x + j) and min(j, x + y - j)
     # at column j, and both ends are reached; so no bead count it gives
@@ -671,21 +724,21 @@ def test_enumerate_paths_generates_every_word_in_order():
 
 def test_enumerate_paths_joins_few_banned_words(monkeypatch):
     # A work count, not a timing: the halves that already hold a banned
-    # word are dropped before the join, so at (21, 4, 4) about 1.1 joined
-    # words go through satisfies per admissible one; joining every pair of
-    # halves would take 58,278.
+    # word are dropped before the join, so at (21, 4, 4) 15,607 joined
+    # words go through the filter `_iter_paths` calls, about 1.1 per
+    # admissible one; joining every pair of halves would take 58,278.
     import score_lab.motzkin as motzkin_mod
 
     calls = Counter()
 
-    def counting(*args, real=motzkin_mod.satisfies):
-        calls["satisfies"] += 1
+    def counting(*args, real=motzkin_mod._satisfies):
+        calls["_satisfies"] += 1
         return real(*args)
 
-    monkeypatch.setattr(motzkin_mod, "satisfies", counting)
+    monkeypatch.setattr(motzkin_mod, "_satisfies", counting)
     prog = phi_context(21, 4, 4)
     assert len(enumerate_paths(prog.x, prog.y, prog.constraints)) == 13_694
-    assert calls["satisfies"] <= 16_000
+    assert 13_694 <= calls["_satisfies"] <= 16_000
 
 
 def test_enumerate_paths_prunes_on_height():

@@ -193,9 +193,13 @@ def _collide_two_cores(monkeypatch, prog):
     """phi maps the second core to the path of the first."""
     first, second = islice(oracle_mod._iter_md_sets(prog), 2)
     real = oracle_mod._phi
-    monkeypatch.setattr(
-        oracle_mod, "_phi", lambda mask, prog: real(first if mask == second else mask, prog)
-    )
+
+    def collide(mask, md, prog):
+        if mask == second:
+            mask, md = first, _mask_hooks(first)
+        return real(mask, md, prog)
+
+    monkeypatch.setattr(oracle_mod, "_phi", collide)
 
 
 def _first_banned_word(prog):
@@ -213,7 +217,8 @@ def _break_a_constraint(monkeypatch, prog):
     import score_lab.bijection as bijection_mod
 
     banned = _first_banned_word(prog)
-    target = oracle_mod._phi(max(oracle_mod._iter_md_sets(prog)), prog)  # the last core
+    last = max(oracle_mod._iter_md_sets(prog))
+    target = oracle_mod._phi(last, _mask_hooks(last), prog)  # the last core's path
     real = bijection_mod._path_word
 
     def mutant(prog, f):
@@ -484,6 +489,14 @@ def test_scan_independence_from_modular_logic(monkeypatch):
         monkeypatch.setattr(Progression, name, property(forbidden))
     prog = Progression(4, 1, 2)
     assert len(enumerate_by_partition_scan(prog, 15)) == 5
+    # Its mask is over first-row widths, built from the moduli alone: the
+    # body reads none of the hook-set search's or the core test's tables.
+    scan = _function(oracle_mod, "enumerate_by_partition_scan")
+    assert not _reads(scan) & {
+        "doubled", "pair_mask", "md_bound", "class_firsts", "class_blocks",
+        "residue_slots", "_hook_mask", "_mask_hooks",
+    }
+    assert "moduli" in _reads(scan)
 
 
 def test_md_enumeration_independence_from_encoding(monkeypatch):
