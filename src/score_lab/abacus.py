@@ -72,6 +72,8 @@ def abacus_spec(s: int, d: int) -> Progression:
 def label(prog: Progression, i: int, j: int) -> int:
     """Odd label of position (i, j)."""
     _check_column(prog, j)
+    if not isinstance(i, int):
+        raise InvalidInputError(f"row must be an integer, got {i!r}")
     return prog.a + prog.period * i + 2 * prog.d * j
 
 
@@ -83,19 +85,22 @@ def boundary_row(prog: Progression, j: int) -> int:
 
 def _check_column(prog: Progression, j: int) -> None:
     """Raise `InvalidInputError` unless j is a column of the grid."""
-    if not 0 <= j <= prog.max_column:
+    if not (isinstance(j, int) and 0 <= j <= prog.max_column):
         raise InvalidInputError(
             f"column {j} out of range 0..{prog.max_column} for s={prog.s}, d={prog.d}"
         )
 
 
 def _check_column_count(prog: Progression, values: Sequence[int]) -> None:
-    """Raise `InvalidInputError` unless there is one value per column of the grid."""
+    """Raise `InvalidInputError` unless there is one int per column of the grid."""
     if len(values) != prog.columns:
         raise InvalidInputError(
             f"expected {prog.columns} values for s={prog.s}, d={prog.d}, "
             f"got {len(values)}"
         )
+    for v in values:
+        if not isinstance(v, int):
+            raise InvalidInputError(f"column values must be integers, got {v!r}")
 
 
 def place_beads(prog: Progression, md: Iterable[int]) -> tuple[int, ...]:
@@ -163,7 +168,11 @@ def _structure_error(
 
 
 def abacus_function(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
-    """Per-column summary f(j) = r(j) - 1 + b(j) of one signed bead count per column."""
+    """Per-column summary f(j) = r(j) - 1 + b(j) of one signed bead count per column.
+
+    Unchecked, unlike the rest of this API: it runs once per core on
+    `phi`'s path, whose counts come from `_place_beads`.
+    """
     return tuple(map(add, prog.empty_tops, beads))
 
 

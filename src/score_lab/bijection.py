@@ -107,7 +107,7 @@ def _not_a_core(md: tuple[int, ...], prog: Progression) -> NotACoreError:
 
 def _phi(mask: int, md: tuple[int, ...], prog: Progression) -> str:
     """`phi` on a canonical hook set ``md`` and its `_hook_mask`, which the caller holds."""
-    if not _is_simultaneous_core(mask, prog.doubled, prog.pair_mask):
+    if not _is_simultaneous_core(mask, prog.doubled):
         raise _not_a_core(md, prog)
     try:
         steps = _path_word(prog, abacus_function(prog, _place_beads(prog, md)))
@@ -135,7 +135,7 @@ def phi_inverse(steps: str, prog: Progression) -> tuple[int, ...]:
             f"for s={prog.s}, d={prog.d}, p={prog.p}"
         )
     mask = _path_mask(steps, prog)
-    if not _is_simultaneous_core(mask, prog.doubled, prog.pair_mask):
+    if not _is_simultaneous_core(mask, prog.doubled):
         raise InternalConsistencyError(
             f"path {steps} reconstructed a non-core hook set {_mask_hooks(mask)}"
         )

@@ -8,10 +8,10 @@ summation bounds rely on.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from math import comb, gcd
-from typing import Sequence
 
 from .bijection import phi_context
 from .errors import InvalidInputError, check_pair, check_progression, check_progression_length
@@ -54,8 +54,9 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def multinom(n: int, parts: Sequence[int]) -> int:
+def multinom(n: int, parts: Iterable[int]) -> int:
     """n! / prod(parts!), or 0 unless all parts are >= 0 and sum to n."""
+    parts = tuple(parts)
     if n < 0 or any(k < 0 for k in parts) or sum(parts) != n:
         return 0
     total = 1

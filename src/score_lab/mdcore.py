@@ -19,12 +19,16 @@ full hook-length table of the Young diagram; `md_is_core` works
 directly on the diagonal hook set through modular conditions.  The two
 routes are deliberately separate code paths and are cross-checked
 against each other in the test suite.
+
+A simultaneous core is tested one modulus at a time and nothing more.
+For two moduli s and t, an s-core that is also a t-core is an
+(s+t)-core (its beta-set is closed under -s and -t, hence under
+-(s+t)), so the hook s + t needs no check of its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from math import gcd
 
 from .errors import InvalidInputError
 
@@ -159,45 +163,30 @@ def is_core(parts: Iterable[int], t: int) -> bool:
 
 
 def md_is_core(md: Iterable[int], t: int) -> bool:
-    """Core test straight on the diagonal hook set.
+    """Core test straight on the diagonal hook set: `md_is_simultaneous_core` for t alone.
+
+    Equals ``is_core(md_to_partition(md), t)``.
+    """
+    return md_is_simultaneous_core(md, (t,))
+
+
+def md_is_simultaneous_core(md: Iterable[int], moduli: Iterable[int]) -> bool:
+    """True when the hook set is a t-core hook set for every modulus t.
 
     A self-conjugate partition is a t-core exactly when its diagonal
     hook set is closed under subtracting 2t (whenever the difference is
     still positive) and no two entries, repeats allowed, sum to a
-    multiple of 2t.  Equals ``is_core(md_to_partition(md), t)``.
+    multiple of 2t.  Read off the hooks and their residues mod 2t, so
+    the memory taken grows with the number of hooks, not their size.  A
+    residue r of an odd hook lies strictly between 0 and 2t, so two
+    hooks sum to a multiple of 2t exactly when their residues sum to 2t.
     """
-    _check_modulus(t)
-    return _residues_pass(validate_md(md), (t,))
-
-
-def md_is_simultaneous_core(md: Iterable[int], moduli: Sequence[int]) -> bool:
-    """True when the hook set passes `md_is_core` for every modulus.
-
-    For every coprime pair of moduli (s, t), a simultaneous core can
-    never contain the diagonal hook s + t; that cheap rejection runs
-    first.
-    """
+    moduli = tuple(moduli)
     if not moduli:
         raise InvalidInputError("at least one core modulus is required")
     for t in moduli:
         _check_modulus(t)
     md = validate_md(md)
-    return _coprime_pair_sums(moduli).isdisjoint(md) and _residues_pass(md, moduli)
-
-
-def _check_modulus(t: int) -> None:
-    if not isinstance(t, int) or t < 1:
-        raise InvalidInputError(f"core modulus must be a positive integer, got {t!r}")
-
-
-def _residues_pass(md: tuple[int, ...], moduli: Sequence[int]) -> bool:
-    """The closure and pair-sum conditions of `md_is_core` for each modulus.
-
-    Read off the hooks and their residues mod 2t, so the memory taken
-    grows with the number of hooks, not their size.  A residue r of an
-    odd hook lies strictly between 0 and 2t, so two hooks sum to a
-    multiple of 2t exactly when their residues sum to 2t.
-    """
     hooks = set(md)
     for t in moduli:
         m2 = 2 * t
@@ -209,11 +198,9 @@ def _residues_pass(md: tuple[int, ...], moduli: Sequence[int]) -> bool:
     return True
 
 
-def _coprime_pair_sums(moduli: Sequence[int]) -> frozenset[int]:
-    """The sums s + t over coprime pairs of moduli: hooks no simultaneous core has."""
-    return frozenset(
-        s + t for i, s in enumerate(moduli) for t in moduli[i + 1 :] if gcd(s, t) == 1
-    )
+def _check_modulus(t: int) -> None:
+    if not isinstance(t, int) or t < 1:
+        raise InvalidInputError(f"core modulus must be a positive integer, got {t!r}")
 
 
 def _hook_mask(hooks: Iterable[int]) -> int:
@@ -231,16 +218,15 @@ def _mask_hooks(mask: int) -> tuple[int, ...]:
     return tuple(hooks)
 
 
-def _is_simultaneous_core(mask: int, doubled: Sequence[int], pair_mask: int) -> bool:
+def _is_simultaneous_core(mask: int, doubled: Sequence[int]) -> bool:
     """`md_is_simultaneous_core` on the `_hook_mask` of a canonical hook set.
 
-    ``doubled`` holds 2t for each modulus t and ``pair_mask`` is the
-    mask of the coprime pair sums, so callers that test many hook sets
-    against one progression derive them once.  For each 2t the closure
-    test is one shift and one AND: a hook h > 2t whose h - 2t is missing
-    leaves a bit in ``(mask >> 2t) & ~mask``.  Under closure every
-    residue mod 2t is itself a hook below 2t, so two hooks summing to a
-    multiple of 2t exist exactly when two hooks sum to 2t.  The bit
+    ``doubled`` holds 2t for each modulus t, so callers that test many
+    hook sets against one progression derive it once.  For each 2t the
+    closure test is one shift and one AND: a hook h > 2t whose h - 2t is
+    missing leaves a bit in ``(mask >> 2t) & ~mask``.  Under closure
+    every residue mod 2t is itself a hook below 2t, so two hooks summing
+    to a multiple of 2t exist exactly when two hooks sum to 2t.  The bit
     reversal ``mirror`` of the mask (bit top - h for each hook h, top
     the largest hook) finds such a pair: ``mirror << 2t`` has bit
     top + 2t - h, which meets bit top + h' of ``mask << top`` exactly
@@ -248,8 +234,6 @@ def _is_simultaneous_core(mask: int, doubled: Sequence[int], pair_mask: int) -> 
     is closed under it and no pair reaches it, and the shifted mirror
     would take a bit per unit of 2t.
     """
-    if mask & pair_mask:
-        return False
     if not mask:
         return True
     top = mask.bit_length() - 1

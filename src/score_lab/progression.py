@@ -5,8 +5,7 @@ s and d and a length p >= 1.  It is validated once, at construction,
 and derives everything the layers read from it, each value computed on
 first use and then kept:
 
-* the moduli, their doubles and the hook mask of their coprime pair
-  sums (core tests);
+* the moduli and their doubles (core tests);
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
   the first positive row of each column and the row below it, the
   column and sign of each odd residue (`residue_slots`), and the
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalConsistencyError, InvalidInputError, check_progression
-from .mdcore import _coprime_pair_sums, _hook_mask
 from .motzkin import PathConstraintSet, constraints_for
 
 __all__ = ["Progression", "default_md_bound"]
@@ -94,11 +92,6 @@ class Progression:
     def empty_tops(self) -> tuple[int, ...]:
         """r(j) - 1 for every column j: the summary f(j) of a column with no beads."""
         return tuple(r - 1 for r in self.boundary_rows)
-
-    @cached_property
-    def pair_mask(self) -> int:
-        """Sums of coprime pairs of moduli, hooks no simultaneous core has, as a hook mask."""
-        return _hook_mask(_coprime_pair_sums(self.moduli))
 
     @cached_property
     def md_bound(self) -> int:

@@ -198,6 +198,22 @@ def test_record_layout():
     assert record["columns"][1] == {"j": 1, "r": 0, "b": 1, "f": 0}
 
 
+@pytest.mark.parametrize("values", [(0.5, 0, 0), (1.5, 0, 0), ("x", 0, 0), (0, 0, 1.0)])
+def test_abacus_api_refuses_non_integer_column_values(values):
+    prog = Progression(3, 2, 1)
+    for use in (beads_from_function, state_md, render_abacus, abacus_record):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            use(prog, values)
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        validate_core_function(values, Progression(3, 2, 2))
+
+
+@pytest.mark.parametrize("i,j", [(0.5, 0), ("1", 0), (0, 0.5), (0, None)])
+def test_label_refuses_a_non_integer_position(i, j):
+    with pytest.raises(InvalidInputError):
+        label(Progression(3, 2, 1), i, j)
+
+
 @pytest.mark.parametrize("beads", [(1,), (0, 1), (0, 1, 0, 0)])
 def test_record_and_render_refuse_a_bead_tuple_of_the_wrong_length(beads):
     # (3, 2) has 3 columns; a shorter or longer tuple must not be zipped short.

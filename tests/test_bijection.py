@@ -237,7 +237,7 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
     mds = enumerate_md_sets(Progression(13, 2, 3))
     counts = _count_calls(monkeypatch, ("validate_md", "boundary_row", "constraints_for"))
     tables = (
-        "boundary_rows", "pair_mask", "md_bound",
+        "boundary_rows", "md_bound",
         "class_firsts", "residue_slots", "class_blocks",
     )
     builds = _count_builds(monkeypatch, tables)

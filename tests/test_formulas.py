@@ -30,6 +30,17 @@ def test_kernel_guards():
     assert multinom(3, (-1, 2, 2)) == 0
 
 
+def test_multinom_reads_its_parts_once():
+    # An iterator, a generator and a set give the tuple's answer.
+    for n, parts in ((3, (1, 1, 1)), (4, (1, 3)), (3, (-1, 2, 2)), (2, (1, 1, 1))):
+        expected = multinom(n, parts)
+        assert multinom(n, iter(parts)) == expected
+        assert multinom(n, (k for k in parts)) == expected
+        if len(set(parts)) == len(parts):
+            assert multinom(n, set(parts)) == expected
+    assert multinom(3, iter((1, 1, 1))) == 6
+
+
 def test_three_term_progression_counts():
     assert count_sc_p2(3, 2).value == 2
     assert count_sc_p2(5, 1).value == 5

@@ -63,7 +63,7 @@ from score_lab import (
 )
 from score_lab.bijection import _path_mask, mapping_record
 from score_lab.errors import check_progression_length
-from score_lab.mdcore import _coprime_pair_sums, _hook_mask, _is_simultaneous_core
+from score_lab.mdcore import _hook_mask, _is_simultaneous_core
 from score_lab.motzkin import EMPTY_CONSTRAINTS, PathConstraintSet, _satisfies
 
 from conftest import sc_partitions_up_to
@@ -140,6 +140,13 @@ def reference_state_md(prog, beads):
     return tuple(hooks)
 
 
+def reference_pair_sums(moduli):
+    """The sums s + t over coprime pairs of moduli, which no simultaneous core holds."""
+    return frozenset(
+        s + t for i, s in enumerate(moduli) for t in moduli[i + 1 :] if gcd(s, t) == 1
+    )
+
+
 def reference_is_simultaneous_core(md, doubled, pair_sums):
     present = set(md)
     if not pair_sums.isdisjoint(present):
@@ -165,7 +172,7 @@ _HEIGHT = {letter: step for step, letter in _LETTER.items()}
 def reference_phi(md, prog):
     md = tuple(sorted(md, reverse=True))
     doubled = tuple(2 * t for t in prog.moduli)
-    if not reference_is_simultaneous_core(md, doubled, _coprime_pair_sums(prog.moduli)):
+    if not reference_is_simultaneous_core(md, doubled, reference_pair_sums(prog.moduli)):
         raise NotACoreError(
             f"{md} is not a self-conjugate {prog.moduli}-core hook set"
         )
@@ -196,7 +203,7 @@ def reference_phi_inverse(steps, prog):
     beads = [v - r + 1 for v, r in zip(heights, prog.boundary_rows)]
     md = reference_state_md(prog, beads)
     doubled = tuple(2 * t for t in prog.moduli)
-    if not reference_is_simultaneous_core(md, doubled, _coprime_pair_sums(prog.moduli)):
+    if not reference_is_simultaneous_core(md, doubled, reference_pair_sums(prog.moduli)):
         raise InternalConsistencyError(
             f"path {steps} reconstructed a non-core hook set {md}"
         )
@@ -509,13 +516,40 @@ def test_the_modular_core_tests_match_the_hook_table_on_every_small_progression(
                     expected = all(hook_table_is_core(md, t) for t in prog.moduli)
                     mask = _hook_mask(md)
                     assert md_is_simultaneous_core(md, prog.moduli) == expected, (md, prog)
-                    assert _is_simultaneous_core(mask, doubled, prog.pair_mask) == expected
-                    pair_sums = _coprime_pair_sums(prog.moduli)
+                    assert _is_simultaneous_core(mask, doubled) == expected
+                    pair_sums = reference_pair_sums(prog.moduli)
                     assert reference_is_simultaneous_core(md, doubled, pair_sums) == expected
                     for t in prog.moduli:
                         assert md_is_core(md, t) == hook_table_is_core(md, t), (md, t)
-                        assert _is_simultaneous_core(mask, (2 * t,), 0) == table[md, t]
+                        assert _is_simultaneous_core(mask, (2 * t,)) == table[md, t]
     assert progressions == 4 * 29
+
+
+def test_a_sum_of_two_moduli_added_to_a_core_fails_every_core_test():
+    # A core is an (s+t)-core for any two of its moduli s, t, so adding the
+    # hook s + t makes a non-core.  No pair-sum rule backs the core tests, so
+    # their per-modulus terms must see that alone.  Only an odd s + t is a
+    # diagonal hook, so even d (all moduli of one parity) adds nothing here.
+    progressions = rejected = 0
+    for s in range(1, 12):
+        for d in range(1, 5):
+            if gcd(s, d) != 1:
+                continue
+            for p in range(1, 5):
+                prog = Progression(s, d, p)
+                progressions += 1
+                pairs = itertools.combinations(prog.moduli, 2)
+                sums = {a + b for a, b in pairs if (a + b) % 2}
+                for core in enumerate_md_sets(prog):
+                    for h in sums:
+                        md = tuple(sorted((*core, h), reverse=True))
+                        assert not _is_simultaneous_core(_hook_mask(md), prog.doubled), md
+                        assert not md_is_simultaneous_core(md, prog.moduli), md
+                        parts = md_to_partition(md)
+                        assert not all(is_core(parts, t) for t in prog.moduli), md
+                        rejected += 1
+    assert progressions == 4 * 31
+    assert rejected == 8099
 
 
 def test_enumerate_md_sets_matches_the_counter_search():

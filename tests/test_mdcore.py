@@ -90,6 +90,19 @@ def test_simultaneous_core_worked_examples():
         md_is_simultaneous_core((3,), ())
 
 
+def test_simultaneous_core_reads_its_moduli_once():
+    # An iterator, a generator and a set give the tuple's answer.
+    assert md_is_simultaneous_core((3,), iter((3,))) is False
+    for moduli in ((3,), (3, 4), (2, 5, 8), (4, 7)):
+        for md in sc_partitions_up_to(14):
+            expected = md_is_simultaneous_core(md, moduli)
+            assert md_is_simultaneous_core(md, iter(moduli)) == expected, (md, moduli)
+            assert md_is_simultaneous_core(md, (t for t in moduli)) == expected
+            assert md_is_simultaneous_core(md, set(moduli)) == expected
+    with pytest.raises(InvalidInputError):
+        md_is_simultaneous_core((3,), iter(()))
+
+
 def test_corners_small():
     assert corners(()) == 0
     assert corners((1,)) == 1

@@ -481,19 +481,17 @@ def test_scan_independence_from_modular_logic(monkeypatch):
         raise AssertionError("partition scan called the modular core test")
 
     for name in (
-        "md_is_core", "md_is_simultaneous_core", "_residues_pass", "_is_simultaneous_core",
-        "_hook_mask",
+        "md_is_core", "md_is_simultaneous_core", "_is_simultaneous_core", "_hook_mask",
     ):
         monkeypatch.setattr(mdcore_mod, name, forbidden)
-    for name in ("pair_mask", "residue_slots"):
-        monkeypatch.setattr(Progression, name, property(forbidden))
+    monkeypatch.setattr(Progression, "residue_slots", property(forbidden))
     prog = Progression(4, 1, 2)
     assert len(enumerate_by_partition_scan(prog, 15)) == 5
     # Its mask is over first-row widths, built from the moduli alone: the
     # body reads none of the hook-set search's or the core test's tables.
     scan = _function(oracle_mod, "enumerate_by_partition_scan")
     assert not _reads(scan) & {
-        "doubled", "pair_mask", "md_bound", "class_firsts", "class_blocks",
+        "doubled", "md_bound", "class_firsts", "class_blocks",
         "residue_slots", "_hook_mask", "_mask_hooks",
     }
     assert "moduli" in _reads(scan)
@@ -522,7 +520,7 @@ def test_md_enumeration_independence_from_encoding(monkeypatch):
             # a name the oracle imports is looked up in the oracle's namespace
             if hasattr(oracle_mod, name):
                 monkeypatch.setattr(oracle_mod, name, forbidden)
-    for name in ("class_firsts", "residue_slots", "class_blocks", "pair_mask"):
+    for name in ("class_firsts", "residue_slots", "class_blocks"):
         monkeypatch.setattr(Progression, name, property(forbidden))
     assert enumerate_md_sets(Progression(5, 1, 2)) == [
         (),

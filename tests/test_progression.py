@@ -43,7 +43,6 @@ def test_path_type_and_moduli():
     assert Progression(23, 3, 3).x == 13
     assert Progression(22, 3, 3).moduli == (22, 25, 28, 31)
     assert Progression(22, 3, 3).doubled == (44, 50, 56, 62)
-    assert Progression(5, 1, 2).pair_mask == (1 << 11) | (1 << 12) | (1 << 13)
 
 
 def test_equal_parameters_make_equal_progressions():
