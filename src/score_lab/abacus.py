@@ -35,7 +35,6 @@ rules of its own.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import repeat
 from operator import add, getitem, sub
 
 from .errors import (
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .mdcore import _mask_hooks, validate_md
 from .motzkin import _RISES, _satisfies
-from .progression import Progression, _class_block
+from .progression import Progression
 
 __all__ = [
     "abacus_spec",
@@ -91,8 +90,9 @@ def _check_column(prog: Progression, j: int) -> None:
         )
 
 
-def _check_column_count(prog: Progression, values: Sequence[int]) -> None:
-    """Raise `InvalidInputError` unless there is one int per column of the grid."""
+def _check_column_count(prog: Progression, values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a tuple, read once; `InvalidInputError` unless one int per column."""
+    values = tuple(values)
     if len(values) != prog.columns:
         raise InvalidInputError(
             f"expected {prog.columns} values for s={prog.s}, d={prog.d}, "
@@ -101,6 +101,7 @@ def _check_column_count(prog: Progression, values: Sequence[int]) -> None:
     for v in values:
         if not isinstance(v, int):
             raise InvalidInputError(f"column values must be integers, got {v!r}")
+    return values
 
 
 def place_beads(prog: Progression, md: Iterable[int]) -> tuple[int, ...]:
@@ -176,34 +177,29 @@ def abacus_function(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(add, prog.empty_tops, beads))
 
 
-def beads_from_function(prog: Progression, values: Sequence[int]) -> tuple[int, ...]:
+def beads_from_function(prog: Progression, values: Iterable[int]) -> tuple[int, ...]:
     """Invert `abacus_function`: b(j) = f(j) - r(j) + 1."""
-    _check_column_count(prog, values)
+    values = _check_column_count(prog, values)
     return tuple(v - r + 1 for v, r in zip(values, prog.boundary_rows))
 
 
-def state_md(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
+def state_md(prog: Progression, beads: Iterable[int]) -> tuple[int, ...]:
     """Diagonal hooks read back off one signed bead count per column, largest first."""
-    _check_column_count(prog, beads)
-    return _mask_hooks(_beads_mask(prog, beads))
+    return _mask_hooks(_beads_mask(prog, _check_column_count(prog, beads)))
 
 
 def _beads_mask(prog: Progression, counts: Iterable[int]) -> int:
     """The hook-set mask of one signed bead count per column: the read-back.
 
     A column with b beads holds the |b| smallest hooks of one class, its
-    block, whose mask `Progression.class_blocks` holds; a count past
-    every core's has its blocks built for the call.  The columns'
-    classes are disjoint, so the blocks' masks add up to the set's.
+    block, whose mask `Progression.class_blocks` builds on its first read
+    and keeps; a dict keeps only the blocks some call has read.  The
+    columns' classes are disjoint, so the blocks' masks add up to the set's.
     """
-    counts = tuple(counts)
-    try:
-        return sum(map(getitem, prog.class_blocks, counts))
-    except KeyError:
-        return sum(map(_class_block, repeat(prog.period), prog.class_firsts, counts))
+    return sum(map(getitem, prog.class_blocks, counts))
 
 
-def validate_core_function(values: Sequence[int], prog: Progression) -> bool:
+def validate_core_function(values: Iterable[int], prog: Progression) -> bool:
     """Check that f is the summary of a core: f(0) = 0 and f spells an admissible path.
 
     The word of f's differences, with the convention step to -(d+1)/2
@@ -212,7 +208,7 @@ def validate_core_function(values: Sequence[int], prog: Progression) -> bool:
     more fails.  Needs p >= 2.
     """
     check_progression_length(prog.p)
-    _check_column_count(prog, values)
+    values = _check_column_count(prog, values)
     if values[0] != 0:
         return False
     try:
@@ -233,14 +229,14 @@ def _path_word(prog: Progression, f: Sequence[int]) -> str:
     return "".join(map(_LETTER.__getitem__, map(sub, f[1:], f)))
 
 
-def render_abacus(prog: Progression, beads: Sequence[int]) -> str:
+def render_abacus(prog: Progression, beads: Iterable[int]) -> str:
     """ASCII picture of the abacus: labels in a grid, beads in parentheses.
 
     Columns run left to right, rows bottom to top.  The rows shown cover
     every bead with one row of margin and always include the sign
     boundary of each column.
     """
-    _check_column_count(prog, beads)
+    beads = _check_column_count(prog, beads)
     boundaries = prog.boundary_rows
     marked = set()
     for j, (b, r) in enumerate(zip(beads, boundaries)):
@@ -277,9 +273,9 @@ def render_abacus(prog: Progression, beads: Sequence[int]) -> str:
     return "\n".join(lines)
 
 
-def abacus_record(prog: Progression, beads: Sequence[int]) -> dict:
+def abacus_record(prog: Progression, beads: Iterable[int]) -> dict:
     """JSON-ready record: (s, d, a) plus per-column (j, r, b, f)."""
-    _check_column_count(prog, beads)
+    beads = _check_column_count(prog, beads)
     f = abacus_function(prog, beads)
     return {
         "s": prog.s,

@@ -30,6 +30,9 @@ from .progression import Progression, default_md_bound
 
 USAGE_ERROR = 64
 _PARTITION_COLUMNS = ("size", "corners", "md", "parts")
+# `count --method all` enumerates only when the count it holds (the DP's, or
+# the pair formula's) is at most this: a few seconds of search.
+_ALL_ENUMERATION_LIMIT = 10**7
 
 
 class _UsageError(Exception):
@@ -245,7 +248,13 @@ def _cmd_count(args) -> _Output:
         results.append(formulas.count_via_paths(s, d, p))
     elif method == "dp":
         raise _Unavailable("no path model for a bare pair; use --p")
-    if method in ("enumerate", "all"):
+    if method == "all" and results[-1].value > _ALL_ENUMERATION_LIMIT:
+        print(
+            f"note: not enumerating {results[-1].as_json()['value']} cores, past "
+            f"the limit {_ALL_ENUMERATION_LIMIT} of --method all; use --method enumerate",
+            file=sys.stderr,
+        )
+    elif method in ("enumerate", "all"):
         cores = sum(1 for _ in oracle._iter_md_sets(Progression(s, d, p)))
         results.append(formulas.CountResult(cores, "enumeration"))
     agree = len({r.value for r in results}) <= 1

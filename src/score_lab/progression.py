@@ -9,7 +9,8 @@ first use and then kept:
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
   the first positive row of each column and the row below it, the
   column and sign of each odd residue (`residue_slots`), and the
-  gap-free blocks of each column's two residue classes (`class_blocks`);
+  gap-free blocks of each column's two residue classes (`class_blocks`,
+  each block built when some call first reads it and kept);
 * the completeness bound `md_bound` on the diagonal hooks of a core;
 * the path type (x, y) and the constraint set of the path encoding.
 
@@ -115,15 +116,6 @@ class Progression:
         return tuple((first, self.period - first) for first in firsts)
 
     @cached_property
-    def class_depth(self) -> int:
-        """Hooks per class that every (s, s+d)-core fits in.
-
-        Such a core's hooks are below s(s+d), which is s/2 periods, so no
-        residue class carries more than s//2 + 1 of them.
-        """
-        return self.s // 2 + 1
-
-    @cached_property
     def residue_slots(self) -> dict[int, tuple[int, int]]:
         """Residue of a hook mod the period -> (its column j, its sign).
 
@@ -146,16 +138,12 @@ class Progression:
 
     @cached_property
     def class_blocks(self) -> tuple[dict[int, int], ...]:
-        """Per column, the block of every signed bead count b with |b| <= `class_depth`.
+        """Per column, the block of each signed bead count b, built when first read.
 
         ``class_blocks[j][b]`` is the hook mask of column j's block of b
-        beads; a deeper count has no entry.
+        beads.  Each dict keeps only the blocks some call has read.
         """
-        period, counts = self.period, range(-self.class_depth, self.class_depth + 1)
-        return tuple(
-            {b: _class_block(period, firsts, b) for b in counts}
-            for firsts in self.class_firsts
-        )
+        return tuple(_ClassBlocks(self.period, firsts) for firsts in self.class_firsts)
 
     @cached_property
     def constraints(self) -> PathConstraintSet:
@@ -175,14 +163,20 @@ def default_md_bound(s: int, d: int) -> int:
     return max(1, s * t - s - t)
 
 
-def _class_block(period: int, firsts: tuple[int, int], b: int) -> int:
-    """The hook mask of the gap-free block of b signed beads on a column.
+class _ClassBlocks(dict):
+    """One column's blocks by signed bead count, each built on its first read.
 
     ``firsts`` are the smallest hooks of the column's positive and
-    negative class (`Progression.class_firsts`); the block's hooks are
-    first + period * k for k < |b|, with first the one of b's sign.
+    negative class (`Progression.class_firsts`); the block of b beads
+    holds first + period * k for k < |b|, with first the one of b's sign.
     """
-    return _class_runs(period, abs(b)) << firsts[b < 0]
+
+    def __init__(self, period: int, firsts: tuple[int, int]) -> None:
+        self.period, self.firsts = period, firsts
+
+    def __missing__(self, b: int) -> int:
+        block = self[b] = _class_runs(self.period, abs(b)) << self.firsts[b < 0]
+        return block
 
 
 def _class_runs(period: int, depth: int) -> int:

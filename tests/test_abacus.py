@@ -208,6 +208,26 @@ def test_abacus_api_refuses_non_integer_column_values(values):
         validate_core_function(values, Progression(3, 2, 2))
 
 
+def test_abacus_api_reads_an_iterator_once():
+    # An iterator or a generator of column values gives the tuple's answer:
+    # the check reads it once and hands its tuple on.
+    prog = Progression(3, 2, 2)
+    beads = place_beads(prog, (1,))
+    f = abacus_function(prog, beads)
+    cases = [
+        (beads_from_function, f),
+        (state_md, beads),
+        (render_abacus, beads),
+        (abacus_record, beads),
+        (lambda prog, f: validate_core_function(f, prog), f),
+    ]
+    for use, values in cases:
+        expected = use(prog, values)
+        assert use(prog, iter(values)) == expected
+        assert use(prog, (v for v in values)) == expected
+    assert state_md(prog, iter((0, 0, 0))) == ()
+
+
 @pytest.mark.parametrize("i,j", [(0.5, 0), ("1", 0), (0, 0.5), (0, None)])
 def test_label_refuses_a_non_integer_position(i, j):
     with pytest.raises(InvalidInputError):

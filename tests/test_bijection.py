@@ -1,5 +1,6 @@
 import itertools
 import sys
+from math import gcd
 
 import pytest
 
@@ -23,10 +24,12 @@ from score_lab import (
     phi_context,
     phi_inverse,
     place_beads,
+    satisfies,
     state_md,
     verify_instance,
 )
-from score_lab.bijection import mapping_record
+from score_lab.bijection import _path_mask, mapping_record
+from score_lab.mdcore import _is_simultaneous_core, _mask_hooks
 
 LAMBDA = (77, 41, 35, 27, 19, 11, 5, 3)
 MU = (67, 65, 21, 19, 15, 13, 11, 9, 7, 3, 1)
@@ -254,7 +257,8 @@ def test_bijection_does_per_instance_work_once(monkeypatch):
     assert len(mds) == 201
     assert counts["constraints_for"] == 1
     assert builds == dict.fromkeys(tables, 1)  # the grid and its tables, once
-    assert max(runs_built) == prog.class_depth  # no deeper blocks for any core
+    # each block is built on its first read and kept, so none is rebuilt
+    assert len(runs_built) == sum(map(len, prog.class_blocks))
     assert counts["validate_md"] <= len(mds)  # at most one per phi call
     assert counts["boundary_row"] <= prog.columns  # none per core
 
@@ -307,3 +311,56 @@ def test_corner_statistics_and_mapping_record_validate_once(monkeypatch):
         "md_to_partition": 0,
         "corners": 0,
     }
+
+
+def _beta_set_is_core(parts, t):
+    """James and Kerber's beta-set test, on its own: with l rows, the partition
+    is a t-core when every first-column hook b >= t has b - t among them."""
+    beta = {part + len(parts) - i for i, part in enumerate(parts, start=1)}
+    return all(b - t in beta for b in beta if b >= t)
+
+
+def _constraint_probes(prog):
+    """(word, banned) for each length of each banned shape up to its top + 1.
+
+    Each shape is spliced into the admissible word D^c F^(x-c), c = -y:
+    D^c U F^i U DD (factor), F^j U D^(c+1) (prefix) and D^(c+1) .. U F^k
+    (suffix), padded with flats to length x; a word that does not fit
+    is left out.
+    """
+    x, c, cons = prog.x, -prog.y, prog.constraints
+    shapes = (
+        (cons.factor_top, lambda i: ("D" * c + "U" + "F" * i + "UDD", "")),
+        (cons.prefix_top, lambda j: ("F" * j + "U" + "D" * (c + 1), "")),
+        (cons.suffix_top, lambda k: ("D" * (c + 1), "U" + "F" * k)),
+    )
+    for top, splice in shapes:
+        for length in range(top + 2):
+            head, tail = splice(length)
+            flats = x - len(head) - len(tail)
+            if flats >= 0:
+                yield head + "F" * flats + tail, length <= top
+
+
+def _probe_grid():
+    pairs = [(s, d) for s in [*range(1, 40), 101, 201] for d in range(1, 7)]
+    return [(s, d, p) for s, d in pairs if gcd(s, d) == 1 for p in range(2, 9)]
+
+
+def test_constraint_tops_are_exact_by_the_beta_set_test():
+    # A banned length reads back to a non-core, and one past the top to a
+    # core; the verdicts come from the beta-sets of the rebuilt partitions
+    # and must agree with the modular core test.
+    probes = banned = 0
+    for s, d, p in _probe_grid():
+        prog = phi_context(s, d, p)
+        for word, is_banned in _constraint_probes(prog):
+            assert satisfies(word, prog.constraints, prog.x, prog.y) != is_banned, word
+            mask = _path_mask(word, prog)
+            parts = md_to_partition(_mask_hooks(mask))
+            core = all(_beta_set_is_core(parts, t) for t in prog.moduli)
+            assert core != is_banned, (s, d, p, word)
+            assert _is_simultaneous_core(mask, prog.doubled) == core
+            probes += 1
+            banned += is_banned
+    assert (probes, banned) == (9_431, 6_866)

@@ -2,9 +2,12 @@ import dataclasses
 import gc
 import json
 import os
+import resource
+import subprocess
 import sys
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,28 @@ def test_count_pair_mode(capsys):
     code, out, _ = run(capsys, "count", "--s", "2", "--t", "3")
     assert code == 0
     assert "formula-pair: 2" in out and "enumeration: 2" in out
+
+
+def test_count_all_enumerates_only_up_to_its_limit(capsys, monkeypatch):
+    # Past the limit, all keeps its stdout shape without the enumeration line
+    # and names the count it skipped on stderr; enumerate has no limit.
+    monkeypatch.setattr(cli, "_ALL_ENUMERATION_LIMIT", 5)
+    assert run(capsys, "count", "--s", "5", "--d", "1") == (
+        0, "formula-p2: 5\nformula-d1: 5\ndp: 5\nenumeration: 5\nAGREE\n", ""
+    )
+    note = (
+        "note: not enumerating {} cores, past the limit 5 of --method all; "
+        "use --method enumerate\n"
+    )
+    assert run(capsys, "count", "--s", "9", "--d", "2", "--p", "3") == (
+        0, "formula-p3: 32\ndp: 32\nAGREE\n", note.format(32)
+    )
+    assert run(capsys, "count", "--s", "5", "--t", "7", "--format", "json") == (
+        0, '{"value":"10","method":"formula-pair"}\n{"agree":true}\n', note.format(10)
+    )
+    assert run(capsys, "count", "--s", "5", "--t", "7", "--method", "enumerate") == (
+        0, "enumeration: 10\n", ""
+    )
 
 
 def test_count_pair_mode_refuses_progression_flags(capsys):
@@ -557,3 +582,29 @@ def test_enumerate_and_count_memory_is_flat_in_the_core_count(tmp_path, command,
 
     peak(3, 2, 2)  # the parser is built once per process, before either peak
     assert peak(24, 1, 8) < 3 * peak(7, 12, 2)
+
+
+def _run_capped(*argv):
+    """The CLI in a child process whose address space is capped at 1 GB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "score_lab.cli", *argv],
+        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_unmap_and_count_at_s_1001_fit_under_a_memory_cap():
+    # The read-back builds only the blocks a path reads, and count --method
+    # all does not start an enumeration of 10^300 cores.
+    done = _run_capped("unmap", "--s", "1001", "--d", "1", "--p", "2", "--path", "D" + "F" * 500)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == ",".join(map(str, range(999, 0, -2)))
+    done = _run_capped("count", "--s", "1001", "--d", "1", "--p", "2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["formula-p2", "formula-d1", "dp", "AGREE"]
+    assert "use --method enumerate" in done.stderr

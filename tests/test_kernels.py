@@ -486,8 +486,9 @@ def test_placement_and_phi_match_the_per_hook_loops(s, d, p):
 @pytest.mark.parametrize("s,d,p", INSTANCES)
 def test_state_md_and_phi_inverse_match_the_per_column_loops(s, d, p):
     prog = phi_context(s, d, p)
-    # Counts past the cached blocks' depth build their blocks for the call.
-    reach = prog.class_depth + 1
+    # Counts one past every core's s//2 + 1 hooks per class: the blocks are
+    # built as they are first read, however deep.
+    reach = prog.s // 2 + 2
     for beads in itertools.product(range(-reach, reach + 1), repeat=prog.columns):
         assert state_md(prog, beads) == reference_state_md(prog, beads)
     for steps in enumerate_paths(prog.x, prog.y, EMPTY_CONSTRAINTS):
@@ -606,21 +607,6 @@ def test_partition_scan_matches_the_per_candidate_loop():
         assert enumerate_by_partition_scan(prog, n_max) == reference_partition_scan(prog, n_max)
 
 
-def test_every_path_of_its_type_fits_the_cached_blocks():
-    # A type-(x, y) path stays between max(-j, y - x + j) and min(j, x + y - j)
-    # at column j, and both ends are reached; so no bead count it gives
-    # lies past `class_depth`, and phi_inverse reads every block from the table.
-    for s in range(1, 80):
-        for d in range(1, 30):
-            if gcd(s, d) != 1:
-                continue
-            prog = Progression(s, d, 2)
-            x, y = prog.x, prog.y
-            for j, r in enumerate(prog.boundary_rows):
-                highest, lowest = min(j, x + y - j), max(-j, y - x + j)
-                assert -prog.class_depth <= lowest - r + 1 <= highest - r + 1 <= prog.class_depth
-
-
 def test_distinct_words_of_one_type_read_back_to_distinct_masks():
     # verify compares a core's mask with its path's read-back and runs no
     # admissibility or core test on the read-back: a banned word of the type
@@ -647,13 +633,11 @@ def test_distinct_words_of_one_type_read_back_to_distinct_masks():
 def test_phi_inverse_matches_the_per_column_loop_on_every_path_of_its_type(s, d, p, monkeypatch):
     # With no constraints every path of the type is read back: the
     # admissible ones to their cores, the others to non-core hook sets,
-    # which must raise the same InternalConsistencyError.  No such path
-    # reaches past the cached blocks (see above), so the blocks are cut to
-    # depth 1 here to make phi_inverse build the deeper ones for the call.
+    # which must raise the same InternalConsistencyError.  The fresh
+    # progression builds every block on a miss, the deep ones included.
     prog = phi_context(s, d, p)
     admissible = set(enumerate_paths(prog.x, prog.y, prog.constraints))
     monkeypatch.setattr(Progression, "constraints", EMPTY_CONSTRAINTS)
-    monkeypatch.setattr(Progression, "class_depth", 1)
     prog = Progression(s, d, p)
     deep = 0
     for steps in enumerate_paths(prog.x, prog.y, EMPTY_CONSTRAINTS):
@@ -826,7 +810,7 @@ def test_placement_of_deep_and_huge_hooks_matches_the_per_hook_loop(s, d, p):
     # hooks of seven and of fourteen digits: the huge ones must not cost
     # a bit per odd number below them.
     prog = phi_context(s, d, p)
-    deep = prog.class_depth + 3
+    deep = prog.s // 2 + 4
     sets = []
     for pos_first, neg_first in prog.class_firsts:
         for first in (pos_first, neg_first):
