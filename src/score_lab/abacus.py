@@ -26,7 +26,7 @@ otherwise the topmost negative-label spacer row) is the quantity the
 lattice-path encoding in `score_lab.bijection` is built from: the word
 of f's differences, with one convention step for odd d, is the path.
 This module builds that word for `phi`, reads a hook-set mask back off
-the bead counts (`_beads_mask`, for `state_md`, `phi_inverse` and
+the summary f (`_beads_mask`, for `state_md`, `phi_inverse` and
 `verify_instance`), and `validate_core_function` checks a summary by
 the path rules of `Progression.constraints`, so it keeps no structural
 rules of its own.
@@ -185,18 +185,21 @@ def beads_from_function(prog: Progression, values: Iterable[int]) -> tuple[int, 
 
 def state_md(prog: Progression, beads: Iterable[int]) -> tuple[int, ...]:
     """Diagonal hooks read back off one signed bead count per column, largest first."""
-    return _mask_hooks(_beads_mask(prog, _check_column_count(prog, beads)))
+    f = abacus_function(prog, _check_column_count(prog, beads))
+    return _mask_hooks(_beads_mask(prog, f))
 
 
-def _beads_mask(prog: Progression, counts: Iterable[int]) -> int:
-    """The hook-set mask of one signed bead count per column: the read-back.
+def _beads_mask(prog: Progression, f: Iterable[int]) -> int:
+    """The hook-set mask of the beads whose summary is f: the read-back.
 
-    A column with b beads holds the |b| smallest hooks of one class, its
-    block, whose mask `Progression.class_blocks` builds on its first read
-    and keeps; a dict keeps only the blocks some call has read.  The
-    columns' classes are disjoint, so the blocks' masks add up to the set's.
+    A column with b = f(j) - r(j) + 1 beads holds the |b| smallest hooks
+    of one class, its block, whose mask `Progression.class_blocks` keys
+    by f(j), builds on its first read and keeps; a dict keeps only the
+    blocks some call has read.  Values past the last column are not
+    read.  The columns' classes are disjoint, so the blocks' masks add
+    up to the set's.
     """
-    return sum(map(getitem, prog.class_blocks, counts))
+    return sum(map(getitem, prog.class_blocks, f))
 
 
 def validate_core_function(values: Iterable[int], prog: Progression) -> bool:

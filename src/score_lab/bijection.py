@@ -15,7 +15,7 @@ and both ends are validated so the correspondence is enforced rather
 than assumed: `phi` runs the core test on its input and checks the path
 it builds against the constraint set, and `phi_inverse` checks its
 input path the same way and runs the core test on the hook set it
-reads back.  The read-back itself, path heights to bead counts to the
+reads back.  The read-back itself, path heights (the summary f) to the
 hook-set mask, is one unchecked body (`_path_mask` over the abacus's
 `_beads_mask`), which `score_lab.oracle.verify_instance` calls on
 `phi`'s word, so a core's round trip runs each check once.  `phi`'s
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import accumulate
-from operator import sub
 
 from .abacus import _beads_mask, _path_word, _place_beads, abacus_function
 from .errors import (
@@ -145,14 +144,13 @@ def phi_inverse(steps: str, prog: Progression) -> tuple[int, ...]:
 def _path_mask(steps: str, prog: Progression) -> int:
     """The hook-set mask the abacus reads back off a word over U/D/F, unchecked.
 
-    Column j holds f(j) - r(j) + 1 beads: the heights start from 1 to
-    add the 1.  zip stops at the last column, so the convention step of
-    an odd d is never read.  Distinct words of one type (x, y) give
-    distinct masks: the heights give the bead counts, and the counts
-    the blocks, one for one.
+    The heights from 0 are the summary f, by which the abacus keys its
+    blocks.  The read-back stops at the last column, so the convention
+    step of an odd d is never read.  Distinct words of one type (x, y)
+    give distinct masks: the heights give f, and f the blocks, one for
+    one.
     """
-    heights = accumulate(map(_HEIGHT.__getitem__, steps), initial=1)
-    return _beads_mask(prog, map(sub, heights, prog.boundary_rows))
+    return _beads_mask(prog, accumulate(map(_HEIGHT.__getitem__, steps), initial=0))
 
 
 def corner_statistics(md: Iterable[int], prog: Progression) -> tuple[int, str, int]:

@@ -7,7 +7,9 @@ nowhere because nothing here is randomized.
 
 Exit codes: 0 success, 1 verification failure or count disagreement,
 2 requested method unavailable, 3 domain error (bad hook set, bad
-path, non-coprime parameters), 64 usage error.
+path, non-coprime parameters), 64 usage error, 141 stdout closed by
+its reader before the output ended (128 + SIGPIPE, as a shell reports
+a writer the signal ended).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import ScoreLabError, check_pair
 from .progression import Progression, default_md_bound
 
 USAGE_ERROR = 64
+BROKEN_PIPE = 141  # 128 + SIGPIPE
 _PARTITION_COLUMNS = ("size", "corners", "md", "parts")
 # `count --method all` enumerates only when the count it holds (the DP's, or
 # the pair formula's) is at most this: a few seconds of search.
@@ -458,7 +461,16 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             return _cannot_write(args.output, exc)
     else:
-        sys.stdout.writelines(lines)
+        try:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader is gone.  Send what is still buffered to devnull, so
+            # the flush at interpreter exit does not fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return BROKEN_PIPE
     return out.code
 
 

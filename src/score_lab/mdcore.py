@@ -256,6 +256,19 @@ def _corners(parts: Sequence[int]) -> int:
     return len(set(parts))
 
 
+def _mask_corners(mask: int) -> int:
+    """`corners` of the self-conjugate partition whose `_hook_mask` is ``mask``.
+
+    With diagonal hooks h_1 > ... > h_D, row i < D ends in a corner
+    exactly when h_i - h_(i+1) > 2, and each such corner has a conjugate
+    twin below the Durfee square; the last diagonal hook adds one corner
+    when it is 1 and two otherwise.  So the count is 2 |md|, less two per
+    pair of hooks 2 apart, less 1 when 1 is a hook.  `_corners` of the
+    partition stays the reference the tests compare with.
+    """
+    return 2 * (mask.bit_count() - (mask & mask >> 2).bit_count()) - (mask >> 1 & 1)
+
+
 def partition_record(md: Iterable[int]) -> dict:
     """JSON-ready record for the self-conjugate partition with hooks ``md``."""
     md = validate_md(md)

@@ -29,6 +29,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
 from operator import add
 
 from .errors import (
@@ -115,11 +116,6 @@ def constraints_for(s: int, d: int, p: int) -> PathConstraintSet:
     return PathConstraintSet("even_odd", p - 3, (p - 3) // 2, p - 2)
 
 
-def _path_type(steps: str) -> tuple[int, int]:
-    """Endpoint (x, y) of the path: length and final height."""
-    return len(steps), steps.count("U") - steps.count("D")
-
-
 def satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> bool:
     """True when the path has type (x, y) and avoids every forbidden pattern."""
     if not isinstance(steps, str) or not _ALPHABET.issuperset(steps):
@@ -129,17 +125,23 @@ def satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> boo
 
 
 def _satisfies(steps: str, constraints: PathConstraintSet, x: int, y: int) -> bool:
-    """`satisfies` for a string already known to be over U/D/F."""
-    return _path_type(steps) == (x, y) and constraints.pattern.search(steps) is None
+    """`satisfies` for a string already known to be over U/D/F: length x, U - D = y."""
+    return (
+        len(steps) == x
+        and steps.count("U") - steps.count("D") == y
+        and constraints.pattern.search(steps) is None
+    )
 
 
 def enumerate_paths(x: int, y: int, constraints: PathConstraintSet) -> list[str]:
     """All admissible paths of type (x, y), in U < D < F lexicographic order.
 
     Joins a left half of x // 2 steps to a right half whose net height
-    brings it to y, and filters each joined word through the body of
-    `satisfies` (the halves are words over U/D/F already), so the result
-    is a regex-filtered oracle for `count_paths_dp` that shares no
+    brings it to y, and filters each joined word by the one expression
+    of the banned patterns, `PathConstraintSet.pattern`, alone: the join
+    already fixes the type (x, y) and the halves are words over U/D/F,
+    so the rest of `satisfies` would hold on every word.  The result is
+    a regex-filtered oracle for `count_paths_dp` that shares no
     automaton logic with it.  Each half is grown one step at
     a time in U, D, F order, keeping only the prefixes whose height can
     still end where a word of type (x, y) needs that half to end (see
@@ -164,12 +166,18 @@ def _check_type(x: int, y: int) -> None:
 
 
 def _iter_paths(x: int, y: int, constraints: PathConstraintSet) -> Iterator[str]:
-    """`enumerate_paths` one word at a time, for a path type (x, y)."""
+    """`enumerate_paths` one word at a time, for a path type (x, y).
+
+    Every joined word has x // 2 + (x - x // 2) = x steps and halves'
+    heights summing to y, so only ``pattern`` is searched; callers that
+    need the whole rule on a word (``verify_instance``) run `satisfies`.
+    """
     if abs(y) > x:
         return
     half = x // 2
     rest = x - half
     rights: dict[int, list[str]] = {}
+    search = constraints.pattern.search
     banned = constraints.right_pattern.search
     for right, height in _half_words(rest, y - half, y + half):
         if not banned(right):
@@ -178,9 +186,7 @@ def _iter_paths(x: int, y: int, constraints: PathConstraintSet) -> Iterator[str]
     for left, height in _half_words(half, y - rest, y + rest):
         if banned(left):
             continue
-        for word in map(left.__add__, rights.get(y - height, ())):
-            if _satisfies(word, constraints, x, y):
-                yield word
+        yield from filterfalse(search, map(left.__add__, rights.get(y - height, ())))
 
 
 def _half_words(n: int, lo: int, hi: int) -> list[tuple[str, int]]:

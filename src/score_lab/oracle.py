@@ -29,9 +29,11 @@ where `enumerate_md_sets` stops) and none is larger than
 `verify_instance` cross-checks, for one parameter triple, the two
 enumerations, both path-counting routes, the closed formulas, the
 round trip of the path encoding, and the d = 1 corner refinement, whose
-rows `corner_rows` builds for it and for the ``corners`` command.  It
-makes one pass over the streams of cores and of admissible paths and
-keeps no list of either, nor of phi's images.  Each core's round trip,
+rows `corner_rows` builds for it and for the ``corners`` command.
+`corner_rows` counts corners on each core's partition, the reference;
+verify reads each count off the core's hook mask.  Verify makes one
+pass over the streams of cores and of admissible paths and keeps no
+list of either, nor of phi's images.  Each core's round trip,
 both streams strictly ascending and each streamed path admissible,
 with as many cores and paths as the DP counts, already show that phi
 maps the cores one to one onto the admissible paths and that the path
@@ -50,7 +52,7 @@ from operator import or_
 from .bijection import _path_mask, _phi, phi_context
 from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError
 from .formulas import CORNER_FORMULAS, closed_forms
-from .mdcore import _corners, _mask_hooks, _md_to_partition
+from .mdcore import _corners, _mask_corners, _mask_hooks, _md_to_partition
 from .motzkin import _RISES, _iter_paths, count_paths_dp, satisfies
 from .progression import Progression
 
@@ -302,9 +304,12 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     the second, and distinct words of one type read back to distinct
     masks, so a banned word could not come back as a core.  Each core's
     hook tuple is built once, and `_phi` (which places the beads from
-    it), the d = 1 corner check, the scan and failure messages all read
-    that one tuple.  The paths are counted as `_iter_paths` yields
-    them, and each must pass public `satisfies` itself.
+    it), the scan and failure messages all read that one tuple.  The
+    d = 1 corner count is read off the mask (`_mask_corners`), so a
+    core's partition is built only to compare with the scan.  The paths
+    are counted as `_iter_paths` yields them; that stream searches each
+    word for banned patterns only, so each must pass public `satisfies`
+    here, which checks its alphabet and type as well.
 
     The round trip passes when every core comes back, both streams are
     strictly ascending (masks, which order as their hook tuples do, and
@@ -366,16 +371,15 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
             back = _path_mask(steps, prog)
             if back != mask:
                 failed.setdefault("roundtrip", f"core {md}: came back as {_mask_hooks(back)}")
-        if corner_check or scanned is not None:
-            parts = _md_to_partition(md)
         if scanned is not None:
+            parts = _md_to_partition(md)
             if n_md > len(scanned):
                 failed.setdefault("scan", f"core {md} is past the scan's {len(scanned)} entries")
             elif scanned[n_md - 1] != parts:
                 entry = f"scan entry {n_md - 1} is {scanned[n_md - 1]}"
                 failed.setdefault("scan", f"core {md} has partition {parts}, but {entry}")
         if corner_check:
-            m = _corners(parts)
+            m = _mask_corners(mask)
             histogram[m] += 1
             # an even m ends in D with s//2 - m flats, an odd m in F with one more
             last, flats = "DF"[m % 2], s // 2 - m + m % 2

@@ -9,8 +9,9 @@ first use and then kept:
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
   the first positive row of each column and the row below it, the
   column and sign of each odd residue (`residue_slots`), and the
-  gap-free blocks of each column's two residue classes (`class_blocks`,
-  each block built when some call first reads it and kept);
+  gap-free blocks of each column's two residue classes, keyed by the
+  column's summary value f (`class_blocks`, each block built when some
+  call first reads it and kept);
 * the completeness bound `md_bound` on the diagonal hooks of a core;
 * the path type (x, y) and the constraint set of the path encoding.
 
@@ -138,12 +139,17 @@ class Progression:
 
     @cached_property
     def class_blocks(self) -> tuple[dict[int, int], ...]:
-        """Per column, the block of each signed bead count b, built when first read.
+        """Per column, the block of each summary value f, built when first read.
 
-        ``class_blocks[j][b]`` is the hook mask of column j's block of b
-        beads.  Each dict keeps only the blocks some call has read.
+        ``class_blocks[j][f]`` is the hook mask of column j's block of
+        b = f - r(j) + 1 beads, so a path's heights, which are f, index
+        it with no conversion.  Each dict keeps only the blocks some call
+        has read.
         """
-        return tuple(_ClassBlocks(self.period, firsts) for firsts in self.class_firsts)
+        return tuple(
+            _ClassBlocks(self.period, firsts, empty)
+            for firsts, empty in zip(self.class_firsts, self.empty_tops)
+        )
 
     @cached_property
     def constraints(self) -> PathConstraintSet:
@@ -164,18 +170,21 @@ def default_md_bound(s: int, d: int) -> int:
 
 
 class _ClassBlocks(dict):
-    """One column's blocks by signed bead count, each built on its first read.
+    """One column's blocks by summary value f, each built on its first read.
 
     ``firsts`` are the smallest hooks of the column's positive and
-    negative class (`Progression.class_firsts`); the block of b beads
-    holds first + period * k for k < |b|, with first the one of b's sign.
+    negative class (`Progression.class_firsts`) and ``empty`` is the
+    column's r(j) - 1 (`Progression.empty_tops`).  The block of f holds
+    the column's b = f - empty beads: first + period * k for k < |b|,
+    with first the one of b's sign.
     """
 
-    def __init__(self, period: int, firsts: tuple[int, int]) -> None:
-        self.period, self.firsts = period, firsts
+    def __init__(self, period: int, firsts: tuple[int, int], empty: int) -> None:
+        self.period, self.firsts, self.empty = period, firsts, empty
 
-    def __missing__(self, b: int) -> int:
-        block = self[b] = _class_runs(self.period, abs(b)) << self.firsts[b < 0]
+    def __missing__(self, f: int) -> int:
+        b = f - self.empty
+        block = self[f] = _class_runs(self.period, abs(b)) << self.firsts[b < 0]
         return block
 
 

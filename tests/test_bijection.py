@@ -164,7 +164,7 @@ def test_phi_inverse_refuses_a_non_core_read_back(monkeypatch):
     import score_lab.bijection as bijection_mod
 
     prog = phi_context(21, 4, 4)
-    monkeypatch.setattr(bijection_mod, "_beads_mask", lambda prog, counts: 1 << 21)
+    monkeypatch.setattr(bijection_mod, "_beads_mask", lambda prog, f: 1 << 21)
     with pytest.raises(InternalConsistencyError, match=r"non-core hook set \(21,\)"):
         phi_inverse("FDUFFUDDDDUF", prog)
 
@@ -176,9 +176,9 @@ def test_state_md_phi_inverse_and_verify_share_one_read_back(monkeypatch):
     calls = []
     real = abacus_mod._beads_mask
 
-    def counting(prog, counts):
+    def counting(prog, f):
         calls.append(prog)
-        return real(prog, counts)
+        return real(prog, f)
 
     for module in (abacus_mod, bijection_mod):  # the body and the one module importing it
         monkeypatch.setattr(module, "_beads_mask", counting)

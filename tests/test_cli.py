@@ -597,6 +597,21 @@ def _run_capped(*argv):
     )
 
 
+def test_a_reader_closing_stdout_early_ends_the_run_quietly_with_141():
+    # `enumerate ... | head -1`: the reader takes one line of 1.8 MB and
+    # closes the pipe, so the next write finds no reader.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = ["enumerate", "--s", "21", "--d", "1", "--p", "2"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "score_lab.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as child:
+        assert child.stdout.readline() == "md=- parts=-\n"
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=60)
+    assert (child.returncode, stderr) == (141, "")
+
+
 def test_unmap_and_count_at_s_1001_fit_under_a_memory_cap():
     # The read-back builds only the blocks a path reads, and count --method
     # all does not start an enumeration of 10^300 cores.

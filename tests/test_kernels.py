@@ -743,20 +743,24 @@ def test_enumerate_paths_generates_every_word_in_order():
 def test_enumerate_paths_joins_few_banned_words(monkeypatch):
     # A work count, not a timing: the halves that already hold a banned
     # word are dropped before the join, so at (21, 4, 4) 15,607 joined
-    # words go through the filter `_iter_paths` calls, about 1.1 per
-    # admissible one; joining every pair of halves would take 58,278.
-    import score_lab.motzkin as motzkin_mod
-
+    # words go through the one regex filter `_iter_paths` runs, about 1.1
+    # per admissible one; joining every pair of halves would take 58,278.
     calls = Counter()
+    build = vars(PathConstraintSet)["pattern"].func
 
-    def counting(*args, real=motzkin_mod._satisfies):
-        calls["_satisfies"] += 1
-        return real(*args)
+    def spying(constraints):
+        search = build(constraints).search
 
-    monkeypatch.setattr(motzkin_mod, "_satisfies", counting)
+        def counting(word):
+            calls["search"] += 1
+            return search(word)
+
+        return SimpleNamespace(search=counting)
+
+    monkeypatch.setattr(PathConstraintSet, "pattern", property(spying))
     prog = phi_context(21, 4, 4)
     assert len(enumerate_paths(prog.x, prog.y, prog.constraints)) == 13_694
-    assert 13_694 <= calls["_satisfies"] <= 16_000
+    assert 13_694 <= calls["search"] <= 16_000
 
 
 def test_enumerate_paths_prunes_on_height():

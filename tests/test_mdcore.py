@@ -14,7 +14,13 @@ from score_lab import (
     partition_to_md,
     validate_md,
 )
-from score_lab.mdcore import partition_record
+from score_lab.mdcore import (
+    _corners,
+    _hook_mask,
+    _mask_corners,
+    _md_to_partition,
+    partition_record,
+)
 
 from conftest import sc_partitions_up_to
 
@@ -108,6 +114,15 @@ def test_corners_small():
     assert corners((1,)) == 1
     assert corners((2, 2)) == 1
     assert corners((5, 4, 2, 1)) == 4
+
+
+def test_corners_read_off_the_hook_mask():
+    # verify counts a d = 1 core's corners off its hook mask; the partition
+    # route stays the reference, on every self-conjugate partition up to 60.
+    mds = sc_partitions_up_to(60)
+    assert len(mds) == 2743
+    for md in mds:
+        assert _mask_corners(_hook_mask(md)) == _corners(_md_to_partition(md)), md
 
 
 @given(md_sets)

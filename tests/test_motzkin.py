@@ -122,6 +122,7 @@ def test_satisfies_worked_examples():
     assert satisfies("FDUFFUDDDDUF", constraints_for(21, 4, 4), 12, -2)
     assert satisfies("FDUFFUDDDDUFF", constraints_for(23, 3, 3), 13, -2)
     assert not satisfies("FDUFFUDDDDUF", constraints_for(21, 4, 4), 12, 2)
+    assert not satisfies("FDUFFUDDDDUF", constraints_for(21, 4, 4), 13, -2)  # too short
     assert not satisfies("FFU", constraints_for(2, 1, 2), 3, 1)  # ends with U
     with pytest.raises(InvalidPathError):
         satisfies("FXU", EMPTY_CONSTRAINTS, 3, 1)

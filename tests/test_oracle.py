@@ -260,12 +260,14 @@ def _drop_a_block(monkeypatch, prog):
 
     real = abacus_mod._beads_mask
 
-    def mutant(prog, counts):
-        counts = list(counts)
-        first = next((j for j, b in enumerate(counts) if b), None)
+    def mutant(prog, f):
+        # a column holds no beads when its f is its empty top r(j) - 1
+        f = list(f)[: prog.columns]
+        empty = prog.empty_tops
+        first = next((j for j, value in enumerate(f) if value != empty[j]), None)
         if first is not None:
-            counts[first] = 0
-        return real(prog, counts)
+            f[first] = empty[first]
+        return real(prog, f)
 
     for module in (abacus_mod, bijection_mod):
         monkeypatch.setattr(module, "_beads_mask", mutant)
@@ -279,6 +281,21 @@ def _unanchor_the_right_half_suffix(monkeypatch, prog):
         "right_pattern",
         property(lambda self: re.compile(build(self).pattern.replace(r"\Z", ""))),
     )
+
+
+def _lengthen_one(items):
+    """The word after the third gains an F: one step too long, still in order."""
+    items[3] += "F"
+
+
+def _flatten_the_last(items):
+    """F^x, at height 0, stands in for the last word: the largest word of length x."""
+    items[-1] = "F" * len(items[-1])
+
+
+def _wrong_type_words(items):
+    _lengthen_one(items)
+    _flatten_the_last(items)
 
 
 def _drop_one(items):
@@ -299,6 +316,9 @@ MUTANTS = {
     "path-stream-drops-a-word": lambda mp, prog: _edit_stream(mp, "_iter_paths", _drop_one),
     "path-stream-repeats-a-word": lambda mp, prog: _edit_stream(mp, "_iter_paths", _repeat_one),
     "path-stream-substitutes-a-banned-word": _substitute_a_banned_word,
+    "path-stream-yields-a-wrong-type-word": (
+        lambda mp, prog: _edit_stream(mp, "_iter_paths", _wrong_type_words)
+    ),
     "core-stream-repeats-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _repeat_one),
     "core-stream-drops-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _drop_one),
     "core-stream-swaps-two-cores": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _swap_two),
@@ -327,6 +347,20 @@ def test_verify_names_the_first_core_out_of_order(monkeypatch):
     mds = enumerate_md_sets(phi_context(9, 2, 3))
     MUTANTS["core-stream-swaps-two-cores"](monkeypatch, phi_context(9, 2, 3))
     assert verify_instance(9, 2, 3).error == f"core {mds[3]} is out of order"
+
+
+@pytest.mark.parametrize("edit", [_lengthen_one, _flatten_the_last])
+def test_verify_checks_the_type_of_each_streamed_word(edit, monkeypatch):
+    # The stream searches its words for banned patterns only, so the public
+    # satisfies verify runs on each word is what refuses a wrong length or
+    # end height; the edited stream keeps its order and its count.
+    prog = phi_context(9, 2, 3)
+    words = list(oracle_mod._iter_paths(prog.x, prog.y, prog.constraints))
+    edited = list(words)
+    edit(edited)
+    (wrong,) = set(edited) - set(words)
+    _edit_stream(monkeypatch, "_iter_paths", edit)
+    assert verify_instance(9, 2, 3).error == f"path {wrong} is not admissible"
 
 
 @pytest.mark.parametrize("p", range(2, 6))
@@ -612,13 +646,14 @@ def test_verify_checks_the_corner_row_past_the_top(s, monkeypatch):
 def test_verify_checks_each_cores_last_step_and_flat_count(monkeypatch):
     # Swapping the corner counts of the empty core (m = 0) and (1,) (m = 1)
     # leaves every row agreeing, so only the per-core path check can fail.
-    real = oracle_mod._corners
+    # verify reads each core's count off its hook mask: 0 for (), 0b10 for (1,).
+    real = oracle_mod._mask_corners
 
-    def swapped(parts):
-        return {(): 1, (1,): 0}.get(tuple(parts), real(parts))
+    def swapped(mask):
+        return {0: 1, 0b10: 0}.get(mask, real(mask))
 
     compared = _verify_corner_rows(monkeypatch)
-    monkeypatch.setattr(oracle_mod, "_corners", swapped)
+    monkeypatch.setattr(oracle_mod, "_mask_corners", swapped)
     report = verify_instance(9, 1, 2)
     assert report.corners == "fail" and not report.passed
     assert report.error is not None and report.error.startswith("core () has 1 corners")
