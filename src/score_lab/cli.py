@@ -10,6 +10,14 @@ Exit codes: 0 success, 1 verification failure or count disagreement,
 path, non-coprime parameters), 64 usage error, 141 stdout closed by
 its reader before the output ended (128 + SIGPIPE, as a shell reports
 a writer the signal ended).
+
+`verify` streams: each instance's line goes out, flushed, as soon as
+that instance and those before it are done, its `error:` line on
+stderr with it, so a reader sees progress and `| head -1` stops the
+run at the next write.  `verify --jobs N` imports its process pool only
+when it starts one (N > 1 and more than one instance), and `decimal`
+loads only to print a count, so neither is part of the cold start of
+the other subcommands.
 """
 
 from __future__ import annotations
@@ -19,8 +27,7 @@ import errno
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from math import gcd
 from typing import NamedTuple
@@ -56,14 +63,18 @@ class _Output(NamedTuple):
     ``records`` are the JSON lines, ``header`` and ``rows`` the CSV
     table (a dict row is read by the header) and ``text`` the text
     lines.  Only `main` picks a format and writes, reading the one it
-    picks once, so the three may share one lazy stream.
+    picks once, so the three may share one lazy stream.  ``code`` may
+    be a function that `main` calls once that stream is written, and
+    ``live`` asks `main` to flush stdout after each line, as each one
+    may end a long piece of work.
     """
 
     records: Iterable
     header: tuple[str, ...]
     rows: Iterable
     text: Iterable[str]
-    code: int = 0
+    code: int | Callable[[], int] = 0
+    live: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,6 +237,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _note_long_enumeration(prog: Progression) -> None:
+    """Name the core count on stderr when it is past the limit of ``count --method all``.
+
+    The count is the DP's, or the pair formula's for p = 1.  An explicit
+    enumeration still runs; the note only says it may take long.
+    """
+    if prog.p == 1:
+        count = formulas.count_sc_pair(prog.s, prog.s + prog.d)
+    else:
+        count = formulas.count_via_paths(prog.s, prog.d, prog.p)
+    if count.value > _ALL_ENUMERATION_LIMIT:
+        print(
+            f"note: enumerating {count.as_json()['value']} cores, past the limit "
+            f"{_ALL_ENUMERATION_LIMIT} of --method all; this may take a long time",
+            file=sys.stderr,
+        )
+
+
 def _cmd_count(args) -> _Output:
     method = args.method
     pair = args.t is not None
@@ -258,7 +287,10 @@ def _cmd_count(args) -> _Output:
             file=sys.stderr,
         )
     elif method in ("enumerate", "all"):
-        cores = sum(1 for _ in oracle._iter_md_sets(Progression(s, d, p)))
+        prog = Progression(s, d, p)
+        if method == "enumerate":
+            _note_long_enumeration(prog)
+        cores = sum(1 for _ in oracle._iter_md_sets(prog))
         results.append(formulas.CountResult(cores, "enumeration"))
     agree = len({r.value for r in results}) <= 1
     rows = records = [r.as_json() for r in results]
@@ -272,6 +304,7 @@ def _cmd_count(args) -> _Output:
 def _cmd_enumerate(args) -> _Output:
     _check_bound(args.bound, args.s, args.d)
     prog = Progression(args.s, args.d, args.p)
+    _note_long_enumeration(prog)
     if args.n_max is not None:
         partitions = oracle.enumerate_by_partition_scan(prog, args.n_max)
         # the scan's partitions are canonical, so their hooks are read off unchecked
@@ -316,6 +349,7 @@ def _cmd_corners(args) -> _Output:
     prog = bijection.phi_context(s, 1, p)
     if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
+    _note_long_enumeration(prog)
     # The cores stream into the histogram, so memory stays flat in their count.
     cores = map(mdcore._mask_hooks, oracle._iter_md_sets(prog))
     rows = oracle.corner_rows(prog, cores)[:-1]  # m = 0..top
@@ -357,46 +391,75 @@ def _cmd_verify(args) -> _Output:
                     _check_n_max(args.n_max, s, d)
                     grid.append((s, d, p, args.n_max is not None))
 
-    # A pool starts all its workers at once, so it gets no more than the grid needs.
-    workers = min(args.jobs, len(grid))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(oracle.verify_instance, *zip(*grid)))
-    else:
-        reports = [oracle.verify_instance(*item) for item in grid]
+    tally = {"instances": 0, "pass": 0, "fail": 0, "skipped": len(skipped)}
 
-    for r in reports:
-        if r.error:  # stdout keeps the report's bytes; the first counterexample goes to stderr
-            print(f"error: s={r.s} d={r.d} p={r.p} {r.error}", file=sys.stderr)
-    results = [report.as_json() for report in reports]
-    failures = sum(1 for r in reports if not r.passed)
-    tally = {
-        "instances": len(reports), "pass": len(reports) - failures,
-        "fail": failures, "skipped": len(skipped),
-    }
-    summary = (
-        f"verified {len(reports)} instances: {len(reports) - failures} pass, "
-        f"{failures} fail, {len(skipped)} skipped"
-    )
+    def finished() -> Iterator[oracle.VerifyReport]:
+        """Each report as its instance is done, in grid order, tallied."""
+        for r in _verify_grid(grid, args.jobs):
+            tally["instances"] += 1
+            tally["pass" if r.passed else "fail"] += 1
+            if r.error:  # stdout keeps the report's bytes; the first counterexample goes to stderr
+                print(f"error: s={r.s} d={r.d} p={r.p} {r.error}", file=sys.stderr)
+            yield r
+
+    def summary() -> str:
+        return (
+            f"verified {tally['instances']} instances: {tally['pass']} pass, "
+            f"{tally['fail']} fail, {tally['skipped']} skipped"
+        )
+
+    # One stream of reports: main reads it, and runs the grid, in the one
+    # format it prints, so each line goes out as its instance is done.
+    reports = finished()
+    results = map(oracle.VerifyReport.as_json, reports)
     header = (
         "s", "d", "p", "n_md", "n_path", "n_dp", "n_formula", "roundtrip", "corners", "pass",
     )
-    text = [f"s={s} d={d} p={p} skipped (gcd != 1)" for s, d, p in skipped]
-    for r in reports:
-        text.append(
-            f"s={r.s} d={r.d} p={r.p} md={r.n_md} paths={r.n_path} dp={r.n_dp} "
-            f"formula={'-' if r.n_formula is None else r.n_formula} roundtrip={r.roundtrip} "
-            f"corners={r.corners} {'PASS' if r.passed else 'FAIL'}"
-        )
+    text = (
+        f"s={r.s} d={r.d} p={r.p} md={r.n_md} paths={r.n_path} dp={r.n_dp} "
+        f"formula={'-' if r.n_formula is None else r.n_formula} roundtrip={r.roundtrip} "
+        f"corners={r.corners} {'PASS' if r.passed else 'FAIL'}"
+        for r in reports
+    )
     return _Output(
-        [*({"s": s, "d": d, "p": p, "skipped": "gcd(s, d) != 1"} for s, d, p in skipped),
-         *results, tally],
+        _then(
+            ({"s": s, "d": d, "p": p, "skipped": "gcd(s, d) != 1"} for s, d, p in skipped),
+            results,
+            lambda: tally,
+        ),
         header,
         # the CSV ends in the text summary, a one-cell row
-        [*((s, d, p, *[None] * 6, "skipped") for s, d, p in skipped), *results, (summary,)],
-        [*text, summary],
-        1 if failures else 0,
+        _then(
+            ((s, d, p, *[None] * 6, "skipped") for s, d, p in skipped),
+            results,
+            lambda: (summary(),),
+        ),
+        _then((f"s={s} d={d} p={p} skipped (gcd != 1)" for s, d, p in skipped), text, summary),
+        lambda: 1 if tally["fail"] else 0,
+        live=True,
     )
+
+
+def _verify_grid(grid: list, jobs: int) -> Iterator[oracle.VerifyReport]:
+    """The grid's reports in grid order, each as soon as it and those before it are done."""
+    # A pool starts all its workers at once, so it gets no more than the grid needs.
+    workers = min(jobs, len(grid))
+    if workers > 1:
+        # Imported only here: its modules are about a fifth of a cold start.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # Closing this stream early cancels the instances no worker has started.
+            yield from pool.map(oracle.verify_instance, *zip(*grid))
+    else:
+        yield from (oracle.verify_instance(*item) for item in grid)
+
+
+def _then(head: Iterable, body: Iterable, last: Callable[[], object]) -> Iterator:
+    """``head``, then ``body``, then ``last()``, called once ``body`` is spent."""
+    yield from head
+    yield from body
+    yield last()
 
 
 _HANDLERS = {
@@ -462,8 +525,13 @@ def main(argv: list[str] | None = None) -> int:
             return _cannot_write(args.output, exc)
     else:
         try:
-            sys.stdout.writelines(lines)
-            sys.stdout.flush()
+            if out.live:
+                for line in lines:
+                    sys.stdout.write(line)
+                    sys.stdout.flush()
+            else:
+                sys.stdout.writelines(lines)
+                sys.stdout.flush()
         except BrokenPipeError:
             # The reader is gone.  Send what is still buffered to devnull, so
             # the flush at interpreter exit does not fail a second time.
@@ -471,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             return BROKEN_PIPE
-    return out.code
+    return out.code() if callable(out.code) else out.code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from decimal import Decimal
 from math import comb, gcd
 
 from .bijection import phi_context
@@ -44,6 +43,9 @@ class CountResult:
 
     def as_json(self) -> dict:
         # Decimal prints every digit; str(int) refuses past 4,300 of them.
+        # Imported here, the one place that needs it, to keep it out of a cold start.
+        from decimal import Decimal
+
         return {"value": str(Decimal(self.value)), "method": self.method}
 
 

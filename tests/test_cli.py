@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from score_lab import InternalConsistencyError, bijection, cli
+from score_lab import InternalConsistencyError, bijection, cli, oracle
 from score_lab.cli import main
 
 
@@ -44,7 +44,7 @@ def test_count_pair_mode(capsys):
 
 def test_count_all_enumerates_only_up_to_its_limit(capsys, monkeypatch):
     # Past the limit, all keeps its stdout shape without the enumeration line
-    # and names the count it skipped on stderr; enumerate has no limit.
+    # and names the count it skipped on stderr; enumerate runs past it.
     monkeypatch.setattr(cli, "_ALL_ENUMERATION_LIMIT", 5)
     assert run(capsys, "count", "--s", "5", "--d", "1") == (
         0, "formula-p2: 5\nformula-d1: 5\ndp: 5\nenumeration: 5\nAGREE\n", ""
@@ -59,9 +59,36 @@ def test_count_all_enumerates_only_up_to_its_limit(capsys, monkeypatch):
     assert run(capsys, "count", "--s", "5", "--t", "7", "--format", "json") == (
         0, '{"value":"10","method":"formula-pair"}\n{"agree":true}\n', note.format(10)
     )
-    assert run(capsys, "count", "--s", "5", "--t", "7", "--method", "enumerate") == (
-        0, "enumeration: 10\n", ""
+    assert run(capsys, "count", "--s", "5", "--t", "7", "--method", "enumerate")[:2] == (
+        0, "enumeration: 10\n"
     )
+
+
+def test_explicit_enumerations_past_the_limit_run_with_one_note(capsys, monkeypatch):
+    # enumerate, corners and count --method enumerate still run as asked; past
+    # the limit of all they name the DP count (the pair formula's for p = 1)
+    # on stderr, and stdout keeps its bytes.
+    argvs = [
+        ("count", "--s", "9", "--d", "2", "--p", "3", "--method", "enumerate"),
+        ("count", "--s", "5", "--t", "7", "--method", "enumerate", "--format", "json"),
+        ("count", "--s", "5", "--d", "2", "--p", "1", "--method", "enumerate"),
+        ("enumerate", "--s", "9", "--d", "2", "--p", "3"),
+        ("enumerate", "--s", "5", "--d", "2", "--p", "1", "--format", "csv"),
+        ("enumerate", "--s", "5", "--d", "1", "--n-max", "3"),
+        ("corners", "--s", "7", "--p", "2"),
+    ]
+    under = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 and out and err == "" for code, out, err in under)
+    monkeypatch.setattr(cli, "_ALL_ENUMERATION_LIMIT", 5)
+    note = (
+        "note: enumerating {} cores, past the limit 5 of --method all; "
+        "this may take a long time\n"
+    )
+    counts = [32, 10, 10, 32, 10, 5, 13]  # 5 is at the limit, not past it
+    assert [run(capsys, *argv) for argv in argvs] == [
+        (code, out, note.format(count) if count > 5 else "")
+        for (code, out, _), count in zip(under, counts)
+    ]
 
 
 def test_count_pair_mode_refuses_progression_flags(capsys):
@@ -409,17 +436,17 @@ def test_verify_with_partition_scan(capsys):
 
 
 def test_verify_parallel_matches_serial(capsys):
-    code1, out1, _ = run(capsys, "verify", "--s", "1..5", "--d", "1..2", "--p", "2..3")
-    code2, out2, _ = run(
-        capsys, "verify", "--s", "1..5", "--d", "1..2", "--p", "2..3", "--jobs", "2"
-    )
-    assert (code1, out1) == (code2, out2)
+    grid = ("verify", "--s", "1..5", "--d", "1..2", "--p", "2..3")
+    for fmt in ("text", "json", "csv"):
+        serial = run(capsys, *grid, "--format", fmt)
+        assert run(capsys, *grid, "--format", fmt, "--jobs", "2") == serial
 
 
 def test_verify_jobs_are_capped_by_the_grid_size(capsys, monkeypatch):
     # A pool starts every worker on its first task, so --jobs 100000 over a
     # small grid must not ask for 100000 processes.  The stand-in pool
-    # records its size and maps in this process.
+    # records its size and maps in this process; verify imports the pool
+    # class when it starts one, so the stand-in replaces it at its source.
     sizes = []
 
     class SerialExecutor:
@@ -435,7 +462,7 @@ def test_verify_jobs_are_capped_by_the_grid_size(capsys, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialExecutor)
     serial = run(capsys, "verify", "--s", "1..3", "--d", "1", "--p", "2")
     assert run(capsys, "verify", "--s", "1..3", "--d", "1", "--p", "2", "--jobs", "100000") == serial
     assert sizes == [3]
@@ -445,6 +472,71 @@ def test_verify_jobs_are_capped_by_the_grid_size(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--s", "2", "--d", "2", "--p", "2", "--jobs", "4")
     assert code == 0 and "verified 0 instances: 0 pass, 0 fail, 1 skipped" in out
     assert sizes == [3]
+
+
+def test_verify_writes_and_flushes_each_line_before_the_next_instance(monkeypatch):
+    # Each report line, and its error line, reaches the reader when its
+    # instance is done, not when the grid is: the spy logs each instance
+    # it starts and the fake streams each write and flush, so the order
+    # shows it without timing.
+    events = []
+
+    class Stream:
+        def __init__(self, name):
+            self.name = name
+
+        def write(self, text):
+            events.append((self.name, text))
+
+        def flush(self):
+            events.append(("flush", self.name))
+
+    real = oracle.verify_instance
+
+    def spy(s, d, p, scan=False):
+        events.append(("start", s))
+        report = real(s, d, p, scan)
+        return dataclasses.replace(report, error="the first counterexample") if s == 5 else report
+
+    monkeypatch.setattr(oracle, "verify_instance", spy)
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    assert main(["verify", "--s", "2..5", "--d", "2", "--p", "2"]) == 0
+    lines = [
+        "s=2 d=2 p=2 skipped (gcd != 1)",
+        "s=4 d=2 p=2 skipped (gcd != 1)",
+        "s=3 d=2 p=2 md=2 paths=2 dp=2 formula=2 roundtrip=pass corners=n/a PASS",
+        "s=5 d=2 p=2 md=6 paths=6 dp=6 formula=6 roundtrip=pass corners=n/a PASS",
+        "verified 2 instances: 2 pass, 0 fail, 2 skipped",
+    ]
+    written = [[("stdout", line + "\n"), ("flush", "stdout")] for line in lines]
+    assert events == [
+        *written[0], *written[1],
+        ("start", 3), *written[2],
+        ("start", 5),
+        ("stderr", "error: s=5 d=2 p=2 the first counterexample"), ("stderr", "\n"),
+        *written[3],
+        *written[4],
+    ]
+
+
+def test_importing_the_cli_loads_no_pool_and_no_decimal():
+    # The pool's modules are most of a cold start and only verify --jobs
+    # uses them; decimal only prints a count.  Both load when first used.
+    probe = (
+        "import sys; bare = set(sys.modules); import score_lab.cli; "
+        "print(' '.join(sorted(set(sys.modules) - bare)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    added = done.stdout.split()
+    assert "score_lab.cli" in added
+    assert not [
+        name for name in added
+        if name.split(".")[0] in ("concurrent", "multiprocessing", "decimal", "_decimal")
+    ]
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
