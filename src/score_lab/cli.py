@@ -304,13 +304,17 @@ def _cmd_count(args) -> _Output:
 def _cmd_enumerate(args) -> _Output:
     _check_bound(args.bound, args.s, args.d)
     prog = Progression(args.s, args.d, args.p)
-    _note_long_enumeration(prog)
-    if args.n_max is not None:
-        partitions = oracle.enumerate_by_partition_scan(prog, args.n_max)
+    if args.n_max is None:
+        _note_long_enumeration(prog)
+        mds = map(mdcore._mask_hooks, oracle._iter_md_sets(prog))
+    else:
+        # Checked here: the stream would check it only once main is writing.
+        oracle._check_size_cap(args.n_max)
+        if args.n_max >= oracle.pair_core_size_bound(prog.s, prog.s + prog.d):
+            _note_long_enumeration(prog)  # only a cap this large lists every core
+        partitions = oracle._iter_partition_scan(prog, args.n_max)
         # the scan's partitions are canonical, so their hooks are read off unchecked
         mds = map(mdcore._partition_to_md, partitions)
-    else:
-        mds = map(mdcore._mask_hooks, oracle._iter_md_sets(prog))
     # One stream: main reads it in the one format it prints, so no core is kept.
     records = map(mdcore.partition_record, mds)
     text = (f"md={_join(record['md'])} parts={_join(record['parts'])}" for record in records)

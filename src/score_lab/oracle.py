@@ -19,6 +19,10 @@ Two independent enumerators back every identity in the package:
   its new first row and its pad rows, so its mask is the parent's with
   shifted copies of the moduli's mask ORed in.  It never uses the
   modular conditions, so the two enumerators share no core-testing logic.
+  Its private stream `_iter_partition_scan` walks the first-row widths
+  upward and yields the cores in sorted order, keeping only those that
+  can still grow; like `_iter_md_sets` and `motzkin._iter_paths`, it
+  sorts nothing, and the public function is the list of it.
 
 The caps of a complete search follow from the (s, t = s+d)-core theory:
 no core has a diagonal hook above st - s - t (`Progression.md_bound`,
@@ -43,14 +47,14 @@ counterexample.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 
 from .bijection import _path_mask, _phi, phi_context
-from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError
+from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError, check_pair
 from .formulas import CORNER_FORMULAS, closed_forms
 from .mdcore import _corners, _mask_corners, _mask_hooks, _md_to_partition
 from .motzkin import _RISES, _iter_paths, count_paths_dp, satisfies
@@ -70,7 +74,12 @@ _UDF_ORDER = str.maketrans({letter: str(rank) for rank, (letter, _) in enumerate
 
 
 def pair_core_size_bound(s: int, t: int) -> int:
-    """Largest possible size of an (s, t)-core: (s^2-1)(t^2-1)/24."""
+    """Largest possible size of an (s, t)-core: (s^2-1)(t^2-1)/24.
+
+    Raises `InvalidInputError` unless s and t are distinct coprime
+    positive integers: otherwise the cores have no largest size.
+    """
+    check_pair(s, t)
     return (s * s - 1) * (t * t - 1) // 24
 
 
@@ -168,7 +177,7 @@ def _iter_md_sets(prog: Progression) -> Iterator[int]:
 
 
 def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int, ...]]:
-    """All core partitions of size at most ``n_max``, as part tuples.
+    """All core partitions of size at most ``n_max``, as part tuples, sorted.
 
     Grows self-conjugate partitions by prepending ever larger diagonal
     hooks.  Prepending a hook c to a partition shifts the old diagram
@@ -182,10 +191,10 @@ def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int
 
     With the first row w = (c + 1)/2 boxes long, its hook over row j is
     w + g_j, where g_j = (length of row j) - j is the row's offset, and
-    its corner hook is c = 2w - 1.  So each node carries one int, the
+    its corner hook is c = 2w - 1.  So each core carries one int, the
     mask of its banned first-row widths: bit w is set when w + g = t
     for a row offset g and a modulus t (w = t - g), or 2w - 1 = t.  The
-    node's open widths are its range of widths less that mask.  A child
+    core's open widths are its range of widths less that mask.  A child
     grown by width w keeps its old rows' offsets (each row moves one
     step down and gains one box); its new first row has offset w - 1,
     and its pad rows r = n + 2 .. w of length 1 (n the old row count)
@@ -195,10 +204,35 @@ def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int
 
     Complete for cores of size <= n_max because dropping the largest
     diagonal hook of a core yields a smaller core (its diagram embeds
-    in the old one with hook lengths intact).
+    in the old one with hook lengths intact).  `_iter_partition_scan`
+    yields the cores in this order one at a time.
     """
+    _check_size_cap(n_max)
+    return list(_iter_partition_scan(prog, n_max))
+
+
+def _check_size_cap(n_max: int) -> None:
+    """Raise `InvalidInputError` unless the scan's size cap is a nonnegative integer."""
     if not (isinstance(n_max, int) and n_max >= 0):
         raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
+
+
+def _iter_partition_scan(prog: Progression, n_max: int) -> Iterator[tuple[int, ...]]:
+    """`enumerate_by_partition_scan` one core at a time, in sorted order, with no sort.
+
+    The walk goes through first-row widths w = 1, 2, ... and keeps, for
+    each width, the cores that a first row of w boxes may still grow,
+    in the order they were yielded.  A core grown by width w has first
+    part w, so it sorts after every core of a smaller first part.  The
+    rest of its parts are its parent's rows each plus one, then pad rows
+    of 1, up to w parts in all; so of two parents, the one that sorts
+    first gives the child that sorts first (where one parent's rows are
+    a prefix of the other's, its pad row 1 meets a row of at least 2).
+    The empty core comes first and every core is filed under its open
+    widths as it is yielded, so each width's list is in sorted order,
+    and so is the stream.  No list of all cores is kept: what is held
+    are the cores that can still grow.
+    """
     moduli = prog.moduli
     min_modulus = min(moduli)
     modulus_mask = sum(map((1).__lshift__, moduli))
@@ -206,28 +240,35 @@ def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int
     shifted = (modulus_mask << k for k in range(min_modulus - 1))
     pads = list(accumulate(shifted, or_, initial=0))
     corner_bans = sum(1 << (t + 1) // 2 for t in moduli if t % 2)
-    results: list[tuple[int, ...]] = [()]
-    stack = [((), corner_bans, 0)]  # a core's parts, its banned widths, its size
-    while stack:
-        parts, banned, size = stack.pop()
+    # width w -> (rows shifted by one, banned widths, size) of the cores w may grow
+    growable: dict[int, list] = defaultdict(list)
+
+    def file(core: tuple[int, ...], banned: int, size: int) -> None:
         # A core of n rows has a first row of n boxes, so the next is at
         # least n + 1 wide; its hook 2w - 1 must fit in n_max - size, and its
         # hooks over the pad, w - n - 1 down to 1, are clean exactly when
         # w <= min_modulus + n.
-        n = len(parts)
+        n = len(core)
         last = min((n_max - size + 1) // 2, min_modulus + n)
         open_widths = ((2 << last) - (2 << n)) & ~banned if last > n else 0
-        shifted_rows = [q + 1 for q in parts]
-        while open_widths:
-            low = open_widths & -open_widths
-            open_widths ^= low
-            w = low.bit_length() - 1
+        if open_widths:
+            entry = ([q + 1 for q in core], banned, size)
+            while open_widths:
+                low = open_widths & -open_widths
+                open_widths ^= low
+                growable[low.bit_length() - 1].append(entry)
+
+    yield ()
+    file((), corner_bans, 0)
+    w = 0
+    while growable:
+        w += 1
+        for shifted_rows, banned, size in growable.pop(w, ()):
+            n = len(shifted_rows)
             grown = (w, *shifted_rows, *(1,) * (w - n - 1))
-            results.append(grown)
+            yield grown
             grown_bans = banned | modulus_mask >> (w - 1) | pads[w - 1 - n] << (n + 1)
-            stack.append((grown, grown_bans, size + 2 * w - 1))
-    results.sort()
-    return results
+            file(grown, grown_bans, size + 2 * w - 1)
 
 
 def corner_rows(prog: Progression, mds: Iterable[tuple[int, ...]]) -> list[dict]:

@@ -163,8 +163,10 @@ def default_md_bound(s: int, d: int) -> int:
     Every hook of an (s, t)-core with coprime s, t is at most
     st - s - t, and diagonal hooks are hooks; the bound is clamped to 1
     so that s = 1 (where the raw bound is negative and only the empty
-    partition survives) still yields a valid candidate range.
+    partition survives) still yields a valid candidate range.  Raises
+    `InvalidInputError` unless s and d are coprime positive integers.
     """
+    check_progression(s, d)
     t = s + d
     return max(1, s * t - s - t)
 

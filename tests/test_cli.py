@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from score_lab import InternalConsistencyError, bijection, cli, oracle
+from score_lab import (
+    InternalConsistencyError,
+    InvalidInputError,
+    bijection,
+    cli,
+    default_md_bound,
+    oracle,
+)
 from score_lab.cli import main
 
 
@@ -67,7 +74,9 @@ def test_count_all_enumerates_only_up_to_its_limit(capsys, monkeypatch):
 def test_explicit_enumerations_past_the_limit_run_with_one_note(capsys, monkeypatch):
     # enumerate, corners and count --method enumerate still run as asked; past
     # the limit of all they name the DP count (the pair formula's for p = 1)
-    # on stderr, and stdout keeps its bytes.
+    # on stderr, and stdout keeps its bytes.  enumerate --n-max lists every
+    # core only from the largest core size up (400 for (9, 11)), and names
+    # the count only then.
     argvs = [
         ("count", "--s", "9", "--d", "2", "--p", "3", "--method", "enumerate"),
         ("count", "--s", "5", "--t", "7", "--method", "enumerate", "--format", "json"),
@@ -75,20 +84,76 @@ def test_explicit_enumerations_past_the_limit_run_with_one_note(capsys, monkeypa
         ("enumerate", "--s", "9", "--d", "2", "--p", "3"),
         ("enumerate", "--s", "5", "--d", "2", "--p", "1", "--format", "csv"),
         ("enumerate", "--s", "5", "--d", "1", "--n-max", "3"),
+        ("enumerate", "--s", "9", "--d", "2", "--p", "3", "--n-max", "10"),
+        ("enumerate", "--s", "9", "--d", "2", "--p", "3", "--n-max", "400"),
         ("corners", "--s", "7", "--p", "2"),
     ]
     under = [run(capsys, *argv) for argv in argvs]
     assert all(code == 0 and out and err == "" for code, out, err in under)
+    bad_cap = ("enumerate", "--s", "9", "--d", "2", "--p", "3", "--n-max", "-1")
+    refused = (3, "", "error: n_max must be a nonnegative integer, got -1\n")
+    assert run(capsys, *bad_cap) == refused
     monkeypatch.setattr(cli, "_ALL_ENUMERATION_LIMIT", 5)
     note = (
         "note: enumerating {} cores, past the limit 5 of --method all; "
         "this may take a long time\n"
     )
-    counts = [32, 10, 10, 32, 10, 5, 13]  # 5 is at the limit, not past it
+    # None: a short --n-max, which lists only the cores up to that size.
+    counts = [32, 10, 10, 32, 10, None, None, 32, 13]
     assert [run(capsys, *argv) for argv in argvs] == [
-        (code, out, note.format(count) if count > 5 else "")
+        (code, out, note.format(count) if count else "")
         for (code, out, _), count in zip(under, counts)
     ]
+    assert run(capsys, *bad_cap) == refused  # refused before any note
+
+
+def test_enumerate_n_max_writes_each_core_as_the_scan_yields_it(monkeypatch):
+    # The scan streams its cores in order, so the first line is written
+    # before the scan has yielded its last core: the spy logs each core it
+    # yields and the fake stdout each line written, so the order shows it.
+    events = []
+
+    class Stream:
+        def write(self, text):
+            events.append("line")
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+        def flush(self):
+            pass
+
+    real = oracle._iter_partition_scan
+
+    def spy(prog, n_max):
+        for core in real(prog, n_max):
+            events.append("core")
+            yield core
+
+    monkeypatch.setattr(oracle, "_iter_partition_scan", spy)
+    monkeypatch.setattr(sys, "stdout", Stream())
+    assert main(["enumerate", "--s", "9", "--d", "2", "--p", "3", "--n-max", "500"]) == 0
+    assert events.count("core") == events.count("line") == 32
+    last_core = max(i for i, event in enumerate(events) if event == "core")
+    assert events.index("line") < last_core
+
+
+def test_bound_helpers_refuse_what_they_cannot_bound(capsys):
+    # (2, 4)-cores have no largest size, and (-3, 1) is no pair of moduli.
+    for s, t in ((2, 4), (3, 3), (-3, 1), (0, 5)):
+        with pytest.raises(InvalidInputError):
+            oracle.pair_core_size_bound(s, t)
+    for s, d in ((2, 2), (-3, 1), (4, 0)):
+        with pytest.raises(InvalidInputError):
+            default_md_bound(s, d)
+    assert default_md_bound(1, 4) == 1  # s = 1 still clamps to 1
+    assert oracle.pair_core_size_bound(1, 5) == 0
+    # --bound words a non-coprime (s, d) as every other route does.
+    for extra in ((), ("--bound", "1")):
+        assert run(capsys, "count", "--s", "4", "--d", "2", *extra) == (
+            3, "", "error: s=4 and d=2 must be coprime\n"
+        )
 
 
 def test_count_pair_mode_refuses_progression_flags(capsys):

@@ -523,7 +523,7 @@ def test_scan_independence_from_modular_logic(monkeypatch):
     assert len(enumerate_by_partition_scan(prog, 15)) == 5
     # Its mask is over first-row widths, built from the moduli alone: the
     # body reads none of the hook-set search's or the core test's tables.
-    scan = _function(oracle_mod, "enumerate_by_partition_scan")
+    scan = _function(oracle_mod, "_iter_partition_scan")
     assert not _reads(scan) & {
         "doubled", "md_bound", "class_firsts", "class_blocks",
         "residue_slots", "_hook_mask", "_mask_hooks",
