@@ -7,17 +7,19 @@ nowhere because nothing here is randomized.
 
 Exit codes: 0 success, 1 verification failure or count disagreement,
 2 requested method unavailable, 3 domain error (bad hook set, bad
-path, non-coprime parameters), 64 usage error, 141 stdout closed by
-its reader before the output ended (128 + SIGPIPE, as a shell reports
-a writer the signal ended).
+path, non-coprime parameters), 64 usage error or an output that cannot
+be written (`error: cannot write DEST: REASON`; DEST is the `--output`
+path or stdout), 141 stdout closed by its reader before the output
+ended (128 + SIGPIPE, as a shell reports a writer the signal ended).
 
-`verify` streams: each instance's line goes out, flushed, as soon as
-that instance and those before it are done, its `error:` line on
-stderr with it, so a reader sees progress and `| head -1` stops the
-run at the next write.  `verify --jobs N` imports its process pool only
-when it starts one (N > 1 and more than one instance), and `decimal`
-loads only to print a count, so neither is part of the cold start of
-the other subcommands.
+`main` writes every line through one loop, to stdout or `--output`
+alike.  `verify` streams: each instance's line goes out, flushed, as
+soon as that instance and those before it are done, its `error:` line
+on stderr with it, so a reader sees progress, a stopped run keeps the
+lines it finished, and `| head -1` stops the run at the next write.
+`verify --jobs N` imports its process pool only when it starts one
+(N > 1 and more than one instance), and `decimal` loads only to print a
+count, so neither is part of the other subcommands' cold start.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import nullcontext
 from functools import cache
 from math import gcd
 from typing import NamedTuple
@@ -65,8 +68,9 @@ class _Output(NamedTuple):
     lines.  Only `main` picks a format and writes, reading the one it
     picks once, so the three may share one lazy stream.  ``code`` may
     be a function that `main` calls once that stream is written, and
-    ``live`` asks `main` to flush stdout after each line, as each one
-    may end a long piece of work.
+    ``live`` asks `main` to flush the destination, stdout or the
+    ``--output`` file, after each line, as each one may end a long
+    piece of work.
     """
 
     records: Iterable
@@ -503,8 +507,8 @@ def _check_writable(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _cannot_write(path: str, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+def _cannot_write(dest: str, exc: OSError) -> int:
+    print(f"error: cannot write {dest}: {exc.strerror or exc}", file=sys.stderr)
     return USAGE_ERROR
 
 
@@ -520,29 +524,24 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, _Unavailable, ScoreLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)  # a ScoreLabError is a domain error
-    lines = (line + "\n" for line in _lines(out, args.format))
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.writelines(lines)
-        except OSError as exc:
+    try:
+        sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+        with sink as handle:
+            for line in _lines(out, args.format):
+                handle.write(line + "\n")
+                if out.live:
+                    handle.flush()
+            if not out.live:
+                handle.flush()
+    except OSError as exc:
+        if args.output:
             return _cannot_write(args.output, exc)
-    else:
-        try:
-            if out.live:
-                for line in lines:
-                    sys.stdout.write(line)
-                    sys.stdout.flush()
-            else:
-                sys.stdout.writelines(lines)
-                sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader is gone.  Send what is still buffered to devnull, so
-            # the flush at interpreter exit does not fail a second time.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return BROKEN_PIPE
+        # Point stdout at devnull, so the flush at interpreter exit does not
+        # fail again.  A reader that is gone asked for no more: no error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE if isinstance(exc, BrokenPipeError) else _cannot_write("stdout", exc)
     return out.code() if callable(out.code) else out.code
 
 

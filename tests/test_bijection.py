@@ -343,7 +343,7 @@ def _constraint_probes(prog):
 
 
 def _probe_grid():
-    pairs = [(s, d) for s in [*range(1, 40), 101, 201] for d in range(1, 7)]
+    pairs = [(s, d) for s in [*range(1, 40), 101, 201, 1001] for d in range(1, 7)]
     return [(s, d, p) for s, d in pairs if gcd(s, d) == 1 for p in range(2, 9)]
 
 
@@ -363,4 +363,4 @@ def test_constraint_tops_are_exact_by_the_beta_set_test():
             assert _is_simultaneous_core(mask, prog.doubled) == core
             probes += 1
             banned += is_banned
-    assert (probes, banned) == (9_431, 6_866)
+    assert (probes, banned) == (9_857, 7_166)

@@ -117,10 +117,6 @@ def test_enumerate_n_max_writes_each_core_as_the_scan_yields_it(monkeypatch):
         def write(self, text):
             events.append("line")
 
-        def writelines(self, lines):
-            for line in lines:
-                self.write(line)
-
         def flush(self):
             pass
 
@@ -642,14 +638,68 @@ def test_an_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monke
     assert a_file.read_text() == "kept\n"
 
 
-def test_a_full_device_is_found_when_the_output_is_written(capsys):
+def test_a_full_device_is_found_when_the_output_is_written(capsys, monkeypatch):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this platform")
-    code, out, err = run(
+    full = (64, "", "error: cannot write /dev/full: No space left on device\n")
+    assert run(
         capsys, "map", "--md", "1", "--s", "5", "--d", "1", "--p", "2", "--output", "/dev/full"
+    ) == full
+    # Each verify line is flushed to the file as it is written, so the
+    # full device stops the run after the first instance, not the tenth.
+    started = []
+    real = oracle.verify_instance
+
+    def spy(s, d, p, scan=False):
+        started.append(s)
+        return real(s, d, p, scan)
+
+    monkeypatch.setattr(oracle, "verify_instance", spy)
+    assert run(
+        capsys, "verify", "--s", "3..12", "--d", "1", "--p", "2", "--output", "/dev/full"
+    ) == full
+    assert started == [3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("map", "--md", "1", "--s", "5", "--d", "1", "--p", "2"),
+        ("verify", "--s", "3..5", "--d", "1", "--p", "2"),
+    ],
+)
+def test_a_write_error_on_stdout_is_a_usage_error_without_a_traceback(argv):
+    # The same rule as for --output: one error line naming stdout, exit 64,
+    # and nothing more from the flush at interpreter exit.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "score_lab.cli", *argv],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert (done.returncode, done.stderr) == (
+        64, "error: cannot write stdout: No space left on device\n"
     )
-    assert (code, out) == (64, "")
-    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+def test_the_output_file_holds_each_verify_line_before_the_next_instance(tmp_path, monkeypatch):
+    # The file is as live as stdout: when an instance starts, the spy finds
+    # every report line before it already in the file.
+    target = tmp_path / "report.txt"
+    seen = []
+    real = oracle.verify_instance
+
+    def spy(s, d, p, scan=False):
+        seen.append(target.read_text())
+        return real(s, d, p, scan)
+
+    monkeypatch.setattr(oracle, "verify_instance", spy)
+    assert main(["verify", "--s", "3..5", "--d", "1", "--p", "2", "--output", str(target)]) == 0
+    lines = target.read_text().splitlines(keepends=True)
+    assert [line.split()[0] for line in lines[:3]] == ["s=3", "s=4", "s=5"]
+    assert seen == ["", lines[0], lines[0] + lines[1]]
 
 
 def test_outputs_are_stable_across_runs(capsys):
