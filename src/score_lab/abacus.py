@@ -25,11 +25,12 @@ summary
 otherwise the topmost negative-label spacer row) is the quantity the
 lattice-path encoding in `score_lab.bijection` is built from: the word
 of f's differences, with one convention step for odd d, is the path.
-This module builds that word for `phi`, reads a hook-set mask back off
-the summary f (`_beads_mask`, for `state_md`, `phi_inverse` and
-`verify_instance`), and `validate_core_function` checks a summary by
-the path rules of `Progression.constraints`, so it keeps no structural
-rules of its own.
+This module places the beads of a core given as its hook-set mask
+(`_place_beads`, which walks the mask's set bits), builds the word for
+`phi`, reads a hook-set mask back off the summary f, taken as f(j) + j
+(`_beads_mask`, for `state_md`, `phi_inverse` and `verify_instance`),
+and `validate_core_function` checks a summary by the path rules of
+`Progression.constraints`, so it keeps no structural rules of its own.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     UnplaceableHookError,
     check_progression_length,
 )
-from .mdcore import _mask_hooks, validate_md
+from .mdcore import _hook_mask, _mask_hooks, validate_md
 from .motzkin import _RISES, _satisfies
 from .progression import Progression
 
@@ -112,58 +113,81 @@ def place_beads(prog: Progression, md: Iterable[int]) -> tuple[int, ...]:
     when the beads do not form the boundary-hugging blocks of a
     simultaneous core.
     """
-    return _place_beads(prog, validate_md(md))
+    md = validate_md(md)
+    # A block of n beads tops out below n periods, so such a hook fails
+    # before its mask, a bit per odd number below it, is built.
+    if md and md[0] >= prog.period * len(md):
+        raise _placement_error(prog, md)
+    return _place_beads(prog, _hook_mask(md))
 
 
-def _place_beads(prog: Progression, md: tuple[int, ...]) -> tuple[int, ...]:
-    """Signed bead counts of the canonical hook set ``md``; see `place_beads`.
+def _place_beads(prog: Progression, mask: int) -> tuple[int, ...]:
+    """Signed bead counts of the canonical hook set whose `_hook_mask` is ``mask``.
 
-    One `Progression.residue_slots` lookup per hook gives its column,
-    sign and index in its class.  Hooks come largest first, so the first
-    hook a column meets is its top.  n hooks of one class form a block
-    exactly when the top one has index n - 1, since n distinct indices
-    up to n - 1 are 0..n-1.  So every column is a block exactly when its
-    signed count equals its top's signed index + 1: a hook of the other
-    sign moves the count away from the top's side.  The errors are read
-    only after a failure.
+    The loop walks the set bits once, largest hook first, and one
+    `Progression.residue_slots` lookup per hook gives its column, sign
+    and index in its class.  So the first hook a column meets is its
+    top.  n hooks of one class form a block exactly when the top one has
+    index n - 1, since n distinct indices up to n - 1 are 0..n-1.  So
+    every column is a block exactly when its signed count equals its
+    top's signed index + 1: a hook of the other sign moves the count
+    away from the top's side.  The hook tuple is built only for the
+    error, after a failure.
     """
     period, slots = prog.period, prog.residue_slots
     beads = [0] * prog.columns
     tops = [0] * prog.columns
-    for h in md:
+    rest = mask
+    while rest:
+        h = rest.bit_length() - 1
+        rest ^= 1 << h
         try:
             j, sign = slots[h % period]
-        except KeyError:  # hooks are odd, so h is s+d mod the period
-            raise UnplaceableHookError(
-                f"hook {h} is {prog.s + prog.d} mod {period}; "
-                f"no abacus position carries it"
-            ) from None
+        except KeyError:  # an unplaceable hook
+            raise _placement_error(prog, _mask_hooks(mask)) from None
         if not tops[j]:
             tops[j] = sign * (h // period + 1)
         beads[j] += sign
     if beads != tops:
-        raise _structure_error(prog, md, beads, tops)
+        raise _placement_error(prog, _mask_hooks(mask))
     return tuple(beads)
 
 
-def _structure_error(
-    prog: Progression, md: tuple[int, ...], beads: list[int], tops: list[int]
-) -> BeadStructureError:
-    """The error for the first column whose beads are not a block.
+def _placement_error(
+    prog: Progression, md: tuple[int, ...]
+) -> UnplaceableHookError | BeadStructureError:
+    """The error of a canonical hook set that `place_beads` refuses.
 
-    The k-th hook of a column's class sits in row r(j) + k (positive
-    class) or r(j) - 1 - k (negative class).
+    The largest hook no position carries is reported first; otherwise
+    the first column whose beads are not a block.  The k-th hook of a
+    column's class sits in row r(j) + k (positive class) or
+    r(j) - 1 - k (negative class).
     """
-    j = next(j for j, (b, top) in enumerate(zip(beads, tops)) if b != top)
-    placed = [(*prog.residue_slots[h % prog.period], h // prog.period) for h in md]
-    signs = {sign for column, sign, _ in placed if column == j}
+    period, slots = prog.period, prog.residue_slots
+    placed: dict[int, list[tuple[int, int]]] = {}  # column -> (sign, index) of its hooks
+    for h in md:
+        slot = slots.get(h % period)
+        if slot is None:  # hooks are odd, so h is s+d mod the period
+            return UnplaceableHookError(
+                f"hook {h} is {prog.s + prog.d} mod {period}; "
+                f"no abacus position carries it"
+            )
+        placed.setdefault(slot[0], []).append((slot[1], h // period))
+    # one sign, and n distinct indices up to n - 1
+    j = next(
+        j
+        for j in sorted(placed)
+        if len({sign for sign, _ in placed[j]}) == 2
+        or max(k for _, k in placed[j]) != len(placed[j]) - 1
+    )
+    signs = {sign for sign, _ in placed[j]}
     if len(signs) == 2:
         return BeadStructureError(
             f"column {j} mixes beads on both sides of the sign boundary"
         )
     (sign,) = signs
     first_row = prog.boundary_rows[j] if sign > 0 else prog.boundary_rows[j] - 1
-    rows = sorted(first_row + sign * k for column, _, k in placed if column == j)
+    rows = sorted(first_row + sign * k for _, k in placed[j])
     side = "positive" if sign > 0 else "negative"
     return BeadStructureError(f"column {j} has a gap in its {side} bead block: {rows}")
 
@@ -186,20 +210,20 @@ def beads_from_function(prog: Progression, values: Iterable[int]) -> tuple[int, 
 def state_md(prog: Progression, beads: Iterable[int]) -> tuple[int, ...]:
     """Diagonal hooks read back off one signed bead count per column, largest first."""
     f = abacus_function(prog, _check_column_count(prog, beads))
-    return _mask_hooks(_beads_mask(prog, f))
+    return _mask_hooks(_beads_mask(prog, map(add, f, range(prog.columns))))
 
 
-def _beads_mask(prog: Progression, f: Iterable[int]) -> int:
-    """The hook-set mask of the beads whose summary is f: the read-back.
+def _beads_mask(prog: Progression, keys: Iterable[int]) -> int:
+    """The hook-set mask of the beads whose summary is f, read off f(j) + j: the read-back.
 
     A column with b = f(j) - r(j) + 1 beads holds the |b| smallest hooks
     of one class, its block, whose mask `Progression.class_blocks` keys
-    by f(j), builds on its first read and keeps; a dict keeps only the
-    blocks some call has read.  Values past the last column are not
+    by f(j) + j, builds on its first read and keeps; a dict keeps only
+    the blocks some call has read.  Keys past the last column are not
     read.  The columns' classes are disjoint, so the blocks' masks add
     up to the set's.
     """
-    return sum(map(getitem, prog.class_blocks, f))
+    return sum(map(getitem, prog.class_blocks, keys))
 
 
 def validate_core_function(values: Iterable[int], prog: Progression) -> bool:

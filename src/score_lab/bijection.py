@@ -15,15 +15,17 @@ and both ends are validated so the correspondence is enforced rather
 than assumed: `phi` runs the core test on its input and checks the path
 it builds against the constraint set, and `phi_inverse` checks its
 input path the same way and runs the core test on the hook set it
-reads back.  The read-back itself, path heights (the summary f) to the
-hook-set mask, is one unchecked body (`_path_mask` over the abacus's
-`_beads_mask`), which `score_lab.oracle.verify_instance` calls on
-`phi`'s word, so a core's round trip runs each check once.  `phi`'s
-body takes the core as a hook-set mask, the form the oracle's search
-yields, so verify compares the read-back with the core as one int, and
-as the hook tuple its caller already holds, so none is built twice.  The
-f -> word step is `score_lab.abacus`'s, the one `validate_core_function`
-checks a summary through, so the path rules have one home.
+reads back.  The read-back itself, path heights (the summary f, taken
+as f(j) + j) to the hook-set mask, is one unchecked body (`_path_mask`
+over the abacus's `_beads_mask`), which
+`score_lab.oracle.verify_instance` calls on `phi`'s word, so a core's
+round trip runs each check once.  `phi`'s body takes the core as a
+hook-set mask alone, the form the oracle's search yields: the core
+test, the bead placement and verify's compare with the read-back all
+work on that one int, and the hook tuple is built only to name a
+failure.  The f -> word step is `score_lab.abacus`'s, the one
+`validate_core_function` checks a summary through, so the path rules
+have one home.
 
 For d = 1 the encoding refines by the corner count m of the partition:
 paths of cores with even m end in D and carry floor(s/2) - m flats;
@@ -52,7 +54,7 @@ from .mdcore import (
     _md_to_partition,
     validate_md,
 )
-from .motzkin import _RISES, _satisfies, satisfies
+from .motzkin import _satisfies, satisfies
 from .progression import Progression
 
 __all__ = [
@@ -63,7 +65,7 @@ __all__ = [
     "mapping_record",
 ]
 
-_HEIGHT = dict(_RISES)
+_STEP_KEYS = bytes.maketrans(b"UFD", bytes([2, 1, 0]))  # a step's rise + 1
 
 
 def phi_context(s: int, d: int, p: int) -> Progression:
@@ -83,8 +85,7 @@ def phi(md: Iterable[int], prog: Progression) -> str:
     Raises `NotACoreError` unless ``md`` is a self-conjugate
     (s, s+d, ..., s+pd)-core hook set.
     """
-    md = validate_md(md)
-    return _phi(_core_mask(md, prog), md, prog)
+    return _phi(_core_mask(validate_md(md), prog), prog)
 
 
 def _core_mask(md: tuple[int, ...], prog: Progression) -> int:
@@ -104,17 +105,19 @@ def _not_a_core(md: tuple[int, ...], prog: Progression) -> NotACoreError:
     return NotACoreError(f"{md} is not a self-conjugate {prog.moduli}-core hook set")
 
 
-def _phi(mask: int, md: tuple[int, ...], prog: Progression) -> str:
-    """`phi` on a canonical hook set ``md`` and its `_hook_mask`, which the caller holds."""
+def _phi(mask: int, prog: Progression) -> str:
+    """`phi` on the `_hook_mask` of a canonical hook set; the hook tuple only names a failure."""
     if not _is_simultaneous_core(mask, prog.doubled):
-        raise _not_a_core(md, prog)
+        raise _not_a_core(_mask_hooks(mask), prog)
     try:
-        steps = _path_word(prog, abacus_function(prog, _place_beads(prog, md)))
+        steps = _path_word(prog, abacus_function(prog, _place_beads(prog, mask)))
     except KeyError as exc:  # a jump of 2+ would mean the encoding is broken
-        raise InternalConsistencyError(f"column summary jumps by {exc} for {md}")
+        raise InternalConsistencyError(
+            f"column summary jumps by {exc} for {_mask_hooks(mask)}"
+        )
     if not _satisfies(steps, prog.constraints, prog.x, prog.y):
         raise InternalConsistencyError(
-            f"path {steps} for {md} violates its own constraint set"
+            f"path {steps} for {_mask_hooks(mask)} violates its own constraint set"
         )
     return steps
 
@@ -144,13 +147,14 @@ def phi_inverse(steps: str, prog: Progression) -> tuple[int, ...]:
 def _path_mask(steps: str, prog: Progression) -> int:
     """The hook-set mask the abacus reads back off a word over U/D/F, unchecked.
 
-    The heights from 0 are the summary f, by which the abacus keys its
-    blocks.  The read-back stops at the last column, so the convention
-    step of an odd d is never read.  Distinct words of one type (x, y)
-    give distinct masks: the heights give f, and f the blocks, one for
-    one.
+    After j steps the height is f(j) and the running sum of the steps
+    counted U = 2, F = 1, D = 0 is f(j) + j, the key by which the abacus
+    reads its blocks, so one bytes translate gives every key.  The
+    read-back stops at the last column, so the convention step of an odd
+    d is never read.  Distinct words of one type (x, y) give distinct
+    masks: the keys give f, and f the blocks, one for one.
     """
-    return _beads_mask(prog, accumulate(map(_HEIGHT.__getitem__, steps), initial=0))
+    return _beads_mask(prog, accumulate(steps.encode().translate(_STEP_KEYS), initial=0))
 
 
 def corner_statistics(md: Iterable[int], prog: Progression) -> tuple[int, str, int]:
@@ -165,14 +169,14 @@ def corner_statistics(md: Iterable[int], prog: Progression) -> tuple[int, str, i
             f"corner statistics are defined for d=1 only, got d={prog.d}"
         )
     md = validate_md(md)
-    steps = _phi(_core_mask(md, prog), md, prog)
+    steps = _phi(_core_mask(md, prog), prog)
     return _corners(_md_to_partition(md)), steps[-1:] or "-", steps.count("F")
 
 
 def mapping_record(md: Iterable[int], prog: Progression) -> dict:
     """JSON-ready record of one core-to-path assignment."""
     md = validate_md(md)
-    steps = _phi(_core_mask(md, prog), md, prog)
+    steps = _phi(_core_mask(md, prog), prog)
     record = {
         "md": list(md),
         "s": prog.s,

@@ -218,6 +218,10 @@ def _mask_hooks(mask: int) -> tuple[int, ...]:
     return tuple(hooks)
 
 
+# byte -> the byte with its 8 bits in reverse order
+_REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
+
 def _is_simultaneous_core(mask: int, doubled: Sequence[int]) -> bool:
     """`md_is_simultaneous_core` on the `_hook_mask` of a canonical hook set.
 
@@ -232,12 +236,18 @@ def _is_simultaneous_core(mask: int, doubled: Sequence[int]) -> bool:
     top + 2t - h, which meets bit top + h' of ``mask << top`` exactly
     when h + h' = 2t.  A 2t past twice the top hook is skipped: nothing
     is closed under it and no pair reaches it, and the shifted mirror
-    would take a bit per unit of 2t.
+    would take a bit per unit of 2t.  The mirror is the mask's bytes,
+    least significant first, each bit-reversed through `_REVERSED_BITS`
+    and read back most significant first: the mask reversed over whole
+    bytes, shifted down past the padding above its top bit.
     """
     if not mask:
         return True
     top = mask.bit_length() - 1
-    mirror = int(f"{mask:b}"[::-1], 2)
+    width = top // 8 + 1
+    mirror = int.from_bytes(
+        mask.to_bytes(width, "little").translate(_REVERSED_BITS), "big"
+    ) >> (8 * width - 1 - top)
     missing = ~mask
     raised = mask << top
     for m2 in doubled:

@@ -343,14 +343,15 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     admissibility check nor the core test is run again on the way back:
     the path has passed the first, a mask equal to the core's has passed
     the second, and distinct words of one type read back to distinct
-    masks, so a banned word could not come back as a core.  Each core's
-    hook tuple is built once, and `_phi` (which places the beads from
-    it), the scan and failure messages all read that one tuple.  The
-    d = 1 corner count is read off the mask (`_mask_corners`), so a
-    core's partition is built only to compare with the scan.  The paths
-    are counted as `_iter_paths` yields them; that stream searches each
-    word for banned patterns only, so each must pass public `satisfies`
-    here, which checks its alphabet and type as well.
+    masks, so a banned word could not come back as a core.  Each core
+    stays the search's mask: `_phi` places its beads from the mask's set
+    bits, and its hook tuple is built only for the scan's comparison or
+    to name a failure.  The d = 1 corner count is read off the mask
+    (`_mask_corners`), so a core's partition is built only to compare
+    with the scan.  The paths are counted as `_iter_paths` yields them;
+    that stream searches each word for banned patterns only, so each
+    must pass public `satisfies` here, which checks its alphabet and
+    type as well.
 
     The round trip passes when every core comes back, both streams are
     strictly ascending (masks, which order as their hook tuples do, and
@@ -399,20 +400,21 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     histogram: Counter = Counter()
     n_md = 0
     for mask in _iter_md_sets(prog):
-        md = _mask_hooks(mask)
         if n_md and not previous < mask:
-            failed.setdefault("roundtrip", f"core {md} is out of order")
+            failed.setdefault("roundtrip", f"core {_mask_hooks(mask)} is out of order")
         n_md, previous = n_md + 1, mask
         try:
-            steps = _phi(mask, md, prog)
+            steps = _phi(mask, prog)
         except ScoreLabError as exc:
             steps = None
-            failed.setdefault("roundtrip", f"core {md}: {exc}")
+            failed.setdefault("roundtrip", f"core {_mask_hooks(mask)}: {exc}")
         else:
             back = _path_mask(steps, prog)
             if back != mask:
-                failed.setdefault("roundtrip", f"core {md}: came back as {_mask_hooks(back)}")
+                wrong = f"came back as {_mask_hooks(back)}"
+                failed.setdefault("roundtrip", f"core {_mask_hooks(mask)}: {wrong}")
         if scanned is not None:
+            md = _mask_hooks(mask)
             parts = _md_to_partition(md)
             if n_md > len(scanned):
                 failed.setdefault("scan", f"core {md} is past the scan's {len(scanned)} entries")
@@ -426,7 +428,8 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
             last, flats = "DF"[m % 2], s // 2 - m + m % 2
             if steps is not None and not (steps[-1:] == last and steps.count("F") == flats):
                 wrong = f"its path {steps} does not end in {last} with {flats} flats"
-                failed.setdefault("corners", f"core {md} has {m} corners, but {wrong}")
+                core = _mask_hooks(mask)
+                failed.setdefault("corners", f"core {core} has {m} corners, but {wrong}")
     if n_md != n_path:
         failed.setdefault("roundtrip", f"{n_md} cores but {n_path} paths")
     rows = _corner_rows(s, p, histogram) if corner_check else []

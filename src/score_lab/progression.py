@@ -10,8 +10,8 @@ first use and then kept:
   the first positive row of each column and the row below it, the
   column and sign of each odd residue (`residue_slots`), and the
   gap-free blocks of each column's two residue classes, keyed by the
-  column's summary value f (`class_blocks`, each block built when some
-  call first reads it and kept);
+  column's summary value f(j) plus its index j (`class_blocks`, each
+  block built when some call first reads it and kept);
 * the completeness bound `md_bound` on the diagonal hooks of a core;
 * the path type (x, y) and the constraint set of the path encoding.
 
@@ -139,16 +139,17 @@ class Progression:
 
     @cached_property
     def class_blocks(self) -> tuple[dict[int, int], ...]:
-        """Per column, the block of each summary value f, built when first read.
+        """Per column j, the block of each summary value f by f + j, built when first read.
 
-        ``class_blocks[j][f]`` is the hook mask of column j's block of
-        b = f - r(j) + 1 beads, so a path's heights, which are f, index
-        it with no conversion.  Each dict keeps only the blocks some call
-        has read.
+        ``class_blocks[j][f + j]`` is the hook mask of column j's block of
+        b = f - r(j) + 1 beads.  A path's f(j) + j is the running sum of
+        its steps counted U = 2, F = 1, D = 0, so a path's steps index it
+        with no per-letter lookup.  Each dict keeps only the blocks some
+        call has read.
         """
         return tuple(
-            _ClassBlocks(self.period, firsts, empty)
-            for firsts, empty in zip(self.class_firsts, self.empty_tops)
+            _ClassBlocks(self.period, firsts, empty + j)
+            for j, (firsts, empty) in enumerate(zip(self.class_firsts, self.empty_tops))
         )
 
     @cached_property
@@ -172,21 +173,22 @@ def default_md_bound(s: int, d: int) -> int:
 
 
 class _ClassBlocks(dict):
-    """One column's blocks by summary value f, each built on its first read.
+    """One column's blocks by key f + j, each built on its first read.
 
     ``firsts`` are the smallest hooks of the column's positive and
-    negative class (`Progression.class_firsts`) and ``empty`` is the
-    column's r(j) - 1 (`Progression.empty_tops`).  The block of f holds
-    the column's b = f - empty beads: first + period * k for k < |b|,
-    with first the one of b's sign.
+    negative class (`Progression.class_firsts`) and ``empty`` is the key
+    of the column with no beads, r(j) - 1 + j (`Progression.empty_tops`
+    plus the column's index).  The block of key k holds the column's
+    b = k - empty beads: first + period * i for i < |b|, with first the
+    one of b's sign.
     """
 
     def __init__(self, period: int, firsts: tuple[int, int], empty: int) -> None:
         self.period, self.firsts, self.empty = period, firsts, empty
 
-    def __missing__(self, f: int) -> int:
-        b = f - self.empty
-        block = self[f] = _class_runs(self.period, abs(b)) << self.firsts[b < 0]
+    def __missing__(self, key: int) -> int:
+        b = key - self.empty
+        block = self[key] = _class_runs(self.period, abs(b)) << self.firsts[b < 0]
         return block
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -101,6 +102,20 @@ def test_place_beads_error_modes():
     # beads on both sides of the boundary in one column
     with pytest.raises(BeadStructureError):
         place_beads(abacus_spec(3, 2), (7, 3))
+
+
+def test_place_beads_refuses_a_hook_no_block_reaches_without_its_mask():
+    # A hook at or above period * len(md) tops no block, so the error comes
+    # without the hook-set mask, which would take a bit per odd number below it.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BeadStructureError) as raised:
+            place_beads(Progression(5, 2, 1), (10**9 + 3, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == "column 0 has a gap in its positive bead block: [71428572]"
+    assert peak < 64 * 1024
 
 
 def test_summary_matches_worked_examples():

@@ -164,7 +164,7 @@ def test_phi_inverse_refuses_a_non_core_read_back(monkeypatch):
     import score_lab.bijection as bijection_mod
 
     prog = phi_context(21, 4, 4)
-    monkeypatch.setattr(bijection_mod, "_beads_mask", lambda prog, f: 1 << 21)
+    monkeypatch.setattr(bijection_mod, "_beads_mask", lambda prog, keys: 1 << 21)
     with pytest.raises(InternalConsistencyError, match=r"non-core hook set \(21,\)"):
         phi_inverse("FDUFFUDDDDUF", prog)
 
@@ -176,9 +176,9 @@ def test_state_md_phi_inverse_and_verify_share_one_read_back(monkeypatch):
     calls = []
     real = abacus_mod._beads_mask
 
-    def counting(prog, f):
+    def counting(prog, keys):
         calls.append(prog)
-        return real(prog, f)
+        return real(prog, keys)
 
     for module in (abacus_mod, bijection_mod):  # the body and the one module importing it
         monkeypatch.setattr(module, "_beads_mask", counting)
@@ -200,8 +200,8 @@ def test_one_summary_body_serves_phi_and_verify(monkeypatch):
     assert counts["abacus_function"] == 3
 
 
-def _count_calls(monkeypatch, names):
-    """Rebind every score_lab module's binding of each named function to a counter."""
+def _count_calls(monkeypatch, names, home=score_lab):
+    """Rebind every score_lab module's binding of each function ``home`` names to a counter."""
     counts = dict.fromkeys(names, 0)
 
     def counting(name, original):
@@ -211,7 +211,7 @@ def _count_calls(monkeypatch, names):
 
         return wrapper
 
-    wrappers = {id(getattr(score_lab, name)): (name, getattr(score_lab, name)) for name in names}
+    wrappers = {id(getattr(home, name)): (name, getattr(home, name)) for name in names}
     for module_name, module in list(sys.modules.items()):
         if module_name == "score_lab" or module_name.startswith("score_lab."):
             for attr, value in list(vars(module).items()):
@@ -270,6 +270,21 @@ def test_verify_instance_validates_each_core_once(monkeypatch):
     report = verify_instance(9, 1, 2, scan=True)
     assert report.passed and report.corners == "pass" and report.n_scan == report.n_md == 35
     assert counts == {"validate_md": 0, "md_to_partition": 0, "corners": 0}
+
+
+def test_verify_instance_builds_hook_tuples_only_for_the_scan(monkeypatch):
+    # A work count, not a timing: the round trip works on each core's mask
+    # alone, and only the scan comparison reads a core's hook tuple and
+    # partition, once per core.
+    import score_lab.mdcore as mdcore_mod
+
+    counts = _count_calls(monkeypatch, ("_mask_hooks", "_md_to_partition"), mdcore_mod)
+    report = verify_instance(13, 2, 3)
+    assert report.passed and report.n_md == 201
+    assert counts == {"_mask_hooks": 0, "_md_to_partition": 0}
+    report = verify_instance(13, 2, 3, scan=True)
+    assert report.passed and report.n_scan == 201
+    assert counts == {"_mask_hooks": 201, "_md_to_partition": 201}
 
 
 def test_enumerate_and_map_validate_each_core_once(monkeypatch, capsys):

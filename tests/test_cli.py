@@ -285,16 +285,16 @@ def test_map_runs_phi_once_in_every_format(capsys, monkeypatch, fmt):
     calls = []
     real_phi = bijection._phi
 
-    def counting_phi(mask, md, prog):
-        calls.append(md)
-        return real_phi(mask, md, prog)
+    def counting_phi(mask, prog):
+        calls.append(mask)
+        return real_phi(mask, prog)
 
     monkeypatch.setattr(bijection, "_phi", counting_phi)
     code, out, _ = run(
         capsys, "map", "--md", "3,1", "--s", "5", "--d", "1", "--p", "2", "--format", fmt
     )
     assert code == 0 and "DFF" in out
-    assert calls == [(3, 1)]
+    assert calls == [1 << 3 | 1 << 1]  # the hook-set mask of (3, 1)
 
 
 def test_corners_runs_no_phi(capsys, monkeypatch):
@@ -302,9 +302,9 @@ def test_corners_runs_no_phi(capsys, monkeypatch):
     calls = []
     real_phi = bijection._phi
 
-    def counting_phi(mask, md, prog):
-        calls.append(md)
-        return real_phi(mask, md, prog)
+    def counting_phi(mask, prog):
+        calls.append(mask)
+        return real_phi(mask, prog)
 
     monkeypatch.setattr(bijection, "_phi", counting_phi)
     for fmt in ("text", "json", "csv"):
@@ -459,10 +459,10 @@ def test_verify_reports_an_error_on_one_core_as_that_instances_failure(capsys, m
     # the core and the message go to stderr, stdout keeps the reports' bytes.
     real = cli.oracle._phi
 
-    def broken(mask, md, prog):
-        if md == (1,):
-            raise InternalConsistencyError(f"column summary jumps by 2 for {md}")
-        return real(mask, md, prog)
+    def broken(mask, prog):
+        if mask == 1 << 1:  # the core (1,)
+            raise InternalConsistencyError("column summary jumps by 2 for (1,)")
+        return real(mask, prog)
 
     monkeypatch.setattr(cli.oracle, "_phi", broken)
     code, out, err = run(capsys, "verify", "--s", "5", "--d", "1..2", "--p", "2")

@@ -194,10 +194,8 @@ def _collide_two_cores(monkeypatch, prog):
     first, second = islice(oracle_mod._iter_md_sets(prog), 2)
     real = oracle_mod._phi
 
-    def collide(mask, md, prog):
-        if mask == second:
-            mask, md = first, _mask_hooks(first)
-        return real(mask, md, prog)
+    def collide(mask, prog):
+        return real(first if mask == second else mask, prog)
 
     monkeypatch.setattr(oracle_mod, "_phi", collide)
 
@@ -218,7 +216,7 @@ def _break_a_constraint(monkeypatch, prog):
 
     banned = _first_banned_word(prog)
     last = max(oracle_mod._iter_md_sets(prog))
-    target = oracle_mod._phi(last, _mask_hooks(last), prog)  # the last core's path
+    target = oracle_mod._phi(last, prog)  # the last core's path
     real = bijection_mod._path_word
 
     def mutant(prog, f):
@@ -260,14 +258,40 @@ def _drop_a_block(monkeypatch, prog):
 
     real = abacus_mod._beads_mask
 
-    def mutant(prog, f):
-        # a column holds no beads when its f is its empty top r(j) - 1
-        f = list(f)[: prog.columns]
-        empty = prog.empty_tops
-        first = next((j for j, value in enumerate(f) if value != empty[j]), None)
+    def mutant(prog, keys):
+        # a column holds no beads when its key f(j) + j is its empty top r(j) - 1, plus j
+        keys = list(keys)[: prog.columns]
+        empty = [r + j for j, r in enumerate(prog.empty_tops)]
+        first = next((j for j, key in enumerate(keys) if key != empty[j]), None)
         if first is not None:
-            f[first] = empty[first]
-        return real(prog, f)
+            keys[first] = empty[first]
+        return real(prog, keys)
+
+    for module in (abacus_mod, bijection_mod):
+        monkeypatch.setattr(module, "_beads_mask", mutant)
+
+
+def _flip_a_column_sign(monkeypatch, prog):
+    """The placement counts column 1's beads with the wrong sign."""
+    build = vars(Progression)["residue_slots"].func
+
+    def flipped(self):
+        return {r: (j, -sign if j == 1 else sign) for r, (j, sign) in build(self).items()}
+
+    monkeypatch.setattr(Progression, "residue_slots", property(flipped))
+
+
+def _key_a_column_by_f(monkeypatch, prog):
+    """The shared read-back keys column 1 by f(1) instead of f(1) + 1."""
+    import score_lab.abacus as abacus_mod
+    import score_lab.bijection as bijection_mod
+
+    real = abacus_mod._beads_mask
+
+    def mutant(prog, keys):
+        keys = list(keys)
+        keys[1] -= 1
+        return real(prog, keys)
 
     for module in (abacus_mod, bijection_mod):
         monkeypatch.setattr(module, "_beads_mask", mutant)
@@ -323,6 +347,8 @@ MUTANTS = {
     "core-stream-drops-a-core": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _drop_one),
     "core-stream-swaps-two-cores": lambda mp, prog: _edit_stream(mp, "_iter_md_sets", _swap_two),
     "read-back-drops-a-block": _drop_a_block,
+    "placement-counts-a-column-with-the-wrong-sign": _flip_a_column_sign,
+    "read-back-keys-a-column-by-f": _key_a_column_by_f,
     "right-half-suffix-loses-its-anchor": _unanchor_the_right_half_suffix,
 }
 
