@@ -420,9 +420,6 @@ def _cmd_verify(args) -> _Output:
     # format it prints, so each line goes out as its instance is done.
     reports = finished()
     results = map(oracle.VerifyReport.as_json, reports)
-    header = (
-        "s", "d", "p", "n_md", "n_path", "n_dp", "n_formula", "roundtrip", "corners", "pass",
-    )
     text = (
         f"s={r.s} d={r.d} p={r.p} md={r.n_md} paths={r.n_path} dp={r.n_dp} "
         f"formula={'-' if r.n_formula is None else r.n_formula} roundtrip={r.roundtrip} "
@@ -435,7 +432,7 @@ def _cmd_verify(args) -> _Output:
             results,
             lambda: tally,
         ),
-        header,
+        oracle._REPORT_KEYS,
         # the CSV ends in the text summary, a one-cell row
         _then(
             ((s, d, p, *[None] * 6, "skipped") for s, d, p in skipped),

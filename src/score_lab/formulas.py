@@ -9,8 +9,8 @@ summation bounds rely on.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from math import comb, gcd
+from typing import NamedTuple
 
 from .bijection import phi_context
 from .errors import InvalidInputError, check_pair, check_progression, check_progression_length
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """An exact count together with the method that produced it."""
 
     value: int
@@ -187,12 +186,12 @@ CORNER_FORMULAS = {2: count_corners_p2, 3: count_corners_p3}
 def closed_forms(s: int, d: int, p: int) -> list[CountResult]:
     """Every closed-form count that applies to (s, d, p): p2, p3, d1 in that order.
 
-    (s, d) is checked first, so a pair that is not coprime is refused
-    even where no closed form applies; each formula then checks the
-    rest of its arguments.  The list is empty when no closed form
-    covers the parameters.
+    (s, d) is checked first and p >= 2 next, as on every path route, so
+    bad parameters are refused even where no closed form applies.  The
+    list is empty when no closed form covers the parameters.
     """
     check_progression(s, d)
+    check_progression_length(p)
     results = []
     if p == 2:
         results.append(count_sc_p2(s, d))

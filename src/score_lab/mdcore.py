@@ -203,9 +203,12 @@ def _check_modulus(t: int) -> None:
         raise InvalidInputError(f"core modulus must be a positive integer, got {t!r}")
 
 
-def _hook_mask(hooks: Iterable[int]) -> int:
-    """The hook set as one int: bit h is set for each hook h."""
-    return sum(map((1).__lshift__, hooks))
+def _hook_mask(hooks: Sequence[int]) -> int:
+    """The hook set as one int: bit h is set for each hook h, in time linear in the largest h."""
+    bits = bytearray(max(hooks, default=-1) // 8 + 1)
+    for h in hooks:
+        bits[h >> 3] |= 1 << (h & 7)
+    return int.from_bytes(bits, "little")
 
 
 def _mask_hooks(mask: int) -> tuple[int, ...]:

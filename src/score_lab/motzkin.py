@@ -27,10 +27,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
 from operator import add
+from typing import NamedTuple
 
 from .errors import (
     InvalidInputError,
@@ -51,19 +51,22 @@ _RISES = (("U", 1), ("D", -1), ("F", 0))  # the steps in U < D < F order, with t
 _ALPHABET = frozenset(letter for letter, _ in _RISES)
 
 
-@dataclass(frozen=True)
-class PathConstraintSet:
+class PathConstraintSet(
+    NamedTuple(
+        "PathConstraintSet",
+        [("parity_case", str), ("factor_top", int), ("prefix_top", int), ("suffix_top", int)],
+    )
+):
     """The banned patterns of one parameter triple, as the longest F-run each bans.
 
     A path may not contain ``UF^iU`` for i <= ``factor_top``, start with
     ``F^jU`` for j <= ``prefix_top`` or end with ``UF^k`` for
     k <= ``suffix_top``; a top of -1 bans nothing of that shape.
+    ``parity_case`` is "odd_even", "odd_odd", "even_odd" or "unconstrained".
     """
 
-    parity_case: str  # "odd_even", "odd_odd", "even_odd" or "unconstrained"
-    factor_top: int
-    prefix_top: int
-    suffix_top: int
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def _shapes(self) -> tuple[str, str, str]:
         """The prefix, factor and suffix alternatives, each "" when that shape bans nothing."""

@@ -49,9 +49,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
+from typing import NamedTuple
 
 from .bijection import _path_mask, _phi, phi_context
 from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError, check_pair
@@ -296,8 +296,13 @@ def _corner_rows(s: int, p: int, histogram: Counter) -> list[dict]:
     ]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+# The JSON keys of a report's first ten fields, in field order; the CSV header too.
+_REPORT_KEYS = (
+    "s", "d", "p", "n_md", "n_path", "n_dp", "n_formula", "roundtrip", "corners", "pass",
+)
+
+
+class VerifyReport(NamedTuple):
     """Outcome of all cross-checks for one (s, d, p) instance."""
 
     s: int
@@ -314,18 +319,7 @@ class VerifyReport:
     error: str | None = None  # the first failed check's first counterexample; not in as_json
 
     def as_json(self) -> dict:
-        record = {
-            "s": self.s,
-            "d": self.d,
-            "p": self.p,
-            "n_md": self.n_md,
-            "n_path": self.n_path,
-            "n_dp": self.n_dp,
-            "n_formula": self.n_formula,
-            "roundtrip": self.roundtrip,
-            "corners": self.corners,
-            "pass": self.passed,
-        }
+        record = dict(zip(_REPORT_KEYS, self))
         if self.n_scan is not None:
             record["n_scan"] = self.n_scan
         return record

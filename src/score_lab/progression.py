@@ -1,9 +1,9 @@
 """The parameter triple (s, d, p) that every layer of the package reads.
 
 A `Progression` names the moduli s, s+d, ..., s+pd for coprime positive
-s and d and a length p >= 1.  It is validated once, at construction,
-and derives everything the layers read from it, each value computed on
-first use and then kept:
+s and d and a length p >= 1.  It is a named tuple of the three,
+validated once, in `__new__`, and derives everything the layers read
+from it, each value computed on first use and then kept:
 
 * the moduli and their doubles (core tests);
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
@@ -22,8 +22,8 @@ abacus accept; the path encoding needs p >= 2, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError, InvalidInputError, check_progression
 from .motzkin import PathConstraintSet, constraints_for
@@ -31,18 +31,20 @@ from .motzkin import PathConstraintSet, constraints_for
 __all__ = ["Progression", "default_md_bound"]
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(NamedTuple("Progression", [("s", int), ("d", int), ("p", int)])):
     """Coprime positive s, d and the number p >= 1 of steps past s."""
 
-    s: int
-    d: int
-    p: int
+    def __new__(cls, s: int, d: int, p: int) -> Progression:
+        check_progression(s, d)
+        if not (isinstance(p, int) and p >= 1):
+            raise InvalidInputError(f"p must be an integer >= 1, got {p!r}")
+        return super().__new__(cls, s, d, p)
 
-    def __post_init__(self) -> None:
-        check_progression(self.s, self.d)
-        if not (isinstance(self.p, int) and self.p >= 1):
-            raise InvalidInputError(f"p must be an integer >= 1, got {self.p!r}")
+    # `_replace` builds through `_make`, which would skip the checks above
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def moduli(self) -> tuple[int, ...]:

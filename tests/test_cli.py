@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -181,6 +180,13 @@ def test_count_words_a_bad_pair_alike_for_every_method(capsys, method):
     ):
         code, out, err = run(capsys, "count", "--s", s, "--t", t, "--method", method)
         assert (code, out, err) == (3, "", f"error: {reason}\n")
+
+
+def test_count_formula_words_a_bad_p_as_every_path_route_does(capsys):
+    # p is checked before any closed form is looked up, for d = 1 as for d = 2
+    for d, p in (("2", "0"), ("2", "1"), ("1", "1")):
+        code, out, err = run(capsys, "count", "--s", "3", "--d", d, "--p", p, "--method", "formula")
+        assert (code, out, err) == (3, "", f"error: progression length p must be >= 2, got {p}\n")
 
 
 def test_count_no_formula_available(capsys):
@@ -447,7 +453,7 @@ def test_verify_rejects_an_n_max_below_the_largest_core_size(capsys, monkeypatch
 
 def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
     passed = cli.oracle.verify_instance(5, 1, 2)
-    failed = dataclasses.replace(passed, roundtrip="fail", passed=False)
+    failed = passed._replace(roundtrip="fail", passed=False)
     monkeypatch.setattr(cli.oracle, "verify_instance", lambda *args, **kwargs: failed)
     code, out, _ = run(capsys, "verify", "--s", "5", "--d", "1", "--p", "2")
     assert code == 1 and "roundtrip=fail" in out and "FAIL" in out
@@ -557,7 +563,7 @@ def test_verify_writes_and_flushes_each_line_before_the_next_instance(monkeypatc
     def spy(s, d, p, scan=False):
         events.append(("start", s))
         report = real(s, d, p, scan)
-        return dataclasses.replace(report, error="the first counterexample") if s == 5 else report
+        return report._replace(error="the first counterexample") if s == 5 else report
 
     monkeypatch.setattr(oracle, "verify_instance", spy)
     monkeypatch.setattr(sys, "stdout", Stream("stdout"))
@@ -584,6 +590,7 @@ def test_verify_writes_and_flushes_each_line_before_the_next_instance(monkeypatc
 def test_importing_the_cli_loads_no_pool_and_no_decimal():
     # The pool's modules are most of a cold start and only verify --jobs
     # uses them; decimal only prints a count.  Both load when first used.
+    # The records are named tuples, so dataclasses and inspect never load.
     probe = (
         "import sys; bare = set(sys.modules); import score_lab.cli; "
         "print(' '.join(sorted(set(sys.modules) - bare)))"
@@ -596,7 +603,8 @@ def test_importing_the_cli_loads_no_pool_and_no_decimal():
     assert "score_lab.cli" in added
     assert not [
         name for name in added
-        if name.split(".")[0] in ("concurrent", "multiprocessing", "decimal", "_decimal")
+        if name.split(".")[0]
+        in ("concurrent", "multiprocessing", "decimal", "_decimal", "dataclasses", "inspect")
     ]
 
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from score_lab import (
     md_is_simultaneous_core,
     md_to_partition,
     partition_to_md,
+    phi_context,
+    phi_inverse,
     validate_md,
 )
 from score_lab.mdcore import (
@@ -123,6 +127,26 @@ def test_corners_read_off_the_hook_mask():
     assert len(mds) == 2743
     for md in mds:
         assert _mask_corners(_hook_mask(md)) == _corners(_md_to_partition(md)), md
+
+
+def test_hook_mask_sets_one_bit_per_hook_in_linear_time():
+    # Summing shifted bits largest first copies a long int per hook; on the
+    # 62,500 hooks of this s = 1001 core that was most of public phi's time.
+    def summed(hooks):
+        return sum(map((1).__lshift__, hooks))
+
+    for md in ((), (1,), (7, 3, 1), (65, 9, 7, 1), (1001, 999)):
+        assert _hook_mask(md) == summed(md), md
+    big = phi_inverse("U" * 250 + "D" * 251, phi_context(1001, 1, 2))
+    assert len(big) == 62_500
+    start = time.perf_counter()
+    mask = _hook_mask(big)
+    linear = time.perf_counter() - start
+    start = time.perf_counter()
+    expected = summed(big)
+    quadratic = time.perf_counter() - start
+    assert mask == expected
+    assert linear <= quadratic / 4
 
 
 @given(md_sets)

@@ -5,7 +5,6 @@ import re
 import signal
 import tracemalloc
 from bisect import bisect
-from dataclasses import replace
 from itertools import islice, product
 from math import gcd
 from pathlib import Path
@@ -37,7 +36,7 @@ from score_lab import (
     verify_instance,
 )
 from score_lab.cli import main
-from score_lab.formulas import CORNER_FORMULAS
+from score_lab.formulas import CORNER_FORMULAS, closed_forms
 from score_lab.mdcore import _mask_hooks
 
 
@@ -79,8 +78,12 @@ def test_enumeration_validation():
         lambda p: count_sc_d1(3, p),
         lambda p: count_via_paths(3, 2, p),
         lambda p: verify_instance(3, 2, p),
+        lambda p: closed_forms(3, 2, p),
     ],
-    ids=["constraints_for", "phi_context", "count_sc_d1", "count_via_paths", "verify"],
+    ids=[
+        "constraints_for", "phi_context", "count_sc_d1", "count_via_paths", "verify",
+        "closed_forms",
+    ],
 )
 def test_every_route_words_the_progression_length_rule_alike(route):
     for p in (1, "2"):
@@ -463,7 +466,7 @@ def test_verify_prints_one_error_line_for_a_failed_scan(monkeypatch, capsys):
     )
     real = oracle_mod.verify_instance
     monkeypatch.setattr(
-        oracle_mod, "verify_instance", lambda *args: replace(real(*args), error=None)
+        oracle_mod, "verify_instance", lambda *args: real(*args)._replace(error=None)
     )
     assert main(args) == 1
     assert capsys.readouterr() == (printed.out, "")
@@ -531,6 +534,14 @@ def test_verify_report_json_layout():
     ]
     record = verify_instance(3, 2, 2, scan=True).as_json()
     assert record["n_scan"] == 2 and record["pass"] is True
+
+
+def test_records_are_immutable_tuples_of_their_fields():
+    report, count = verify_instance(3, 2, 2), count_via_paths(3, 2, 2)
+    assert count == (2, "dp") and report[:3] == (3, 2, 2)
+    for record, name in ((report, "passed"), (report, "other"), (count, "value"), (count, "x")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_scan_independence_from_modular_logic(monkeypatch):

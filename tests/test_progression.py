@@ -13,9 +13,10 @@ from score_lab import InvalidInputError, Progression
     ],
 )
 def test_construction_refuses_bad_parameters(s, d, p, message):
-    with pytest.raises(InvalidInputError) as excinfo:
-        Progression(s, d, p)
-    assert str(excinfo.value) == message
+    for build in (Progression, lambda s, d, p: Progression(3, 2, 1)._replace(s=s, d=d, p=p)):
+        with pytest.raises(InvalidInputError) as excinfo:
+            build(s, d, p)
+        assert str(excinfo.value) == message
 
 
 def test_a_plain_pair_is_a_progression():
@@ -51,3 +52,13 @@ def test_equal_parameters_make_equal_progressions():
     assert len({Progression(3, 2, 2), Progression(3, 2, 2)}) == 1
     with pytest.raises(AttributeError):
         Progression(3, 2, 2).p = 3
+    prog = Progression(3, 2, 4)
+    for name in ("x", "class_blocks"):  # read first, so each is cached
+        getattr(prog, name)
+        with pytest.raises(AttributeError):
+            setattr(prog, name, None)
+    constraints = prog.constraints
+    assert constraints.pattern.search("FUU")
+    with pytest.raises(AttributeError):
+        constraints.pattern = None
+    assert prog.x == 2 and constraints.pattern.search("FUU")
