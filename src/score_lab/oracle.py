@@ -36,8 +36,9 @@ round trip of the path encoding, and the d = 1 corner refinement, whose
 rows `corner_rows` builds for it and for the ``corners`` command.
 `corner_rows` counts corners on each core's partition, the reference;
 verify reads each count off the core's hook mask.  Verify makes one
-pass over the streams of cores and of admissible paths and keeps no
-list of either, nor of phi's images.  Each core's round trip,
+pass over the streams of cores, of admissible paths and of the scan,
+this one in step with the cores, and keeps no list of any of them, nor
+of phi's images.  Each core's round trip,
 both streams strictly ascending and each streamed path admissible,
 with as many cores and paths as the DP counts, already show that phi
 maps the cores one to one onto the admissible paths and that the path
@@ -357,14 +358,14 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     When n_md = n_path = n_dp, as ``passed`` also asks, both are every
     admissible path, so the images are the enumerated paths.
 
-    With ``scan``, the partition-scan enumerator runs first, up to
-    `pair_core_size_bound`, and each core's partition must be the scan's
-    entry at the core's index, with as many entries as cores.  Its list
-    is the only one verify holds.  The hook sets come in the order of
-    their partitions: row i of a self-conjugate partition with diagonal
-    hooks h_1 > ... > h_D is (h_i - 1)/2 + i for i <= D and at most D
-    below, so the first hook in which two sets differ, or the one set's
-    lack of a hook, decides their partitions' order too.
+    With ``scan``, each core's partition must be the entry that the
+    partition scan's stream, up to `pair_core_size_bound`, yields next,
+    and the stream must end with the cores; no entry outlives its core.
+    The hook sets come in the order of their partitions: row i of a
+    self-conjugate partition with diagonal hooks h_1 > ... > h_D is
+    (h_i - 1)/2 + i for i <= D and at most D below, so the first hook in
+    which two sets differ, or the one set's lack of a hook, decides
+    their partitions' order too.
 
     A failing check ("roundtrip", "corners", "scan" or "counts") keeps
     its first counterexample, and the report's ``error`` is the first
@@ -390,9 +391,9 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     # The hook sets come canonical from the search and the paths from _phi,
     # so their partitions and step letters are read without re-validating.
     corner_check = d == 1 and p in CORNER_FORMULAS
-    scanned = enumerate_by_partition_scan(prog, pair_core_size_bound(s, s + d)) if scan else None
+    scanned = _iter_partition_scan(prog, pair_core_size_bound(s, s + d)) if scan else None
     histogram: Counter = Counter()
-    n_md = 0
+    n_md = n_scan = 0
     for mask in _iter_md_sets(prog):
         if n_md and not previous < mask:
             failed.setdefault("roundtrip", f"core {_mask_hooks(mask)} is out of order")
@@ -410,11 +411,13 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
         if scanned is not None:
             md = _mask_hooks(mask)
             parts = _md_to_partition(md)
-            if n_md > len(scanned):
-                failed.setdefault("scan", f"core {md} is past the scan's {len(scanned)} entries")
-            elif scanned[n_md - 1] != parts:
-                entry = f"scan entry {n_md - 1} is {scanned[n_md - 1]}"
-                failed.setdefault("scan", f"core {md} has partition {parts}, but {entry}")
+            entry = next(scanned, None)  # not by truth: the first entry is ()
+            if entry is None:
+                failed.setdefault("scan", f"core {md} is past the scan's {n_scan} entries")
+            elif entry != parts:
+                wrong = f"scan entry {n_scan} is {entry}"
+                failed.setdefault("scan", f"core {md} has partition {parts}, but {wrong}")
+            n_scan += entry is not None
         if corner_check:
             m = _mask_corners(mask)
             histogram[m] += 1
@@ -432,7 +435,7 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
             wrong = "corner row m={m}: {enumerated} cores, formula {formula}".format(**row)
             failed.setdefault("corners", wrong)
             break
-    n_scan = None if scanned is None else len(scanned)
+    n_scan = None if scanned is None else n_scan + sum(1 for _ in scanned)
     if n_scan not in (None, n_md):
         failed.setdefault("scan", f"{n_md} cores but {n_scan} scan entries")
     if len({n_md, n_path, n_dp, *(result.value for result in formulas)}) > 1:

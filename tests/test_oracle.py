@@ -427,31 +427,61 @@ SCAN_MUTANTS = {
 
 
 def _mutate_the_scan(monkeypatch, name):
-    """The scan list verify reads, with a scan mutant applied; returns the lists it gave."""
-    real = oracle_mod.enumerate_by_partition_scan
+    """The scan stream verify reads, with a scan mutant applied; returns the lists it gave."""
+    real = oracle_mod._iter_partition_scan
     mutated = []
 
     def mutant(prog, n_max):
-        items = real(prog, n_max)
+        items = list(real(prog, n_max))
         SCAN_MUTANTS[name](items)
         mutated.append(items)
-        return items
+        return iter(items)
 
-    monkeypatch.setattr(oracle_mod, "enumerate_by_partition_scan", mutant)
+    monkeypatch.setattr(oracle_mod, "_iter_partition_scan", mutant)
     return mutated
 
 
 @pytest.mark.parametrize("name", SCAN_MUTANTS)
 def test_verify_fails_the_scan_check_of_each_mutant(name, monkeypatch):
-    # verify compares each core's partition with the scan's entry at its
-    # index, holding no list of its own, so a scan list that is short, long,
-    # out of order or wrong in one entry must fail the instance, not raise.
+    # verify walks the scan's stream in step with the cores, holding no
+    # list of either, so a scan stream that is short, long, out of order
+    # or wrong in one entry must fail the instance, not raise.
     assert verify_instance(9, 2, 3, scan=True).passed
     mutated = _mutate_the_scan(monkeypatch, name)
     report = verify_instance(9, 2, 3, scan=True)
     assert report.passed is False and report.roundtrip == "pass"
     assert isinstance(report.error, str) and report.error
     assert report.n_md == 32 and report.n_scan == len(mutated[0])
+
+
+def test_verify_pulls_the_scan_one_entry_per_core(monkeypatch):
+    # The scan's stream is never more than one entry ahead of the cores,
+    # and the public scan list is never built.
+    events = []
+
+    def spy(name):
+        real = getattr(oracle_mod, name)
+
+        def logged(*args):
+            for item in real(*args):
+                events.append(name)
+                yield item
+
+        monkeypatch.setattr(oracle_mod, name, logged)
+
+    def refuse(*args):
+        raise AssertionError("verify built the scan's list")
+
+    spy("_iter_md_sets")
+    spy("_iter_partition_scan")
+    monkeypatch.setattr(oracle_mod, "enumerate_by_partition_scan", refuse)
+    report = verify_instance(11, 2, 3, scan=True)
+    assert report.passed and report.n_scan == report.n_md > 50
+    assert len(events) == 2 * report.n_md
+    ahead = 0
+    for name in events:
+        ahead += 1 if name == "_iter_partition_scan" else -1
+        assert ahead <= 1
 
 
 def test_verify_prints_one_error_line_for_a_failed_scan(monkeypatch, capsys):
