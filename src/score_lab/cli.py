@@ -316,9 +316,7 @@ def _cmd_enumerate(args) -> _Output:
         oracle._check_size_cap(args.n_max)
         if args.n_max >= oracle.pair_core_size_bound(prog.s, prog.s + prog.d):
             _note_long_enumeration(prog)  # only a cap this large lists every core
-        partitions = oracle._iter_partition_scan(prog, args.n_max)
-        # the scan's partitions are canonical, so their hooks are read off unchecked
-        mds = map(mdcore._partition_to_md, partitions)
+        mds = map(mdcore._mask_hooks, oracle._iter_partition_scan(prog, args.n_max))
     # One stream: main reads it in the one format it prints, so no core is kept.
     records = map(mdcore.partition_record, mds)
     text = (f"md={_join(record['md'])} parts={_join(record['parts'])}" for record in records)

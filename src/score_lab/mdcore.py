@@ -125,11 +125,6 @@ def partition_to_md(parts: Iterable[int]) -> tuple[int, ...]:
     parts = validate_partition(parts)
     if conjugate(parts) != parts:
         raise InvalidInputError(f"partition {parts} is not self-conjugate")
-    return _partition_to_md(parts)
-
-
-def _partition_to_md(parts: Sequence[int]) -> tuple[int, ...]:
-    """`partition_to_md` of a canonical self-conjugate partition: its hooks read off."""
     md = []
     for i, p in enumerate(parts, start=1):
         if p < i:

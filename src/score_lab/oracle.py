@@ -20,9 +20,9 @@ Two independent enumerators back every identity in the package:
   shifted copies of the moduli's mask ORed in.  It never uses the
   modular conditions, so the two enumerators share no core-testing logic.
   Its private stream `_iter_partition_scan` walks the first-row widths
-  upward and yields the cores in sorted order, keeping only those that
-  can still grow; like `_iter_md_sets` and `motzkin._iter_paths`, it
-  sorts nothing, and the public function is the list of it.
+  upward and yields the cores' hook-set masks in sorted order, keeping
+  only those that can grow; like `_iter_md_sets` and `motzkin._iter_paths`
+  it sorts nothing, and the public function lists their partitions.
 
 The caps of a complete search follow from the (s, t = s+d)-core theory:
 no core has a diagonal hook above st - s - t (`Progression.md_bound`,
@@ -37,8 +37,8 @@ rows `corner_rows` builds for it and for the ``corners`` command.
 `corner_rows` counts corners on each core's partition, the reference;
 verify reads each count off the core's hook mask.  Verify makes one
 pass over the streams of cores, of admissible paths and of the scan,
-this one in step with the cores, and keeps no list of any of them, nor
-of phi's images.  Each core's round trip,
+this one in step with the cores, mask for mask, and keeps no list of
+any of them, nor of phi's images.  Each core's round trip,
 both streams strictly ascending and each streamed path admissible,
 with as many cores and paths as the DP counts, already show that phi
 maps the cores one to one onto the admissible paths and that the path
@@ -206,10 +206,10 @@ def enumerate_by_partition_scan(prog: Progression, n_max: int) -> list[tuple[int
     Complete for cores of size <= n_max because dropping the largest
     diagonal hook of a core yields a smaller core (its diagram embeds
     in the old one with hook lengths intact).  `_iter_partition_scan`
-    yields the cores in this order one at a time.
+    yields their hook-set masks in this order one at a time.
     """
     _check_size_cap(n_max)
-    return list(_iter_partition_scan(prog, n_max))
+    return [_md_to_partition(_mask_hooks(mask)) for mask in _iter_partition_scan(prog, n_max)]
 
 
 def _check_size_cap(n_max: int) -> None:
@@ -218,13 +218,14 @@ def _check_size_cap(n_max: int) -> None:
         raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
 
 
-def _iter_partition_scan(prog: Progression, n_max: int) -> Iterator[tuple[int, ...]]:
-    """`enumerate_by_partition_scan` one core at a time, in sorted order, with no sort.
+def _iter_partition_scan(prog: Progression, n_max: int) -> Iterator[int]:
+    """`enumerate_by_partition_scan` one core at a time, as its hook-set mask, with no sort.
 
     The walk goes through first-row widths w = 1, 2, ... and keeps, for
     each width, the cores that a first row of w boxes may still grow,
     in the order they were yielded.  A core grown by width w has first
-    part w, so it sorts after every core of a smaller first part.  The
+    part w, so it sorts after every core of a smaller first part, and
+    its mask is its parent's with bit 2w - 1, its new hook, set.  The
     rest of its parts are its parent's rows each plus one, then pad rows
     of 1, up to w parts in all; so of two parents, the one that sorts
     first gives the child that sorts first (where one parent's rows are
@@ -232,7 +233,7 @@ def _iter_partition_scan(prog: Progression, n_max: int) -> Iterator[tuple[int, .
     The empty core comes first and every core is filed under its open
     widths as it is yielded, so each width's list is in sorted order,
     and so is the stream.  No list of all cores is kept: what is held
-    are the cores that can still grow.
+    are the cores that can still grow, as row count, mask, bans and size.
     """
     moduli = prog.moduli
     min_modulus = min(moduli)
@@ -241,35 +242,33 @@ def _iter_partition_scan(prog: Progression, n_max: int) -> Iterator[tuple[int, .
     shifted = (modulus_mask << k for k in range(min_modulus - 1))
     pads = list(accumulate(shifted, or_, initial=0))
     corner_bans = sum(1 << (t + 1) // 2 for t in moduli if t % 2)
-    # width w -> (rows shifted by one, banned widths, size) of the cores w may grow
+    # width w -> (rows, hook mask, banned widths, size) of the cores w may grow
     growable: dict[int, list] = defaultdict(list)
 
-    def file(core: tuple[int, ...], banned: int, size: int) -> None:
+    def file(n: int, hooks: int, banned: int, size: int) -> None:
         # A core of n rows has a first row of n boxes, so the next is at
         # least n + 1 wide; its hook 2w - 1 must fit in n_max - size, and its
         # hooks over the pad, w - n - 1 down to 1, are clean exactly when
         # w <= min_modulus + n.
-        n = len(core)
         last = min((n_max - size + 1) // 2, min_modulus + n)
         open_widths = ((2 << last) - (2 << n)) & ~banned if last > n else 0
         if open_widths:
-            entry = ([q + 1 for q in core], banned, size)
+            entry = (n, hooks, banned, size)
             while open_widths:
                 low = open_widths & -open_widths
                 open_widths ^= low
                 growable[low.bit_length() - 1].append(entry)
 
-    yield ()
-    file((), corner_bans, 0)
+    yield 0
+    file(0, 0, corner_bans, 0)
     w = 0
     while growable:
         w += 1
-        for shifted_rows, banned, size in growable.pop(w, ()):
-            n = len(shifted_rows)
-            grown = (w, *shifted_rows, *(1,) * (w - n - 1))
+        for n, hooks, banned, size in growable.pop(w, ()):
+            grown = hooks | 1 << (2 * w - 1)
             yield grown
             grown_bans = banned | modulus_mask >> (w - 1) | pads[w - 1 - n] << (n + 1)
-            file(grown, grown_bans, size + 2 * w - 1)
+            file(w, grown, grown_bans, size + 2 * w - 1)
 
 
 def corner_rows(prog: Progression, mds: Iterable[tuple[int, ...]]) -> list[dict]:
@@ -340,10 +339,10 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     the second, and distinct words of one type read back to distinct
     masks, so a banned word could not come back as a core.  Each core
     stays the search's mask: `_phi` places its beads from the mask's set
-    bits, and its hook tuple is built only for the scan's comparison or
-    to name a failure.  The d = 1 corner count is read off the mask
-    (`_mask_corners`), so a core's partition is built only to compare
-    with the scan.  The paths are counted as `_iter_paths` yields them;
+    bits, and its hook tuple is built only to name a failure.  The d = 1
+    corner count is read off the mask (`_mask_corners`) and the scan
+    yields masks too, so a core's partition is built only to name a
+    failure as well.  The paths are counted as `_iter_paths` yields them;
     that stream searches each word for banned patterns only, so each
     must pass public `satisfies` here, which checks its alphabet and
     type as well.
@@ -358,9 +357,10 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     When n_md = n_path = n_dp, as ``passed`` also asks, both are every
     admissible path, so the images are the enumerated paths.
 
-    With ``scan``, each core's partition must be the entry that the
-    partition scan's stream, up to `pair_core_size_bound`, yields next,
-    and the stream must end with the cores; no entry outlives its core.
+    With ``scan``, each core's mask must be the one that the partition
+    scan's stream, up to `pair_core_size_bound`, yields next (the scan
+    builds it from the hooks it prepends), and the stream must end with
+    the cores; no entry outlives its core.
     The hook sets come in the order of their partitions: row i of a
     self-conjugate partition with diagonal hooks h_1 > ... > h_D is
     (h_i - 1)/2 + i for i <= D and at most D below, so the first hook in
@@ -409,13 +409,14 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
                 wrong = f"came back as {_mask_hooks(back)}"
                 failed.setdefault("roundtrip", f"core {_mask_hooks(mask)}: {wrong}")
         if scanned is not None:
-            md = _mask_hooks(mask)
-            parts = _md_to_partition(md)
-            entry = next(scanned, None)  # not by truth: the first entry is ()
+            entry = next(scanned, None)  # not by truth: the first entry is 0
             if entry is None:
-                failed.setdefault("scan", f"core {md} is past the scan's {n_scan} entries")
-            elif entry != parts:
-                wrong = f"scan entry {n_scan} is {entry}"
+                wrong = f"is past the scan's {n_scan} entries"
+                failed.setdefault("scan", f"core {_mask_hooks(mask)} {wrong}")
+            elif entry != mask:
+                md = _mask_hooks(mask)
+                wrong = f"scan entry {n_scan} is {_md_to_partition(_mask_hooks(entry))}"
+                parts = _md_to_partition(md)
                 failed.setdefault("scan", f"core {md} has partition {parts}, but {wrong}")
             n_scan += entry is not None
         if corner_check:

@@ -272,19 +272,29 @@ def test_verify_instance_validates_each_core_once(monkeypatch):
     assert counts == {"validate_md": 0, "md_to_partition": 0, "corners": 0}
 
 
-def test_verify_instance_builds_hook_tuples_only_for_the_scan(monkeypatch):
+def test_verify_instance_builds_hook_tuples_only_to_name_a_failure(monkeypatch):
     # A work count, not a timing: the round trip works on each core's mask
-    # alone, and only the scan comparison reads a core's hook tuple and
-    # partition, once per core.
+    # alone and the scan yields masks, so a passing run, scan or not, builds
+    # no hook tuple and no partition; a wrong scan entry builds them to be named.
     import score_lab.mdcore as mdcore_mod
+    import score_lab.oracle as oracle_mod
 
     counts = _count_calls(monkeypatch, ("_mask_hooks", "_md_to_partition"), mdcore_mod)
     report = verify_instance(13, 2, 3)
     assert report.passed and report.n_md == 201
-    assert counts == {"_mask_hooks": 0, "_md_to_partition": 0}
     report = verify_instance(13, 2, 3, scan=True)
     assert report.passed and report.n_scan == 201
-    assert counts == {"_mask_hooks": 201, "_md_to_partition": 201}
+    assert counts == {"_mask_hooks": 0, "_md_to_partition": 0}
+    real = oracle_mod._iter_partition_scan
+
+    def one_wrong(prog, n_max):
+        for i, mask in enumerate(real(prog, n_max)):
+            yield mask ^ 2 if i == 7 else mask
+
+    monkeypatch.setattr(oracle_mod, "_iter_partition_scan", one_wrong)
+    report = verify_instance(13, 2, 3, scan=True)
+    assert not report.passed and report.error.startswith("core ")
+    assert counts == {"_mask_hooks": 2, "_md_to_partition": 2}
 
 
 def test_enumerate_and_map_validate_each_core_once(monkeypatch, capsys):

@@ -144,6 +144,25 @@ def test_partition_scan_matches_generate_and_filter(s, d, p, n_max):
     assert enumerate_by_partition_scan(prog, n_max) == brute_force_scan(prog, n_max)
 
 
+@pytest.mark.parametrize("p", range(1, 5))
+def test_partition_scan_streams_the_search_masks(p):
+    # The scan yields each core's hook-set mask, built by the walk itself:
+    # complete, it is the hook-set search's stream item for item; with a
+    # short cap, the search's cores of size at most the cap, in order.
+    for s in range(1, 12):
+        for d in range(1, 5):
+            if gcd(s, d) != 1:
+                continue
+            prog = Progression(s, d, p)
+            masks = list(oracle_mod._iter_md_sets(prog))
+            complete = list(oracle_mod._iter_partition_scan(prog, pair_core_size_bound(s, s + d)))
+            assert complete == masks, (s, d, p)
+            assert all(type(mask) is int for mask in complete)
+            n_max = pair_core_size_bound(s, s + d) // 3
+            small = [mask for mask in masks if sum(_mask_hooks(mask)) <= n_max]
+            assert list(oracle_mod._iter_partition_scan(prog, n_max)) == small, (s, d, p)
+
+
 def test_partition_scan_cost_does_not_grow_with_n_max():
     # Past 2 * (min modulus + len(parts)) - 1 a hook's first-row pad holds
     # the smallest modulus, so a huge cap must end the scan as fast as the
@@ -414,15 +433,15 @@ def _repeat_the_last(items):
     items.append(items[-1])
 
 
-def _grow_a_part(items):
-    items[3] = (items[3][0] + 1, *items[3][1:])
+def _toggle_a_hook(items):
+    items[3] ^= 1 << 1  # hook 1: at (9, 2, 3), partition (2, 2) becomes (2, 1)
 
 
 SCAN_MUTANTS = {
     "scan-drops-a-partition": _drop_the_last,
     "scan-repeats-a-partition": _repeat_the_last,
     "scan-swaps-two-neighbours": _swap_two,
-    "scan-grows-a-part": _grow_a_part,
+    "scan-toggles-a-hook": _toggle_a_hook,
 }
 
 
