@@ -231,8 +231,9 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
     sum up one into the rise vector, D shifts every state down one into
     ``idle``, F keeps ``idle`` in place, and C gains the rise.  With
     factor_top = -1 every state may rise, so the may-rise sum is the
-    all-states sum and a step takes three.  The count is idle + C_{x-suffix_top-1} at height y, the
-    words whose final U-run clears the suffix bans, plus 1 for F^x.
+    all-states sum and a step takes three.  The count is
+    idle + C_{x-suffix_top-1} at height y, the words whose final U-run
+    clears the suffix bans, plus 1 for F^x.
     Only the C vectors a later read reaches are kept: the last
     max(factor_top, suffix_top) + 2, and never more than x + 1.
     """
@@ -252,10 +253,9 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
         width = min(pos + 1, y + remaining) - new_lo + 1
         shift = new_lo - lo
         every = list(map(add, idle, cumul))
+        may_rise = every
         if rise_lag:
             may_rise = list(map(add, idle, _lagged(history, rise_lag, lo, len(idle))))
-        else:  # every state may rise
-            may_rise = every
         new_idle = list(
             map(add, _window(every, shift + 1, width), _window(idle, shift, width))
         )

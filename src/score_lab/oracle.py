@@ -415,8 +415,8 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
                 failed.setdefault("scan", f"core {_mask_hooks(mask)} {wrong}")
             elif entry != mask:
                 md = _mask_hooks(mask)
-                wrong = f"scan entry {n_scan} is {_md_to_partition(_mask_hooks(entry))}"
                 parts = _md_to_partition(md)
+                wrong = f"scan entry {n_scan} is {_md_to_partition(_mask_hooks(entry))}"
                 failed.setdefault("scan", f"core {md} has partition {parts}, but {wrong}")
             n_scan += entry is not None
         if corner_check:
