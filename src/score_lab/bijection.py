@@ -46,15 +46,8 @@ from .errors import (
     check_progression,
     check_progression_length,
 )
-from .mdcore import (
-    _corners,
-    _hook_mask,
-    _is_simultaneous_core,
-    _mask_hooks,
-    _md_to_partition,
-    validate_md,
-)
-from .motzkin import _satisfies, satisfies
+from .mdcore import _hook_mask, _is_simultaneous_core, _mask_corners, _mask_hooks, validate_md
+from .motzkin import _RISES, _satisfies, satisfies
 from .progression import Progression
 
 __all__ = [
@@ -65,7 +58,10 @@ __all__ = [
     "mapping_record",
 ]
 
-_STEP_KEYS = bytes.maketrans(b"UFD", bytes([2, 1, 0]))  # a step's rise + 1
+# a step's letter -> its rise + 1
+_STEP_KEYS = bytes.maketrans(
+    "".join(letter for letter, _ in _RISES).encode(), bytes(rise + 1 for _, rise in _RISES)
+)
 
 
 def phi_context(s: int, d: int, p: int) -> Progression:
@@ -168,15 +164,16 @@ def corner_statistics(md: Iterable[int], prog: Progression) -> tuple[int, str, i
         raise UnsupportedParametersError(
             f"corner statistics are defined for d=1 only, got d={prog.d}"
         )
-    md = validate_md(md)
-    steps = _phi(_core_mask(md, prog), prog)
-    return _corners(_md_to_partition(md)), steps[-1:] or "-", steps.count("F")
+    mask = _core_mask(validate_md(md), prog)
+    steps = _phi(mask, prog)
+    return _mask_corners(mask), steps[-1:] or "-", steps.count("F")
 
 
 def mapping_record(md: Iterable[int], prog: Progression) -> dict:
     """JSON-ready record of one core-to-path assignment."""
     md = validate_md(md)
-    steps = _phi(_core_mask(md, prog), prog)
+    mask = _core_mask(md, prog)
+    steps = _phi(mask, prog)
     record = {
         "md": list(md),
         "s": prog.s,
@@ -187,5 +184,5 @@ def mapping_record(md: Iterable[int], prog: Progression) -> dict:
         "y": prog.y,
     }
     if prog.d == 1:
-        record["corners"] = _corners(_md_to_partition(md))
+        record["corners"] = _mask_corners(mask)
     return record

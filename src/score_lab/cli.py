@@ -318,7 +318,7 @@ def _cmd_enumerate(args) -> _Output:
             _note_long_enumeration(prog)  # only a cap this large lists every core
         mds = map(mdcore._mask_hooks, oracle._iter_partition_scan(prog, args.n_max))
     # One stream: main reads it in the one format it prints, so no core is kept.
-    records = map(mdcore.partition_record, mds)
+    records = map(mdcore._partition_record, mds)
     text = (f"md={_join(record['md'])} parts={_join(record['parts'])}" for record in records)
     return _Output(records, _PARTITION_COLUMNS, records, text)
 
@@ -334,7 +334,7 @@ def _cmd_map(args) -> _Output:
 def _cmd_unmap(args) -> _Output:
     prog = bijection.phi_context(args.s, args.d, args.p)
     md = bijection.phi_inverse(args.path, prog)
-    record = mdcore.partition_record(md)
+    record = mdcore._partition_record(md)
     text = [_join(record["md"]), "parts: " + _join(record["parts"])]
     return _Output(
         [bijection.mapping_record(md, prog), record], _PARTITION_COLUMNS, [record], text
@@ -356,9 +356,7 @@ def _cmd_corners(args) -> _Output:
     if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
     _note_long_enumeration(prog)
-    # The cores stream into the histogram, so memory stays flat in their count.
-    cores = map(mdcore._mask_hooks, oracle._iter_md_sets(prog))
-    rows = oracle.corner_rows(prog, cores)[:-1]  # m = 0..top
+    rows = oracle.corner_rows(prog)[:-1]  # m = 0..top
     if args.m is not None:
         if args.m >= len(rows):
             raise _UsageError(f"--m must be in 0..{len(rows) - 1} for s={s}, p={p}, got {args.m}")

@@ -43,7 +43,6 @@ __all__ = [
     "md_is_core",
     "md_is_simultaneous_core",
     "corners",
-    "partition_record",
 ]
 
 
@@ -277,9 +276,8 @@ def _mask_corners(mask: int) -> int:
     return 2 * (mask.bit_count() - (mask & mask >> 2).bit_count()) - (mask >> 1 & 1)
 
 
-def partition_record(md: Iterable[int]) -> dict:
-    """JSON-ready record for the self-conjugate partition with hooks ``md``."""
-    md = validate_md(md)
+def _partition_record(md: tuple[int, ...]) -> dict:
+    """JSON-ready record for the self-conjugate partition with canonical hooks ``md``."""
     parts = _md_to_partition(md)
     return {
         "parts": list(parts),

@@ -33,9 +33,10 @@ where `enumerate_md_sets` stops) and none is larger than
 `verify_instance` cross-checks, for one parameter triple, the two
 enumerations, both path-counting routes, the closed formulas, the
 round trip of the path encoding, and the d = 1 corner refinement, whose
-rows `corner_rows` builds for it and for the ``corners`` command.
-`corner_rows` counts corners on each core's partition, the reference;
-verify reads each count off the core's hook mask.  Verify makes one
+rows `corner_rows` builds for the ``corners`` command and `_corner_rows`
+for verify.  Both read each core's corner count off its hook mask; the
+count on the core's partition stays the reference the tests compare
+with.  Verify makes one
 pass over the streams of cores, of admissible paths and of the scan,
 this one in step with the cores, mask for mask, and keeps no list of
 any of them, nor of phi's images.  Each core's round trip,
@@ -49,7 +50,7 @@ counterexample.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
@@ -57,7 +58,7 @@ from typing import NamedTuple
 from .bijection import _path_mask, _phi, phi_context
 from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError, check_pair
 from .formulas import CORNER_FORMULAS, closed_forms
-from .mdcore import _corners, _mask_corners, _mask_hooks, _md_to_partition
+from .mdcore import _mask_corners, _mask_hooks, _md_to_partition
 from .motzkin import _RISES, _iter_paths, count_paths_dp, satisfies
 from .progression import Progression
 
@@ -271,19 +272,20 @@ def _iter_partition_scan(prog: Progression, n_max: int) -> Iterator[int]:
             file(w, grown, grown_bans, size + 2 * w - 1)
 
 
-def corner_rows(prog: Progression, mds: Iterable[tuple[int, ...]]) -> list[dict]:
+def corner_rows(prog: Progression) -> list[dict]:
     """The corner refinement of a d = 1 progression's cores, one row per corner count.
 
-    ``mds`` are the cores' canonical hook sets, as `enumerate_md_sets`
-    gives them; they are read once, so a stream of them keeps memory
-    flat in the core count.  Row m holds m, the number of cores with m corners and
-    the count of `CORNER_FORMULAS` for p (None when none is known), for
+    The cores stream from `_iter_md_sets` as hook-set masks and each
+    one's corner count is read off its mask (`_mask_corners`), so no
+    partition is built and memory stays flat in the core count.  Row m
+    holds m, the number of cores with m corners and the count of
+    `CORNER_FORMULAS` for p (None when none is known), for
     m = 0..top + 1, where top is the larger of s // 2 and the most
     corners of any core: the last row checks that no core has more.
     """
     if prog.d != 1:
         raise UnsupportedParametersError(f"corner rows are defined for d=1 only, got d={prog.d}")
-    return _corner_rows(prog.s, prog.p, Counter(_corners(_md_to_partition(md)) for md in mds))
+    return _corner_rows(prog.s, prog.p, Counter(map(_mask_corners, _iter_md_sets(prog))))
 
 
 def _corner_rows(s: int, p: int, histogram: Counter) -> list[dict]:

@@ -322,6 +322,19 @@ def test_enumerate_and_map_validate_each_core_once(monkeypatch, capsys):
     assert counts["md_to_partition"] == counts["corners"] == 0
 
 
+def test_enumerate_validates_no_core(monkeypatch, capsys):
+    # Both streams yield canonical masks, so the records trust their hook tuples.
+    from score_lab.cli import main
+
+    counts = _count_calls(monkeypatch, ("validate_md",))
+    for route in ([], ["--n-max", str(pair_core_size_bound(9, 11))]):
+        assert main(["enumerate", "--s", "9", "--d", "2", "--p", "3", *route]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(
+            enumerate_md_sets(Progression(9, 2, 3))
+        )
+    assert counts["validate_md"] == 0
+
+
 def test_corner_statistics_and_mapping_record_validate_once(monkeypatch):
     # After phi they read the canonical hook set and the path directly.
     counts = _count_calls(monkeypatch, ("validate_md", "md_to_partition", "corners"))

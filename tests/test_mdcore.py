@@ -23,7 +23,7 @@ from score_lab.mdcore import (
     _hook_mask,
     _mask_corners,
     _md_to_partition,
-    partition_record,
+    _partition_record,
 )
 
 from conftest import sc_partitions_up_to
@@ -180,10 +180,10 @@ def test_coprime_pair_sum_never_a_diagonal_hook():
 
 
 def test_partition_record_shape():
-    assert partition_record((3, 1)) == {
+    assert _partition_record((3, 1)) == {
         "parts": [2, 2],
         "md": [3, 1],
         "corners": 1,
         "size": 4,
     }
-    assert partition_record(()) == {"parts": [], "md": [], "corners": 0, "size": 0}
+    assert _partition_record(()) == {"parts": [], "md": [], "corners": 0, "size": 0}

@@ -3,8 +3,10 @@ import gc
 import json
 import re
 import signal
+import sys
 import tracemalloc
 from bisect import bisect
+from collections import Counter
 from itertools import islice, product
 from math import gcd
 from pathlib import Path
@@ -20,6 +22,8 @@ from score_lab import (
     UnsupportedParametersError,
     constraints_for,
     corner_rows,
+    corner_statistics,
+    corners,
     count_sc_d1,
     count_via_paths,
     default_md_bound,
@@ -35,6 +39,7 @@ from score_lab import (
     validate_core_function,
     verify_instance,
 )
+from score_lab.bijection import mapping_record
 from score_lab.cli import main
 from score_lab.formulas import CORNER_FORMULAS, closed_forms
 from score_lab.mdcore import _mask_hooks
@@ -671,8 +676,9 @@ def _reads(source):
 
 
 def test_each_check_has_one_home():
-    # The column read-back lives in abacus._beads_mask and the d = 1 corner
-    # rows in oracle.corner_rows; a second copy must not creep back in.
+    # The column read-back lives in abacus._beads_mask, the d = 1 corner
+    # rows in oracle._corner_rows and the corner count in mdcore._mask_corners;
+    # a second copy must not creep back in.
     import score_lab.bijection as bijection_mod
     import score_lab.cli as cli_mod
 
@@ -716,7 +722,7 @@ def _verify_corner_rows(monkeypatch):
 @pytest.mark.parametrize("s", range(3, 10))
 def test_verify_checks_the_corner_row_past_the_top(s, monkeypatch):
     prog = Progression(s, 1, 2)
-    past_top = corner_rows(prog, enumerate_md_sets(prog))[-1]["m"]
+    past_top = corner_rows(prog)[-1]["m"]
     real = CORNER_FORMULAS[2]
 
     def one_more_core(s, m):
@@ -759,4 +765,58 @@ def test_corners_prints_the_rows_verify_compares_but_the_last(p, monkeypatch, ca
 
 def test_corner_rows_refuses_a_progression_other_than_d_1():
     with pytest.raises(UnsupportedParametersError, match="d=1 only, got d=2"):
-        corner_rows(Progression(5, 2, 2), [])
+        corner_rows(Progression(5, 2, 2))
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Rebind every score_lab module's binding of ``original`` to ``replacement``."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "score_lab" or module_name.startswith("score_lab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_corner_counts_build_no_partition_and_no_hook_tuple(monkeypatch, capsys):
+    # Every route that counts corners reads them off the core's hook mask.
+    import score_lab.mdcore as mdcore_mod
+
+    prog = Progression(13, 1, 3)
+    mds = enumerate_md_sets(prog)
+
+    def forbidden(*args):
+        raise AssertionError("a partition or a hook tuple was built to count corners")
+
+    for name in ("_md_to_partition", "_corners", "_mask_hooks"):
+        _rebind(monkeypatch, getattr(mdcore_mod, name), forbidden)
+    assert main(["corners", "--s", "13", "--p", "3"]) == 0
+    assert capsys.readouterr().out.endswith("AGREE\n")
+    for md in mds:
+        m = corner_statistics(md, prog)[0]
+        assert mapping_record(md, prog)["corners"] == m
+    assert sum(row["enumerated"] for row in corner_rows(prog)) == len(mds)
+
+
+def test_corner_rows_agree_with_corners_counted_on_the_partitions():
+    # The partition route is the reference for the hook-mask count.
+    for s in range(1, 20):
+        for p in range(2, 7):
+            prog = Progression(s, 1, p)
+            histogram = Counter(corners(md_to_partition(md)) for md in enumerate_md_sets(prog))
+            rows = corner_rows(prog)
+            assert [row["m"] for row in rows] == list(range(max(*histogram, s // 2) + 2))
+            assert [row["enumerated"] for row in rows] == [histogram[row["m"]] for row in rows]
+
+
+def test_a_wrong_corner_count_is_caught(monkeypatch, capsys):
+    # Forgetting that a hook of 1 ends in one corner, not two, miscounts every
+    # core holding it, so the printed rows and verify's rows both disagree.
+    import score_lab.mdcore as mdcore_mod
+
+    def miscounted(mask):
+        return 2 * (mask.bit_count() - (mask & mask >> 2).bit_count())
+
+    _rebind(monkeypatch, mdcore_mod._mask_corners, miscounted)
+    assert main(["corners", "--s", "9", "--p", "2"]) == 1
+    assert capsys.readouterr().out.endswith("DISAGREE\n")
+    assert verify_instance(9, 1, 2).corners == "fail"
