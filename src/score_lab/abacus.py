@@ -159,12 +159,12 @@ def _placement_error(
     """The error of a canonical hook set that `place_beads` refuses.
 
     The largest hook no position carries is reported first; otherwise
-    the first column whose beads are not a block.  The k-th hook of a
-    column's class sits in row r(j) + k (positive class) or
-    r(j) - 1 - k (negative class).
+    the first column whose beads are not a block.  Each hook is filed
+    under its column as its signed offset k from r(j), the quantity
+    `_place_beads` keeps as a top: it sits in row r(j) + k - (k > 0).
     """
     period, slots = prog.period, prog.residue_slots
-    placed: dict[int, list[tuple[int, int]]] = {}  # column -> (sign, index) of its hooks
+    offsets: dict[int, list[int]] = {}  # column -> signed offsets of its hooks
     for h in md:
         slot = slots.get(h % period)
         if slot is None:  # hooks are odd, so h is s+d mod the period
@@ -172,24 +172,16 @@ def _placement_error(
                 f"hook {h} is {prog.s + prog.d} mod {period}; "
                 f"no abacus position carries it"
             )
-        placed.setdefault(slot[0], []).append((slot[1], h // period))
-    # one sign, and n distinct indices up to n - 1
-    j = next(
-        j
-        for j in sorted(placed)
-        if len({sign for sign, _ in placed[j]}) == 2
-        or max(k for _, k in placed[j]) != len(placed[j]) - 1
-    )
-    signs = {sign for sign, _ in placed[j]}
-    if len(signs) == 2:
-        return BeadStructureError(
-            f"column {j} mixes beads on both sides of the sign boundary"
-        )
-    (sign,) = signs
-    first_row = prog.boundary_rows[j] if sign > 0 else prog.boundary_rows[j] - 1
-    rows = sorted(first_row + sign * k for _, k in placed[j])
-    side = "positive" if sign > 0 else "negative"
-    return BeadStructureError(f"column {j} has a gap in its {side} bead block: {rows}")
+        offsets.setdefault(slot[0], []).append(slot[1] * (h // period + 1))
+    for j, ks in sorted(offsets.items()):  # a block: one sign, largest |k| its count
+        if min(ks) < 0 < max(ks):
+            return BeadStructureError(
+                f"column {j} mixes beads on both sides of the sign boundary"
+            )
+        if max(map(abs, ks)) != len(ks):
+            rows = sorted(prog.boundary_rows[j] + k - (k > 0) for k in ks)
+            side = "positive" if ks[0] > 0 else "negative"
+            return BeadStructureError(f"column {j} has a gap in its {side} bead block: {rows}")
 
 
 def abacus_function(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
@@ -261,43 +253,25 @@ def render_abacus(prog: Progression, beads: Iterable[int]) -> str:
 
     Columns run left to right, rows bottom to top.  The rows shown cover
     every bead with one row of margin and always include the sign
-    boundary of each column.
+    boundary of each column.  Column j's beads are one span of rows from
+    r(j), and its labels fall by one period per row.
     """
     beads = _check_column_count(prog, beads)
-    boundaries = prog.boundary_rows
-    marked = set()
-    for j, (b, r) in enumerate(zip(beads, boundaries)):
-        marked.update((i, j) for i in (range(r, r + b) if b > 0 else range(r + b, r)))
-    bead_rows = [i for i, _ in marked]
-    lo = min([*boundaries, *bead_rows]) - 1
-    hi = max([*boundaries, *(i + 1 for i in bead_rows)])
-
-    def cell(i: int, j: int) -> str:
-        text = str(label(prog, i, j))
-        return f"({text})" if (i, j) in marked else text
-
-    grid = {
-        (i, j): cell(i, j)
-        for i in range(lo, hi + 1)
-        for j in range(prog.columns)
-    }
-    widths = [
-        max(len(str(j)), max(len(grid[(i, j)]) for i in range(lo, hi + 1)))
-        for j in range(prog.columns)
-    ]
-    left = max(len(str(lo)), len(str(hi)), len("i\\j"))
-    lines = [
-        "i\\j".rjust(left)
-        + " | "
-        + "  ".join(str(j).rjust(widths[j]) for j in range(prog.columns))
-    ]
-    for i in range(hi, lo - 1, -1):
-        lines.append(
-            str(i).rjust(left)
-            + " | "
-            + "  ".join(grid[(i, j)].rjust(widths[j]) for j in range(prog.columns))
-        )
-    return "\n".join(lines)
+    spans = [range(min(r, r + b), max(r, r + b)) for b, r in zip(beads, prog.boundary_rows)]
+    lo = min(span.start for span in spans) - 1
+    hi = max(span.stop for span in spans)
+    rows = range(hi, lo - 1, -1)
+    columns = []
+    for j, span in enumerate(spans):
+        labels = range(label(prog, hi, j), label(prog, lo - 1, j), -prog.period)
+        cells = [str(j), *(f"({v})" if i in span else str(v) for i, v in zip(rows, labels))]
+        width = max(map(len, cells))
+        columns.append([cell.rjust(width) for cell in cells])
+    heads = ["i\\j", *map(str, rows)]
+    left = max(map(len, heads))
+    return "\n".join(
+        head.rjust(left) + " | " + "  ".join(line) for head, line in zip(heads, zip(*columns))
+    )
 
 
 def abacus_record(prog: Progression, beads: Iterable[int]) -> dict:

@@ -89,15 +89,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _parse_md(text: str) -> tuple[int, ...]:
+def _parse_md(text: str) -> list[int]:
     """Comma-separated hook list; '-' or '' is the empty set.
 
     Out-of-order or repeated entries are re-sorted and de-duplicated
-    with a warning rather than rejected.
+    with a warning rather than rejected.  The library call that takes
+    the list validates it.
     """
     text = text.strip()
     if text in ("", "-"):
-        return ()
+        return []
     try:
         raw = [int(tok) for tok in text.split(",")]
     except ValueError:
@@ -105,7 +106,7 @@ def _parse_md(text: str) -> tuple[int, ...]:
     cleaned = sorted(set(raw), reverse=True)
     if cleaned != raw:
         print("warning: hook list re-sorted and de-duplicated", file=sys.stderr)
-    return mdcore.validate_md(cleaned)
+    return cleaned
 
 
 def _parse_span(text: str) -> tuple[int, int]:

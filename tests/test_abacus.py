@@ -206,6 +206,24 @@ def test_render_marks_beads_only():
     assert "(-3)" in eo
 
 
+def test_render_pins_one_picture():
+    # Column 0's negative block sets the lowest row, column 2's positive
+    # block the highest; the cells run from one character to five.
+    prog = abacus_spec(5, 2)
+    assert prog.boundary_rows == (1, 1, 0, 0)
+    assert render_abacus(prog, (-2, 0, 3, 0)) == "\n".join(
+        [
+            r"i\j |     0    1     2    3",
+            "  3 |    37   41    45   49",
+            "  2 |    23   27  (31)   35",
+            "  1 |     9   13  (17)   21",
+            "  0 |  (-5)   -1   (3)    7",
+            " -1 | (-19)  -15   -11   -7",
+            " -2 |   -33  -29   -25  -21",
+        ]
+    )
+
+
 def test_record_layout():
     prog = abacus_spec(3, 2)
     record = abacus_record(prog, place_beads(prog, (1,)))

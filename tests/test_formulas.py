@@ -3,7 +3,9 @@ from math import gcd
 
 import pytest
 
+import score_lab.formulas as formulas_mod
 from score_lab import (
+    CountResult,
     InvalidInputError,
     binom,
     check_shift_equivalence,
@@ -101,6 +103,23 @@ def test_corner_counts():
         count_corners_p2(5, -1)
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda s: count_sc_d1(s, 2),
+        count_sym_motzkin,
+        lambda s: count_corners_p2(s, -1),  # s is checked before m
+        lambda s: count_corners_p3(s, -1),
+    ],
+    ids=["d1", "sym-motzkin", "corners-p2", "corners-p3"],
+)
+@pytest.mark.parametrize("s", [0, -3, 2.0, "5", None])
+def test_counts_refuse_a_bad_s(count, s):
+    with pytest.raises(InvalidInputError) as caught:
+        count(s)
+    assert str(caught.value) == f"s must be a positive integer, got {s!r}"
+
+
 def test_count_methods_tagged():
     assert count_sc_p2(3, 2).method == "formula-p2"
     assert count_sc_p3(3, 2).method == "formula-p3"
@@ -173,6 +192,18 @@ def test_shift_equivalence():
         check_shift_equivalence(2, 1, 3)  # p must be even
     with pytest.raises(InvalidInputError):
         check_shift_equivalence(2, 3, 2)  # s+1 shares a factor with d
+
+
+def test_shift_equivalence_fails_on_a_formula_mismatch(monkeypatch):
+    # The DP sides still agree, so only the p = 2 formula check can fail.
+    true_p2 = formulas_mod.count_sc_p2
+
+    def off_by_one(s, d):
+        return CountResult(true_p2(s, d).value + 1, "formula-p2")
+
+    assert check_shift_equivalence(4, 3, 2)
+    monkeypatch.setattr(formulas_mod, "count_sc_p2", off_by_one)
+    assert check_shift_equivalence(4, 3, 2) is False
 
 
 def test_counts_grow_without_overflow():

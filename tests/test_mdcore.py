@@ -24,6 +24,7 @@ from score_lab.mdcore import (
     _mask_corners,
     _md_to_partition,
     _partition_record,
+    validate_partition,
 )
 
 from conftest import sc_partitions_up_to
@@ -52,6 +53,23 @@ def test_md_to_partition_rejects_bad_hooks():
         md_to_partition((3, 3))
     with pytest.raises(InvalidInputError):
         validate_md((-1,))
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        ((2, 0), "parts must be positive integers, got 0"),
+        ((3, -1), "parts must be positive integers, got -1"),
+        ((2.0,), "parts must be positive integers, got 2.0"),
+        (("1",), "parts must be positive integers, got '1'"),
+        ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
+        ((3, 1, 2), "parts must be weakly decreasing, got (3, 1, 2)"),
+    ],
+)
+def test_validate_partition_messages(parts, message):
+    with pytest.raises(InvalidInputError) as caught:
+        validate_partition(parts)
+    assert str(caught.value) == message
 
 
 def test_partition_to_md_rejects_asymmetric():

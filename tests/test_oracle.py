@@ -44,26 +44,15 @@ from score_lab.cli import main
 from score_lab.formulas import CORNER_FORMULAS, closed_forms
 from score_lab.mdcore import _mask_hooks
 
+from conftest import sc_partitions_up_to
+
 
 def brute_force_scan(prog, n_max):
     """Generate-and-filter reference for the partition scan: every
     self-conjugate partition of size <= n_max, kept when its full hook
     table avoids all moduli."""
-    found = []
-
-    def grow(md, total):
-        parts = md_to_partition(tuple(md))
-        if all(is_core(parts, t) for t in prog.moduli):
-            found.append(parts)
-        start = md[-1] - 2 if md else (n_max if n_max % 2 else n_max - 1)
-        for c in range(start, 0, -2):
-            if total + c <= n_max:
-                md.append(c)
-                grow(md, total + c)
-                md.pop()
-
-    grow([], 0)
-    return sorted(found)
+    parts = map(md_to_partition, sc_partitions_up_to(n_max))
+    return sorted(p for p in parts if all(is_core(p, t) for t in prog.moduli))
 
 
 def test_enumeration_validation():
