@@ -26,11 +26,12 @@ otherwise the topmost negative-label spacer row) is the quantity the
 lattice-path encoding in `score_lab.bijection` is built from: the word
 of f's differences, with one convention step for odd d, is the path.
 This module places the beads of a core given as its hook-set mask
-(`_place_beads`, which walks the mask's set bits), builds the word for
-`phi`, reads a hook-set mask back off the summary f, taken as f(j) + j
-(`_beads_mask`, for `state_md`, `phi_inverse` and `verify_instance`),
-and `validate_core_function` checks a summary by the path rules of
-`Progression.constraints`, so it keeps no structural rules of its own.
+(`_place_beads`, which walks the mask one period-wide row at a time),
+builds the word for `phi`, reads a hook-set mask back off the summary
+f, taken as f(j) + j (`_beads_mask`, for `state_md`, `phi_inverse` and
+`verify_instance`), and `validate_core_function` checks a summary by
+the path rules of `Progression.constraints`, so it keeps no structural
+rules of its own.
 """
 
 from __future__ import annotations
@@ -124,31 +125,40 @@ def place_beads(prog: Progression, md: Iterable[int]) -> tuple[int, ...]:
 def _place_beads(prog: Progression, mask: int) -> tuple[int, ...]:
     """Signed bead counts of the canonical hook set whose `_hook_mask` is ``mask``.
 
-    The loop walks the set bits once, largest hook first, and one
-    `Progression.residue_slots` lookup per hook gives its column, sign
-    and index in its class.  So the first hook a column meets is its
-    top.  n hooks of one class form a block exactly when the top one has
-    index n - 1, since n distinct indices up to n - 1 are 0..n-1.  So
-    every column is a block exactly when its signed count equals its
-    top's signed index + 1: a hook of the other sign moves the count
-    away from the top's side.  The hook tuple is built only for the
-    error, after a failure.
+    Cut into rows of one period, the mask's row i has bit r set when the
+    hook of index i in residue class r is present.  So a class is a
+    gap-free block exactly when its bits stop at some row and never come
+    back, and the walk goes up from row 0 while the row is not empty:
+    a bit with none below it is a gap, and a class whose bit ends at
+    depth i holds i hooks, so its column, found by one
+    `Progression.residue_slots` lookup, gets b(j) = sign * i.  A class
+    with no slot, a column that two classes reach (they have opposite
+    signs), and any bit above the first empty row are refused too.  The
+    walk shifts the mask once per row, not once per hook.  The hook
+    tuple is built only for the error, after a failure.
     """
     period, slots = prog.period, prog.residue_slots
+    full = (1 << period) - 1
     beads = [0] * prog.columns
-    tops = [0] * prog.columns
     rest = mask
-    while rest:
-        h = rest.bit_length() - 1
-        rest ^= 1 << h
-        try:
-            j, sign = slots[h % period]
-        except KeyError:  # an unplaceable hook
-            raise _placement_error(prog, _mask_hooks(mask)) from None
-        if not tops[j]:
-            tops[j] = sign * (h // period + 1)
-        beads[j] += sign
-    if beads != tops:
+    below = rest & full
+    depth = 0
+    while below:
+        rest >>= period
+        depth += 1
+        row = rest & full
+        if row & ~below:  # a class present here skipped the row below
+            raise _placement_error(prog, _mask_hooks(mask))
+        ends = below & ~row
+        while ends:
+            r = ends.bit_length() - 1
+            ends ^= 1 << r
+            slot = slots.get(r)
+            if slot is None or beads[slot[0]]:  # an unplaceable hook or a mixed column
+                raise _placement_error(prog, _mask_hooks(mask))
+            beads[slot[0]] = slot[1] * depth
+        below = row
+    if rest:  # hooks above an empty row
         raise _placement_error(prog, _mask_hooks(mask))
     return tuple(beads)
 

@@ -173,7 +173,14 @@ def mapping_record(md: Iterable[int], prog: Progression) -> dict:
     """JSON-ready record of one core-to-path assignment."""
     md = validate_md(md)
     mask = _core_mask(md, prog)
-    steps = _phi(mask, prog)
+    return _mapping_record(md, _phi(mask, prog), prog, _mask_corners(mask))
+
+
+def _mapping_record(md: tuple[int, ...], steps: str, prog: Progression, corners: int) -> dict:
+    """`mapping_record` of a core's canonical hooks and its path, both already checked.
+
+    ``corners`` is the core's corner count, kept only for d = 1.
+    """
     record = {
         "md": list(md),
         "s": prog.s,
@@ -184,5 +191,5 @@ def mapping_record(md: Iterable[int], prog: Progression) -> dict:
         "y": prog.y,
     }
     if prog.d == 1:
-        record["corners"] = _mask_corners(mask)
+        record["corners"] = corners
     return record

@@ -337,9 +337,9 @@ def _cmd_unmap(args) -> _Output:
     md = bijection.phi_inverse(args.path, prog)
     record = mdcore._partition_record(md)
     text = [_join(record["md"]), "parts: " + _join(record["parts"])]
-    return _Output(
-        [bijection.mapping_record(md, prog), record], _PARTITION_COLUMNS, [record], text
-    )
+    # phi_inverse has checked the path and the core, so neither is checked again.
+    mapping = bijection._mapping_record(md, args.path, prog, record["corners"])
+    return _Output([mapping, record], _PARTITION_COLUMNS, [record], text)
 
 
 def _cmd_abacus(args) -> _Output:

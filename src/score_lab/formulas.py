@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from math import comb, gcd
+from operator import add, mul
 from typing import NamedTuple
 
 from .bijection import phi_context
@@ -114,19 +115,43 @@ def count_sc_d1(s: int, p: int) -> CountResult:
     For p = 2 the inner bound min(k-1, (s-2k)/(p-2)) degenerates; the
     second argument is then vacuous and the bound is k-1, the only
     reading consistent with the p = 2 formula above.
+
+    The terms are summed in one of two orders, chosen by p.  At p = 2
+    the last factor is C(s // 2, k) for every l, so k runs outside and
+    that factor multiplies each k's sum of hook products once.  For
+    p >= 3 it changes with l, so l runs outside and each term follows
+    from the one before by a ratio step.
     """
     if not (isinstance(s, int) and s >= 1):
         raise InvalidInputError(f"s must be a positive integer, got {s!r}")
     check_progression_length(p)
-    # Summed with l outside: the bound l <= (s - 2k) / (p - 2) is
-    # k <= n = (s - l(p-2)) // 2, and n <= s // 2, so for fixed l, k runs
-    # over l+1 .. n (for p = 2, n = s // 2 and l <= k-1 is the only bound).
-    # Stepping k to k+1 changes C(n, k) and one of the two hook binomials,
-    # whose top is then (k+1) // 2 and whose bottom is l // 2 (k even) or
-    # (l+1) // 2 (k odd); the term moves by one exact multiply and divide.
-    # At k = l+1 both hook binomials are 1, and since k > l their tops never
-    # fall below their bottoms, so no divisor is ever 0.
     total = 1
+    if p == 2:
+        # k outside, with n = s // 2: C(n, k) takes one ratio step from
+        # C(n, k-1).  The hook binomials of k are Pascal rows a = (k-1)//2
+        # and b = k//2; k odd makes them one row, and k even moves b up by
+        # one.  The even l = 2i <= k-1 pair C(a, i) with C(b, i), i <= a;
+        # the odd l = 2i+1 <= k-1 pair C(a, i) with C(b, i+1), i < b.  So
+        # each l-sum is two dot products, and C(n, k) one big multiply.
+        n = s // 2
+        c_nk = 1  # C(n, k)
+        row_a = row_b = [1]
+        for k in range(1, n + 1):
+            c_nk = c_nk * (n - k + 1) // k
+            if k % 2:
+                row_a = row_b
+            else:
+                row_b = [1, *map(add, row_b, row_b[1:]), 1]
+            total += c_nk * (sum(map(mul, row_a, row_b)) + sum(map(mul, row_a, row_b[1:])))
+        return CountResult(total, "formula-d1")
+    # l outside: the bound l <= (s - 2k) / (p - 2) is k <= n =
+    # (s - l(p-2)) // 2, and n <= s // 2, so for fixed l, k runs over
+    # l+1 .. n.  Stepping k to k+1 changes C(n, k) and one of the two
+    # hook binomials, whose top is then (k+1) // 2 and whose bottom is
+    # l // 2 (k even) or (l+1) // 2 (k odd); the term moves by one exact
+    # multiply and divide.  At k = l+1 both hook binomials are 1, and
+    # since k > l their tops never fall below their bottoms, so no
+    # divisor is ever 0.
     for ell in range(s // 2):
         n = (s - ell * (p - 2)) // 2
         if n <= ell:

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -19,7 +20,9 @@ from score_lab import (
     state_md,
     validate_core_function,
 )
-from score_lab.abacus import abacus_record
+from score_lab.abacus import _place_beads, abacus_record
+from score_lab.bijection import phi_context, phi_inverse
+from score_lab.mdcore import _hook_mask
 
 EXAMPLE_MD_OE = (77, 41, 35, 27, 19, 11, 5, 3)  # (21, 25, 29, 33, 37)-core
 EXAMPLE_MD_OO = (67, 65, 21, 19, 15, 13, 11, 9, 7, 3, 1)  # (23, 26, 29, 32)-core
@@ -116,6 +119,31 @@ def test_place_beads_refuses_a_hook_no_block_reaches_without_its_mask():
         tracemalloc.stop()
     assert str(raised.value) == "column 0 has a gap in its positive bead block: [71428572]"
     assert peak < 64 * 1024
+
+
+def test_place_beads_walks_the_mask_by_rows_in_linear_time():
+    # Clearing the top bit of a long int once per hook copies the mask per
+    # hook; the row walk shifts it once per row of one period.
+    def per_hook(prog, mask):
+        beads = [0] * prog.columns
+        while mask:
+            h = mask.bit_length() - 1
+            mask ^= 1 << h
+            j, sign = prog.residue_slots[h % prog.period]
+            beads[j] += sign
+        return tuple(beads)
+
+    prog = phi_context(1001, 1, 2)
+    mask = _hook_mask(phi_inverse("U" * 250 + "D" * 251, prog))
+    assert mask.bit_count() == 62_500
+    start = time.perf_counter()
+    beads = _place_beads(prog, mask)
+    rows = time.perf_counter() - start
+    start = time.perf_counter()
+    expected = per_hook(prog, mask)
+    quadratic = time.perf_counter() - start
+    assert beads == expected
+    assert rows <= quadratic / 4
 
 
 def test_summary_matches_worked_examples():

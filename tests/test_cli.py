@@ -272,6 +272,28 @@ def test_map_and_unmap_worked_examples(capsys):
     assert out.splitlines()[0] == "65,61,21,17,15,13,11,9,5,3"
 
 
+def test_unmap_runs_no_second_phi(capsys, monkeypatch):
+    # phi_inverse has checked the path and its core, so the mapping record
+    # (with the corner count at d = 1) is built without re-running phi.
+    import score_lab.bijection as bijection_mod
+
+    cases = [("FDUFFUDDDDUFF", "22", "3", "3"), ("UDUFDD", "11", "1", "3")]
+    expected = [
+        run(capsys, "unmap", "--path", path, "--s", s, "--d", d, "--p", p, "--format", "json")
+        for path, s, d, p in cases
+    ]
+    assert all(code == 0 for code, _, _ in expected)
+    assert '"corners"' in expected[1][1]
+
+    def refused(mask, prog):
+        raise AssertionError("unmap re-ran _phi")
+
+    monkeypatch.setattr(bijection_mod, "_phi", refused)
+    for (path, s, d, p), out in zip(cases, expected):
+        argv = ("unmap", "--path", path, "--s", s, "--d", d, "--p", p, "--format", "json")
+        assert run(capsys, *argv) == out
+
+
 def test_map_rejects_non_core(capsys):
     code, _, err = run(capsys, "map", "--md", "3", "--s", "3", "--d", "2", "--p", "2")
     assert code == 3 and "not a self-conjugate" in err

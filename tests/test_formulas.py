@@ -82,8 +82,10 @@ def test_symmetric_motzkin_counts():
     assert count_sym_motzkin(5).value == 5
 
 
-def test_formula_identities_up_to_40():
-    for s in range(1, 41):
+def test_three_p2_routes_agree_up_to_40_and_at_999_to_1001():
+    # formula-p2, the symmetric Motzkin sum and formula-d1 (summed k
+    # outside at p = 2) share no code, so they meet only on exact counts.
+    for s in (*range(1, 41), 999, 1000, 1001):
         a = count_sc_p2(s, 1).value
         assert a == count_sym_motzkin(s).value
         assert a == count_sc_d1(s, 2).value
