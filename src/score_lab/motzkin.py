@@ -19,7 +19,10 @@ U-run states (a U, then m flats) form a delay line: after t steps run m
 holds the rise vector of step t - m.  So the DP keeps the last few
 cumulative rise vectors C_t, and each sum over runs it needs is C read
 at a lag: idle + C_{t-factor_top-1} may rise, and idle + C_{x-suffix_top-1}
-at height y, plus F^x, is the count.
+at height y, plus F^x, is the count.  The DP keeps only the heights a
+word can reach and still end at y from: the factor ban spaces two U
+steps with no D between them by factor_top + 2 steps at least, so no
+word climbs faster than one unit per factor_top + 2 steps.
 """
 
 from __future__ import annotations
@@ -64,6 +67,17 @@ class PathConstraintSet(
     k <= ``suffix_top``; a top of -1 bans nothing of that shape.
     ``parity_case`` is "odd_even", "odd_odd", "even_odd" or "unconstrained".
     """
+
+    def __new__(
+        cls, parity_case: str, factor_top: int, prefix_top: int, suffix_top: int
+    ) -> PathConstraintSet:
+        for name, top in zip(cls._fields[1:], (factor_top, prefix_top, suffix_top)):
+            if not (isinstance(top, int) and top >= -1):
+                raise InvalidInputError(f"{name} must be an integer >= -1, got {top!r}")
+        return super().__new__(cls, parity_case, factor_top, prefix_top, suffix_top)
+
+    # `_replace` builds through `_make`, which would skip the checks above
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -221,6 +235,19 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
     still reach y.  The all-flat prefix is a single word at height 0,
     so ``pre`` is the count 1.
 
+    The factor ban bounds how fast a path climbs.  Two U steps with no
+    D between them have at least factor_top + 1 flats between them, so
+    with span g = factor_top + 2 a word climbs to height h in no fewer
+    than 1 + (h - 1)*g steps, and r more steps, from any state, climb
+    at most ceil(r/g).  So after n steps the window runs from
+    max(-n, y - ceil(r/g)) to min(ceil(n/g), y + r), r = x - n, and
+    no path of type (x, y) exists unless -x <= y <= ceil(x/g).  At
+    g = 1 (no factor ban) these are the plain bounds -n and n.  Both
+    bounds are monotone in n, and a word that C_{t-lag} counts at
+    height h was at h after step t - lag already, with more steps left
+    to reach y; so the window stored with C_{t-lag} holds every height
+    a later read needs, and a height outside it reads as 0.
+
     The ``u`` states form a delay line: F moves run m to run m + 1 at
     the same height, so after t steps run m holds just the rise vector
     of step t - m, the words whose last U was that step.  With C_t the
@@ -238,7 +265,8 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
     max(factor_top, suffix_top) + 2, and never more than x + 1.
     """
     _check_type(x, y)
-    if abs(y) > x:
+    span = constraints.factor_top + 2
+    if not -x <= y <= -(-x // span):
         return 0
     rise_lag, end_lag = constraints.factor_top + 1, constraints.suffix_top + 1
     # (lo, C_t) per step t.  No read reaches back x steps, and clamping to x
@@ -249,8 +277,9 @@ def count_paths_dp(x: int, y: int, constraints: PathConstraintSet) -> int:
     idle = cumul = [0]
     for pos in range(x):
         remaining = x - pos - 1
-        new_lo = max(-pos - 1, y - remaining)
-        width = min(pos + 1, y + remaining) - new_lo + 1
+        # -remaining // span is -ceil(remaining / span); -(-n // span) is ceil(n / span).
+        new_lo = max(-pos - 1, y + -remaining // span)
+        width = min(-((-pos - 1) // span), y + remaining) - new_lo + 1
         shift = new_lo - lo
         every = list(map(add, idle, cumul))
         may_rise = every

@@ -14,7 +14,8 @@ from score_lab import (
     enumerate_paths,
     satisfies,
 )
-from score_lab.motzkin import EMPTY_CONSTRAINTS
+from score_lab import motzkin
+from score_lab.motzkin import EMPTY_CONSTRAINTS, PathConstraintSet
 
 
 def free_path_count(x, y):
@@ -116,6 +117,26 @@ def test_constraints_for_rejects_bad_input():
         constraints_for(4, 2, 2)
     with pytest.raises(InvalidInputError):
         constraints_for(3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "tops,bad",
+    [
+        ((0, -1, -2), "suffix_top"),  # the DP counted 63 words of type (6, 0), not 95
+        ((2, -1, -4), "suffix_top"),  # and 52, not 80
+        ((-2, -1, -1), "factor_top"),  # the DP's lagged read raised IndexError
+        ((-3, 0, 0), "factor_top"),  # no climb span: factor_top + 2 would be -1
+        ((1, 0.0, 1), "prefix_top"),
+    ],
+)
+def test_constraint_sets_refuse_tops_below_minus_one(tops, bad):
+    # -1 already bans nothing, and the DP reads a top as a run length, so a
+    # lower one would mean "ban nothing" to `satisfies` and not to the DP.
+    with pytest.raises(InvalidInputError, match=f"{bad} must be an integer >= -1"):
+        PathConstraintSet("odd_even", *tops)
+    # `_replace` builds through the same check.
+    with pytest.raises(InvalidInputError, match=f"{bad} must be an integer >= -1"):
+        EMPTY_CONSTRAINTS._replace(**dict(zip(PathConstraintSet._fields[1:], tops)))
 
 
 def test_satisfies_worked_examples():
@@ -227,6 +248,49 @@ def test_dp_matches_enumeration_when_the_bans_outgrow_the_path(s, d):
             cset = constraints_for(s, d, p)
             for y in (-2, -1, 0):
                 assert count_paths_dp(x, y, cset) == len(enumerate_paths(x, y, cset)), (x, p, y)
+
+
+def test_dp_matches_enumeration_on_every_top_triple():
+    # Every (factor, prefix, suffix) top in -1..4, at heights up to x + 1:
+    # past ceil(x / (factor_top + 2)) the factor ban leaves no word, and the
+    # climb-rate window is cut at both ends.
+    for tops in itertools.product(range(-1, 5), repeat=3):
+        cset = PathConstraintSet("odd_even", *tops)
+        for x in range(8):
+            for y in range(-x - 1, x + 2):
+                assert count_paths_dp(x, y, cset) == len(enumerate_paths(x, y, cset)), (
+                    tops, x, y
+                )
+
+
+def test_dp_adds_only_over_the_heights_a_path_can_climb_to(monkeypatch):
+    # Under the factor ban a word climbs one unit per factor_top + 2 steps at
+    # best, so the DP keeps about a third of the heights an unbanned path
+    # could reach at (201, 1, 6): four element adds per kept height and step.
+    s, d, p = 201, 1, 6
+    cset = constraints_for(s, d, p)
+    x, y = s // 2 + (d + 1) // 2, -((d + 1) // 2)
+
+    def window_widths(span):
+        def ceil(n):
+            return -(-n // span)
+
+        return sum(
+            min(ceil(n), y + x - n) - max(-n, y - ceil(x - n)) + 1 for n in range(1, x + 1)
+        )
+
+    expected = count_paths_dp(x, y, cset)
+    adds = 0
+
+    def counting_add(a, b):
+        nonlocal adds
+        adds += 1
+        return a + b
+
+    monkeypatch.setattr(motzkin, "add", counting_add)
+    assert count_paths_dp(x, y, cset) == expected
+    assert adds <= 4 * window_widths(cset.factor_top + 2)
+    assert adds <= 0.4 * 4 * window_widths(1)
 
 
 def test_dp_run_states_stop_growing_past_the_path_length():
