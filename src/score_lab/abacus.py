@@ -25,13 +25,20 @@ summary
 otherwise the topmost negative-label spacer row) is the quantity the
 lattice-path encoding in `score_lab.bijection` is built from: the word
 of f's differences, with one convention step for odd d, is the path.
-This module places the beads of a core given as its hook-set mask
-(`_place_beads`, which walks the mask one period-wide row at a time),
-builds the word for `phi`, reads a hook-set mask back off the summary
-f, taken as f(j) + j (`_beads_mask`, for `state_md`, `phi_inverse` and
-`verify_instance`), and `validate_core_function` checks a summary by
-the path rules of `Progression.constraints`, so it keeps no structural
-rules of its own.
+
+Per core, `phi`'s body and the read-back work in the column keys
+f(j) + j from one end to the other.  The key of an empty column is
+r(j) - 1 + j (`Progression.empty_keys`) and a column's beads add to it,
+and consecutive keys differ by f's difference plus one, which is the
+step counted D = 0, F = 1, U = 2.  This module places the beads of a
+core given as its hook-set mask (`_place_beads`, which walks the mask
+one period-wide row at a time and returns the keys), turns the keys
+into the word for `phi` by one bytes step (`_path_word`), reads a
+hook-set mask back off the keys (`_beads_mask`, for `state_md`,
+`phi_inverse` and `verify_instance`), and `validate_core_function`
+checks a summary by the path rules of `Progression.constraints`, so it
+keeps no structural rules of its own.  The public API speaks in bead
+counts b(j) and summaries f(j), one subtraction or addition away.
 """
 
 from __future__ import annotations
@@ -62,7 +69,9 @@ __all__ = [
     "abacus_record",
 ]
 
-_LETTER = {rise: letter for letter, rise in _RISES}  # a column-to-column difference -> its step
+# a column-to-column difference of keys, f's difference plus one -> its step
+_STEP_BYTES = bytes(rise + 1 for _, rise in _RISES)
+_STEP_LETTERS = bytes.maketrans(_STEP_BYTES, "".join(letter for letter, _ in _RISES).encode())
 
 
 def abacus_spec(s: int, d: int) -> Progression:
@@ -119,11 +128,11 @@ def place_beads(prog: Progression, md: Iterable[int]) -> tuple[int, ...]:
     # before its mask, a bit per odd number below it, is built.
     if md and md[0] >= prog.period * len(md):
         raise _placement_error(prog, md)
-    return _place_beads(prog, _hook_mask(md))
+    return tuple(map(sub, _place_beads(prog, _hook_mask(md)), prog.empty_keys))
 
 
-def _place_beads(prog: Progression, mask: int) -> tuple[int, ...]:
-    """Signed bead counts of the canonical hook set whose `_hook_mask` is ``mask``.
+def _place_beads(prog: Progression, mask: int) -> list[int]:
+    """Column keys f(j) + j of the canonical hook set whose `_hook_mask` is ``mask``.
 
     Cut into rows of one period, the mask's row i has bit r set when the
     hook of index i in residue class r is present.  So a class is a
@@ -131,15 +140,16 @@ def _place_beads(prog: Progression, mask: int) -> tuple[int, ...]:
     back, and the walk goes up from row 0 while the row is not empty:
     a bit with none below it is a gap, and a class whose bit ends at
     depth i holds i hooks, so its column, found by one
-    `Progression.residue_slots` lookup, gets b(j) = sign * i.  A class
-    with no slot, a column that two classes reach (they have opposite
-    signs), and any bit above the first empty row are refused too.  The
-    walk shifts the mask once per row, not once per hook.  The hook
-    tuple is built only for the error, after a failure.
+    `Progression.residue_slots` lookup, holds b(j) = sign * i beads and
+    gets the key `Progression.empty_keys`[j] + b(j).  A class with no
+    slot, a column that two classes reach (they have opposite signs),
+    and any bit above the first empty row are refused too.  The walk
+    shifts the mask once per row, not once per hook.  The hook tuple is
+    built only for the error, after a failure.
     """
-    period, slots = prog.period, prog.residue_slots
+    period, slots, empty = prog.period, prog.residue_slots, prog.empty_keys
     full = (1 << period) - 1
-    beads = [0] * prog.columns
+    keys = list(empty)
     rest = mask
     below = rest & full
     depth = 0
@@ -154,13 +164,16 @@ def _place_beads(prog: Progression, mask: int) -> tuple[int, ...]:
             r = ends.bit_length() - 1
             ends ^= 1 << r
             slot = slots.get(r)
-            if slot is None or beads[slot[0]]:  # an unplaceable hook or a mixed column
+            if slot is None:  # an unplaceable hook
                 raise _placement_error(prog, _mask_hooks(mask))
-            beads[slot[0]] = slot[1] * depth
+            j, sign = slot
+            if keys[j] != empty[j]:  # a mixed column
+                raise _placement_error(prog, _mask_hooks(mask))
+            keys[j] += sign * depth
         below = row
     if rest:  # hooks above an empty row
         raise _placement_error(prog, _mask_hooks(mask))
-    return tuple(beads)
+    return keys
 
 
 def _placement_error(
@@ -171,7 +184,8 @@ def _placement_error(
     The largest hook no position carries is reported first; otherwise
     the first column whose beads are not a block.  Each hook is filed
     under its column as its signed offset k from r(j), the quantity
-    `_place_beads` keeps as a top: it sits in row r(j) + k - (k > 0).
+    `_place_beads` adds to an empty key for a block's top hook: it sits
+    in row r(j) + k - (k > 0).
     """
     period, slots = prog.period, prog.residue_slots
     offsets: dict[int, list[int]] = {}  # column -> signed offsets of its hooks
@@ -195,12 +209,8 @@ def _placement_error(
 
 
 def abacus_function(prog: Progression, beads: Sequence[int]) -> tuple[int, ...]:
-    """Per-column summary f(j) = r(j) - 1 + b(j) of one signed bead count per column.
-
-    Unchecked, unlike the rest of this API: it runs once per core on
-    `phi`'s path, whose counts come from `_place_beads`.
-    """
-    return tuple(map(add, prog.empty_tops, beads))
+    """Per-column summary f(j) = r(j) - 1 + b(j) of one signed bead count per column."""
+    return tuple(map(add, prog.empty_tops, _check_column_count(prog, beads)))
 
 
 def beads_from_function(prog: Progression, values: Iterable[int]) -> tuple[int, ...]:
@@ -211,8 +221,8 @@ def beads_from_function(prog: Progression, values: Iterable[int]) -> tuple[int, 
 
 def state_md(prog: Progression, beads: Iterable[int]) -> tuple[int, ...]:
     """Diagonal hooks read back off one signed bead count per column, largest first."""
-    f = abacus_function(prog, _check_column_count(prog, beads))
-    return _mask_hooks(_beads_mask(prog, map(add, f, range(prog.columns))))
+    beads = _check_column_count(prog, beads)
+    return _mask_hooks(_beads_mask(prog, map(add, prog.empty_keys, beads)))
 
 
 def _beads_mask(prog: Progression, keys: Iterable[int]) -> int:
@@ -241,21 +251,32 @@ def validate_core_function(values: Iterable[int], prog: Progression) -> bool:
     if values[0] != 0:
         return False
     try:
-        steps = _path_word(prog, values)
-    except KeyError:  # a jump of 2 or more
+        steps = _path_word(prog, list(map(add, values, range(prog.columns))))
+    except ValueError:  # a jump of 2 or more
         return False
     return _satisfies(steps, prog.constraints, prog.x, prog.y)
 
 
-def _path_word(prog: Progression, f: Sequence[int]) -> str:
-    """The U/D/F word of f's consecutive differences, with odd d's convention step.
+def _path_word(prog: Progression, keys: Sequence[int]) -> str:
+    """The U/D/F word of the column keys f(j) + j, with odd d's convention step.
 
-    For odd d a last step from f's last column to -(d+1)/2 is added.  A
-    difference outside -1, 0, 1 raises `KeyError` with that difference.
+    Consecutive keys differ by f's difference plus one, so the
+    differences are the step bytes D = 0, F = 1, U = 2, and one
+    translate spells them.  For odd d a last step to the key of
+    f = -(d+1)/2 one column past the last is added.  A fall of 2 or more
+    is a negative difference, which `bytes` refuses; a rise of 2 or more
+    leaves a byte past 2.  Either raises `ValueError` with the first
+    difference of f outside -1, 0, 1, worked out only then.
     """
     if prog.d % 2 == 1:
-        f = [*f, prog.y]
-    return "".join(map(_LETTER.__getitem__, map(sub, f[1:], f)))
+        keys = [*keys, prog.y + prog.columns]
+    try:
+        steps = bytes(map(sub, keys[1:], keys))
+        if not steps.translate(None, _STEP_BYTES):
+            return steps.translate(_STEP_LETTERS).decode()
+    except ValueError:  # a fall of 2 or more
+        pass
+    raise ValueError(next(b - a - 1 for a, b in zip(keys, keys[1:]) if not 0 <= b - a <= 2))
 
 
 def render_abacus(prog: Progression, beads: Iterable[int]) -> str:
@@ -287,13 +308,12 @@ def render_abacus(prog: Progression, beads: Iterable[int]) -> str:
 def abacus_record(prog: Progression, beads: Iterable[int]) -> dict:
     """JSON-ready record: (s, d, a) plus per-column (j, r, b, f)."""
     beads = _check_column_count(prog, beads)
-    f = abacus_function(prog, beads)
     return {
         "s": prog.s,
         "d": prog.d,
         "a": prog.a,
         "columns": [
-            {"j": j, "r": r, "b": b, "f": f[j]}
+            {"j": j, "r": r, "b": b, "f": r - 1 + b}
             for j, (r, b) in enumerate(zip(prog.boundary_rows, beads))
         ],
     }

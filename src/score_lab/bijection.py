@@ -15,17 +15,19 @@ and both ends are validated so the correspondence is enforced rather
 than assumed: `phi` runs the core test on its input and checks the path
 it builds against the constraint set, and `phi_inverse` checks its
 input path the same way and runs the core test on the hook set it
-reads back.  The read-back itself, path heights (the summary f, taken
-as f(j) + j) to the hook-set mask, is one unchecked body (`_path_mask`
-over the abacus's `_beads_mask`), which
+reads back.  Both directions work in the column keys f(j) + j, the
+summary f plus the column index, which are a path's running sums with
+U = 2, F = 1, D = 0.  The read-back, keys to the hook-set mask, is one
+unchecked body (`_path_mask` over the abacus's `_beads_mask`), which
 `score_lab.oracle.verify_instance` calls on `phi`'s word, so a core's
 round trip runs each check once.  `phi`'s body takes the core as a
 hook-set mask alone, the form the oracle's search yields: the core
 test, the bead placement and verify's compare with the read-back all
 work on that one int, and the hook tuple is built only to name a
-failure.  The f -> word step is `score_lab.abacus`'s, the one
+failure.  Its bead placement gives the keys, and the keys -> word step
+is `score_lab.abacus`'s one bytes step, the one
 `validate_core_function` checks a summary through, so the path rules
-have one home.
+have one home; no f or bead count is built on the way.
 
 For d = 1 the encoding refines by the corner count m of the partition:
 paths of cores with even m end in D and carry floor(s/2) - m flats;
@@ -37,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import accumulate
 
-from .abacus import _beads_mask, _path_word, _place_beads, abacus_function
+from .abacus import _beads_mask, _path_word, _place_beads
 from .errors import (
     InternalConsistencyError,
     InvalidPathError,
@@ -105,9 +107,10 @@ def _phi(mask: int, prog: Progression) -> str:
     """`phi` on the `_hook_mask` of a canonical hook set; the hook tuple only names a failure."""
     if not _is_simultaneous_core(mask, prog.doubled):
         raise _not_a_core(_mask_hooks(mask), prog)
+    keys = _place_beads(prog, mask)
     try:
-        steps = _path_word(prog, abacus_function(prog, _place_beads(prog, mask)))
-    except KeyError as exc:  # a jump of 2+ would mean the encoding is broken
+        steps = _path_word(prog, keys)
+    except ValueError as exc:  # a jump of 2+ would mean the encoding is broken
         raise InternalConsistencyError(
             f"column summary jumps by {exc} for {_mask_hooks(mask)}"
         )

@@ -206,12 +206,19 @@ def _hook_mask(hooks: Sequence[int]) -> int:
 
 
 def _mask_hooks(mask: int) -> tuple[int, ...]:
-    """The canonical hook set of a `_hook_mask`: its set bits, largest first."""
+    """The canonical hook set of a `_hook_mask`: its set bits, largest first.
+
+    The bits are read off the mask's binary digits, most significant
+    first, in time linear in its width; clearing the top bit once per
+    hook would copy the whole mask once per hook.
+    """
     hooks = []
-    while mask:
-        h = mask.bit_length() - 1
-        hooks.append(h)
-        mask ^= 1 << h
+    digits = bin(mask)
+    last = len(digits) - 1
+    i = digits.find("1")
+    while i > 0:  # past the "0b" prefix; -1 once no 1 is left
+        hooks.append(last - i)
+        i = digits.find("1", i + 1)
     return tuple(hooks)
 
 

@@ -187,7 +187,8 @@ def _iter_paths(x: int, y: int, constraints: PathConstraintSet) -> Iterator[str]
 
     Every joined word has x // 2 + (x - x // 2) = x steps and halves'
     heights summing to y, so only ``pattern`` is searched; callers that
-    need the whole rule on a word (``verify_instance``) run `satisfies`.
+    need the whole rule on a word (``verify_instance``) check its letters
+    and run `_satisfies`.
     """
     if abs(y) > x:
         return

@@ -59,7 +59,7 @@ from .bijection import _path_mask, _phi, phi_context
 from .errors import InvalidInputError, ScoreLabError, UnsupportedParametersError, check_pair
 from .formulas import CORNER_FORMULAS, closed_forms
 from .mdcore import _mask_corners, _mask_hooks, _md_to_partition
-from .motzkin import _RISES, _iter_paths, count_paths_dp, satisfies
+from .motzkin import _ALPHABET, _RISES, _iter_paths, _satisfies, count_paths_dp
 from .progression import Progression
 
 __all__ = [
@@ -346,8 +346,9 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
     yields masks too, so a core's partition is built only to name a
     failure as well.  The paths are counted as `_iter_paths` yields them;
     that stream searches each word for banned patterns only, so each
-    must pass public `satisfies` here, which checks its alphabet and
-    type as well.
+    must pass `_satisfies` here, which checks its type as well, after
+    its letters are checked against U/D/F; (x, y) come canonical from
+    `phi_context`, so they are not checked again per word.
 
     The round trip passes when every core comes back, both streams are
     strictly ascending (masks, which order as their hook tuples do, and
@@ -383,7 +384,7 @@ def verify_instance(s: int, d: int, p: int, scan: bool = False) -> VerifyReport:
         key = word.translate(_UDF_ORDER)
         if n_path and not previous < key:
             failed.setdefault("roundtrip", f"path {word} is out of U < D < F order")
-        if not satisfies(word, constraints, x, y):
+        if not (_ALPHABET.issuperset(word) and _satisfies(word, constraints, x, y)):
             failed.setdefault("roundtrip", f"path {word} is not admissible")
         n_path, previous = n_path + 1, key
 

@@ -8,10 +8,11 @@ from it, each value computed on first use and then kept:
 * the moduli and their doubles (core tests);
 * the abacus grid: the corner label a, the columns, the period 2(s+d),
   the first positive row of each column and the row below it, the
-  column and sign of each odd residue (`residue_slots`), and the
-  gap-free blocks of each column's two residue classes, keyed by the
-  column's summary value f(j) plus its index j (`class_blocks`, each
-  block built when some call first reads it and kept);
+  key f(j) + j of each empty column (`empty_keys`), the column and
+  sign of each odd residue (`residue_slots`), and the gap-free blocks
+  of each column's two residue classes, keyed by the column's summary
+  value f(j) plus its index j (`class_blocks`, each block built when
+  some call first reads it and kept);
 * the completeness bound `md_bound` on the diagonal hooks of a core;
 * the path type (x, y) and the constraint set of the path encoding.
 
@@ -98,6 +99,17 @@ class Progression(NamedTuple("Progression", [("s", int), ("d", int), ("p", int)]
         return tuple(r - 1 for r in self.boundary_rows)
 
     @cached_property
+    def empty_keys(self) -> tuple[int, ...]:
+        """r(j) - 1 + j for every column j: the key f(j) + j of a column with no beads.
+
+        Keys are the coordinates `phi` and the read-back both work in: the
+        key of a column with b beads is its empty key plus b, and the
+        differences of consecutive keys are a path's steps counted
+        U = 2, F = 1, D = 0.
+        """
+        return tuple(empty + j for j, empty in enumerate(self.empty_tops))
+
+    @cached_property
     def md_bound(self) -> int:
         """`default_md_bound`: no (s, s+d)-core has a larger diagonal hook."""
         return default_md_bound(self.s, self.d)
@@ -150,8 +162,8 @@ class Progression(NamedTuple("Progression", [("s", int), ("d", int), ("p", int)]
         call has read.
         """
         return tuple(
-            _ClassBlocks(self.period, firsts, empty + j)
-            for j, (firsts, empty) in enumerate(zip(self.class_firsts, self.empty_tops))
+            _ClassBlocks(self.period, firsts, empty)
+            for firsts, empty in zip(self.class_firsts, self.empty_keys)
         )
 
     @cached_property
@@ -179,10 +191,9 @@ class _ClassBlocks(dict):
 
     ``firsts`` are the smallest hooks of the column's positive and
     negative class (`Progression.class_firsts`) and ``empty`` is the key
-    of the column with no beads, r(j) - 1 + j (`Progression.empty_tops`
-    plus the column's index).  The block of key k holds the column's
-    b = k - empty beads: first + period * i for i < |b|, with first the
-    one of b's sign.
+    of the column with no beads, r(j) - 1 + j (`Progression.empty_keys`).
+    The block of key k holds the column's b = k - empty beads:
+    first + period * i for i < |b|, with first the one of b's sign.
     """
 
     def __init__(self, period: int, firsts: tuple[int, int], empty: int) -> None:

@@ -123,26 +123,27 @@ def test_place_beads_refuses_a_hook_no_block_reaches_without_its_mask():
 
 def test_place_beads_walks_the_mask_by_rows_in_linear_time():
     # Clearing the top bit of a long int once per hook copies the mask per
-    # hook; the row walk shifts it once per row of one period.
+    # hook; the row walk shifts it once per row of one period.  Both give
+    # the column keys f(j) + j, each column's empty key plus its count.
     def per_hook(prog, mask):
-        beads = [0] * prog.columns
+        keys = list(prog.empty_keys)
         while mask:
             h = mask.bit_length() - 1
             mask ^= 1 << h
             j, sign = prog.residue_slots[h % prog.period]
-            beads[j] += sign
-        return tuple(beads)
+            keys[j] += sign
+        return keys
 
     prog = phi_context(1001, 1, 2)
     mask = _hook_mask(phi_inverse("U" * 250 + "D" * 251, prog))
     assert mask.bit_count() == 62_500
     start = time.perf_counter()
-    beads = _place_beads(prog, mask)
+    keys = _place_beads(prog, mask)
     rows = time.perf_counter() - start
     start = time.perf_counter()
     expected = per_hook(prog, mask)
     quadratic = time.perf_counter() - start
-    assert beads == expected
+    assert keys == expected
     assert rows <= quadratic / 4
 
 
@@ -254,15 +255,17 @@ def test_render_pins_one_picture():
 
 def test_record_layout():
     prog = abacus_spec(3, 2)
-    record = abacus_record(prog, place_beads(prog, (1,)))
+    beads = place_beads(prog, (1,))
+    record = abacus_record(prog, beads)
     assert record["s"] == 3 and record["d"] == 2 and record["a"] == -3
     assert record["columns"][1] == {"j": 1, "r": 0, "b": 1, "f": 0}
+    assert tuple(column["f"] for column in record["columns"]) == abacus_function(prog, beads)
 
 
 @pytest.mark.parametrize("values", [(0.5, 0, 0), (1.5, 0, 0), ("x", 0, 0), (0, 0, 1.0)])
 def test_abacus_api_refuses_non_integer_column_values(values):
     prog = Progression(3, 2, 1)
-    for use in (beads_from_function, state_md, render_abacus, abacus_record):
+    for use in (abacus_function, beads_from_function, state_md, render_abacus, abacus_record):
         with pytest.raises(InvalidInputError, match="must be integers"):
             use(prog, values)
     with pytest.raises(InvalidInputError, match="must be integers"):
@@ -276,6 +279,7 @@ def test_abacus_api_reads_an_iterator_once():
     beads = place_beads(prog, (1,))
     f = abacus_function(prog, beads)
     cases = [
+        (abacus_function, beads),
         (beads_from_function, f),
         (state_md, beads),
         (render_abacus, beads),
@@ -299,6 +303,6 @@ def test_label_refuses_a_non_integer_position(i, j):
 def test_record_and_render_refuse_a_bead_tuple_of_the_wrong_length(beads):
     # (3, 2) has 3 columns; a shorter or longer tuple must not be zipped short.
     prog = Progression(3, 2, 1)
-    for show in (abacus_record, render_abacus):
+    for show in (abacus_function, abacus_record, render_abacus):
         with pytest.raises(InvalidInputError, match=f"expected 3 values .* got {len(beads)}"):
             show(prog, beads)

@@ -26,10 +26,11 @@ from score_lab import (
     place_beads,
     satisfies,
     state_md,
+    validate_core_function,
     verify_instance,
 )
 from score_lab.bijection import _path_mask, mapping_record
-from score_lab.mdcore import _is_simultaneous_core, _mask_hooks
+from score_lab.mdcore import _hook_mask, _is_simultaneous_core, _mask_hooks
 
 LAMBDA = (77, 41, 35, 27, 19, 11, 5, 3)
 MU = (67, 65, 21, 19, 15, 13, 11, 9, 7, 3, 1)
@@ -169,6 +170,51 @@ def test_phi_inverse_refuses_a_non_core_read_back(monkeypatch):
         phi_inverse("FDUFFUDDDDUF", prog)
 
 
+def _first_jump(f, prog):
+    """The first difference of f, with odd d's convention step, outside -1, 0, 1."""
+    f = [*f, prog.y] if prog.d % 2 else list(f)
+    return next(b - a for a, b in zip(f, f[1:]) if abs(b - a) > 1)
+
+
+@pytest.mark.parametrize("s,d,p", [(21, 4, 4), (16, 3, 3)])
+@pytest.mark.parametrize("jump", [2, 3, -2, -3, 300, -300])
+def test_a_summary_that_jumps_is_named_by_its_first_jump(s, d, p, jump, monkeypatch):
+    # The keys' differences are the step bytes, so a rise of 2 or more leaves
+    # a byte past U's and a fall of 2 or more a negative one, which bytes
+    # refuses; either must be named by f's first difference, the way the
+    # per-letter lookup named it, and refused by the summary validator.
+    import score_lab.bijection as bijection_mod
+
+    prog = phi_context(s, d, p)
+    md = max(enumerate_md_sets(prog), key=len)
+    f = [v - i for i, v in enumerate(bijection_mod._place_beads(prog, _hook_mask(md)))]
+    j = prog.columns // 2
+    shift = jump - (f[j] - f[j - 1])
+    jumping = f[:j] + [v + shift for v in f[j:]]
+    assert _first_jump(jumping, prog) == jump
+    keys = [v + i for i, v in enumerate(jumping)]
+    monkeypatch.setattr(bijection_mod, "_place_beads", lambda prog, mask: keys)
+    with pytest.raises(InternalConsistencyError) as raised:
+        bijection_mod._phi(_hook_mask(md), prog)
+    assert str(raised.value) == f"column summary jumps by {jump} for {md}"
+    assert validate_core_function(jumping, prog) is False
+
+
+def test_a_convention_step_that_jumps_is_named(monkeypatch):
+    # At d = 3 the all-flat summary ends at 0 and its convention step falls to
+    # -2: the only jump is past the last column.
+    import score_lab.bijection as bijection_mod
+
+    prog = phi_context(16, 3, 3)
+    flat = [0] * prog.columns
+    assert _first_jump(flat, prog) == -2
+    monkeypatch.setattr(bijection_mod, "_place_beads", lambda prog, mask: list(range(len(flat))))
+    with pytest.raises(InternalConsistencyError) as raised:
+        bijection_mod._phi(_hook_mask(()), prog)
+    assert str(raised.value) == "column summary jumps by -2 for ()"
+    assert validate_core_function(flat, prog) is False
+
+
 def test_state_md_phi_inverse_and_verify_share_one_read_back(monkeypatch):
     import score_lab.abacus as abacus_mod
     import score_lab.bijection as bijection_mod
@@ -191,13 +237,17 @@ def test_state_md_phi_inverse_and_verify_share_one_read_back(monkeypatch):
 
 
 def test_one_summary_body_serves_phi_and_verify(monkeypatch):
-    # One f = r - 1 + b body: phi calls the public name, once per core.
-    counts = _count_calls(monkeypatch, ("abacus_function",))
+    # One placement and one key -> word step per core, in phi and in verify:
+    # the keys f(j) + j go from the row walk straight to the word.
+    import score_lab.abacus as abacus_mod
+
+    names = ("_place_beads", "_path_word", "abacus_function")
+    counts = _count_calls(monkeypatch, names, abacus_mod)
     prog = phi_context(21, 4, 4)
     assert phi(LAMBDA, prog) == "FDUFFUDDDDUF"
-    assert counts["abacus_function"] == 1
+    assert counts == {"_place_beads": 1, "_path_word": 1, "abacus_function": 0}
     assert verify_instance(3, 2, 2).passed  # two cores, one summary each
-    assert counts["abacus_function"] == 3
+    assert counts == {"_place_beads": 3, "_path_word": 3, "abacus_function": 0}
 
 
 def _count_calls(monkeypatch, names, home=score_lab):

@@ -61,6 +61,7 @@ from score_lab import (
     state_md,
     validate_core_function,
 )
+from score_lab.abacus import _place_beads
 from score_lab.bijection import _path_mask, mapping_record
 from score_lab.errors import check_progression_length
 from score_lab.mdcore import _hook_mask, _is_simultaneous_core
@@ -470,10 +471,15 @@ def test_placement_and_phi_match_the_per_hook_loops(s, d, p):
     for md in _hook_sets(prog):
         beads = outcome(place_beads, prog, md)
         assert beads == outcome(reference_place_beads, prog, md), md
+        # the body phi runs gives each column's key f(j) + j, or the same error
+        keys = outcome(_place_beads, prog, _hook_mask(md))
         if beads[0] == "ok":
+            assert keys == ("ok", [k + b for k, b in zip(prog.empty_keys, beads[1])]), md
             placed += 1
             back = state_md(prog, beads[1])
             assert back == reference_state_md(prog, beads[1]) == md
+        else:
+            assert keys == beads, md
         steps = outcome(phi, md, prog)
         assert steps == outcome(reference_phi, md, prog), md
         if steps[0] == "ok":

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from score_lab.mdcore import (
     _corners,
     _hook_mask,
     _mask_corners,
+    _mask_hooks,
     _md_to_partition,
     _partition_record,
     validate_partition,
@@ -164,6 +166,42 @@ def test_hook_mask_sets_one_bit_per_hook_in_linear_time():
     expected = summed(big)
     quadratic = time.perf_counter() - start
     assert mask == expected
+    assert linear <= quadratic / 4
+
+
+def _cleared_top_first(mask):
+    """Set bits of ``mask``, largest first, clearing the top bit once per hook."""
+    hooks = []
+    while mask:
+        h = mask.bit_length() - 1
+        hooks.append(h)
+        mask ^= 1 << h
+    return tuple(hooks)
+
+
+def test_mask_hooks_lists_each_set_bit_largest_first():
+    rng = random.Random(34)
+    masks = [0, 1, 2, 3, 5, (1 << 40) | 1]
+    for width in (7, 8, 9, 64, 162, 9_999, 10_000, 10_001):
+        top = 1 << (width - 1)
+        masks += [top, top | 1, top | rng.getrandbits(width - 1)]
+        masks.append(top | sum(1 << rng.randrange(width) for _ in range(50)))
+    for mask in masks:
+        assert _mask_hooks(mask) == _cleared_top_first(mask), mask.bit_length()
+
+
+def test_mask_hooks_lists_one_hook_per_set_bit_in_linear_time():
+    # Clearing the top bit of a long int copies it once per hook; on the
+    # 62,500 hooks of this s = 1001 core the digit walk reads it once.
+    mask = _hook_mask(phi_inverse("U" * 250 + "D" * 251, phi_context(1001, 1, 2)))
+    assert mask.bit_count() == 62_500
+    start = time.perf_counter()
+    hooks = _mask_hooks(mask)
+    linear = time.perf_counter() - start
+    start = time.perf_counter()
+    expected = _cleared_top_first(mask)
+    quadratic = time.perf_counter() - start
+    assert hooks == expected
     assert linear <= quadratic / 4
 
 

@@ -333,6 +333,11 @@ def _flatten_the_last(items):
     items[-1] = "F" * len(items[-1])
 
 
+def _foreign_letter(items):
+    """The last word's last letter becomes X: the right length, still in order."""
+    items[-1] = items[-1][:-1] + "X"
+
+
 def _wrong_type_words(items):
     _lengthen_one(items)
     _flatten_the_last(items)
@@ -391,11 +396,12 @@ def test_verify_names_the_first_core_out_of_order(monkeypatch):
     assert verify_instance(9, 2, 3).error == f"core {mds[3]} is out of order"
 
 
-@pytest.mark.parametrize("edit", [_lengthen_one, _flatten_the_last])
+@pytest.mark.parametrize("edit", [_lengthen_one, _flatten_the_last, _foreign_letter])
 def test_verify_checks_the_type_of_each_streamed_word(edit, monkeypatch):
-    # The stream searches its words for banned patterns only, so the public
-    # satisfies verify runs on each word is what refuses a wrong length or
-    # end height; the edited stream keeps its order and its count.
+    # The stream searches its words for banned patterns only, so the alphabet
+    # and type check verify runs on each word is what refuses a foreign
+    # letter, a wrong length or a wrong end height, as an inadmissible path
+    # rather than a traceback; the edited stream keeps its order and its count.
     prog = phi_context(9, 2, 3)
     words = list(oracle_mod._iter_paths(prog.x, prog.y, prog.constraints))
     edited = list(words)
